@@ -12,23 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import constants, experiments, oracle, sampling
 from .rng import RandomStream
-
-_FLOAT_FMT = "{:.17g}"
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return _FLOAT_FMT.format(x)
-    return str(x)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -183,7 +170,7 @@ def _table_text(rows: list[dict], fmt: str, header_note: str) -> str:
     lines = [f"# simplex-limits {experiments.TOOL_VERSION}", f"# {header_note}",
              ",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(experiments._fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,12 @@ so the merged sample is a pure function of the config and never depends on
 worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
+Memory model: each kernel transforms its freshly drawn block in place, so a
+sample function holds about one block per worker, i.e. workers x 16 MiB, or
+workers x one row of 8n bytes when n > 2^21.  Two paths keep one more
+temporary: q=3 its ``d*d`` (an extra block), and the lp-ball norm at p != 1
+its powers of one chunk of rows (an extra row when n is large).
+
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
 band inside which a desk-scale run is expected to land.
@@ -44,7 +50,9 @@ EXPERIMENT_KINDS = (
     "lp_ldp", "lp_gumbel", "equivalence_decay", "general_clt",
 )
 
-#: Replicate-block size in matrix elements (~16 MB of float64 per block).
+#: Replicate-block size in matrix elements (16 MiB of float64 per block; a
+#: block is one row of n elements when n > 2^21).  Peak memory is about one
+#: block per worker, because the kernels work in place on the block they draw.
 #: Fixed: it is part of the substream assignment rule.
 _BLOCK_ELEMS = 1 << 21
 
@@ -192,12 +200,15 @@ class ExperimentReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(x: float | None) -> str:
+def _fmt(x) -> str:
+    """CSV text of a report or table cell: floats round-trip, infinities spelled out."""
     if x is None:
         return ""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    if isinstance(x, float):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return f"{x:.17g}"
+    return str(x)
 
 
 def _json_float(x: float | None):
@@ -234,16 +245,18 @@ def report_from_json(text: str) -> ExperimentReport:
 
 
 def _abs_pow(d: np.ndarray, q: float) -> np.ndarray:
+    """Raise the nonnegative block ``d``, which the caller owns, to the power
+    ``q`` in place and return it."""
     # integer fast paths: generic float powers dominate the runtime otherwise
-    if q == 1.0:
-        return d
     if q == 2.0:
-        return d * d
-    if q == 3.0:
-        return d * d * d
-    if float(q).is_integer():
-        return d ** int(q)
-    return d**q
+        d *= d
+    elif q == 3.0:
+        np.multiply(d * d, d, out=d)  # one temporary keeps the (d*d)*d bits
+    elif float(q).is_integer():
+        d **= int(q)
+    elif q != 1.0:
+        d **= q
+    return d
 
 
 def _blocks(replicates: int, n: int) -> list[tuple[int, int]]:
@@ -293,7 +306,8 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
         e = sampling.exponential_block(bstream, rows, n)
         mean = e.mean(axis=1)
-        power_sum = _abs_pow(np.abs(e - mean[:, None]), q).sum(axis=1)
+        e -= mean[:, None]
+        power_sum = _abs_pow(np.abs(e, out=e), q).sum(axis=1)
         scaled = (power_sum * (inv_mu / n)) ** (1.0 / q) / mean
         return sqrt_n * (scaled - 1.0) / sigma
 
@@ -330,9 +344,9 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
     lp-norm seen (for the membership check)."""
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
-        coords = sampling.lp_ball_block(bstream, rows, n, p)
-        a = np.abs(coords)
-        return np.column_stack([a.max(axis=1), _abs_pow(a, p).sum(axis=1) ** (1.0 / p)])
+        a = sampling.lp_ball_block(bstream, rows, n, p)
+        sup = np.abs(a, out=a).max(axis=1)  # before _abs_pow overwrites a
+        return np.column_stack([sup, _abs_pow(a, p).sum(axis=1) ** (1.0 / p)])
 
     both = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
     sample = EmpiricalSample.from_values(both[:, 0], n=n,
@@ -364,8 +378,8 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
         x = dist.sample(bstream.generator(), (rows, n))
-        centered = np.abs(x - x.mean(axis=1)[:, None])
-        return sqrt_n * (_abs_pow(centered, q).mean(axis=1) - mq)
+        x -= x.mean(axis=1)[:, None]
+        return sqrt_n * (_abs_pow(np.abs(x, out=x), q).mean(axis=1) - mq)
 
     values = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
     return EmpiricalSample.from_values(values, n=n,

@@ -20,6 +20,10 @@ from .rng import RandomStream
 #: Loose bound used to validate the sum invariants of generated points.
 SUM_TOL = 1e-12
 
+#: Elements per chunk (512 KiB of float64) of the temporaries that the block
+#: samplers build piecewise, so that no such temporary is block-sized.
+_CHUNK_ELEMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SimplexPoint:
@@ -115,19 +119,43 @@ def sample_simplex(
     return SimplexPoint(coords=coords, n=n, centered=centered, construction=construction)
 
 
-def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
-    """Matrix of i.i.d. p-generalized Gaussian variates.
+def _pgen_magnitudes(rng: np.random.Generator, rows: int, n: int, p: float) -> np.ndarray:
+    """Magnitudes |Y| of a matrix of i.i.d. p-generalized Gaussians Y.
 
-    Uses the exact gamma transform |Y|**p / p ~ Gamma(1/p) with an independent
-    fair sign; rejection-free for every p >= 1.  Draw order (magnitudes, then
-    signs) is fixed.
+    Uses the exact gamma transform |Y|**p / p ~ Gamma(1/p), rejection-free for
+    every p >= 1, and builds |Y| in the gamma buffer.  The independent fair
+    signs are drawn next, by :func:`_apply_fair_signs`: the draw order
+    (magnitudes, then signs) is fixed.
     """
-    _check_p(p)
-    rng = stream.generator()
     w = rng.gamma(1.0 / p, 1.0, (rows, n))
     w = _redraw_exact_zeros(rng, lambda r, k: r.gamma(1.0 / p, 1.0, k), w)
-    signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
-    return signs * (p * w) ** (1.0 / p)
+    w *= p
+    w **= 1.0 / p
+    return w
+
+
+def _apply_fair_signs(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
+    """Multiply each entry of the C-contiguous ``y`` by an independent fair
+    sign, in place, and return it.
+
+    The signs are drawn in C order a chunk at a time: the generator's stream
+    does not depend on how the draws are split, so the bits are those of one
+    whole-block draw, without a block of 64-bit integers.  A +-1.0 multiply
+    is used because a masked ``np.negative(..., where=)`` is about twice as
+    slow per variate.
+    """
+    flat = y.reshape(-1)
+    for start in range(0, flat.size, _CHUNK_ELEMS):
+        chunk = flat[start:start + _CHUNK_ELEMS]
+        chunk *= 2.0 * rng.integers(0, 2, chunk.size) - 1.0
+    return y
+
+
+def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
+    """Matrix of i.i.d. p-generalized Gaussian variates (see :func:`_pgen_magnitudes`)."""
+    _check_p(p)
+    rng = stream.generator()
+    return _apply_fair_signs(rng, _pgen_magnitudes(rng, rows, n, p))
 
 
 def sample_pgen_gaussian(stream: RandomStream, p: float, size: int | None = None):
@@ -146,13 +174,24 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarr
     _check_dimension(n)
     _check_p(p)
     rng = stream.generator()
-    w = rng.gamma(1.0 / p, 1.0, (rows, n))
-    w = _redraw_exact_zeros(rng, lambda r, k: r.gamma(1.0 / p, 1.0, k), w)
-    signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
-    y = signs * (p * w) ** (1.0 / p)
+    y = _pgen_magnitudes(rng, rows, n, p)
+    # the norm is taken before the signs, from magnitudes that are |Y| exactly
+    norms = _power_row_sums(y, p) ** (1.0 / p)
+    _apply_fair_signs(rng, y)
     radius = rng.random(rows) ** (1.0 / n)
-    norms = np.sum(np.abs(y) ** p, axis=1) ** (1.0 / p)
-    return y * (radius / norms)[:, None]
+    y *= (radius / norms)[:, None]
+    return y
+
+
+def _power_row_sums(a: np.ndarray, p: float) -> np.ndarray:
+    """Row sums of ``a ** p``; the powers are taken a chunk of rows at a time."""
+    if p == 1.0:
+        return a.sum(axis=1)  # a ** 1.0 is a exactly
+    sums = np.empty(a.shape[0])
+    step = max(1, _CHUNK_ELEMS // a.shape[1])
+    for i in range(0, a.shape[0], step):
+        sums[i:i + step] = (a[i:i + step] ** p).sum(axis=1)
+    return sums
 
 
 def sample_lp_ball(stream: RandomStream, n: int, p: float) -> LpBallPoint:
