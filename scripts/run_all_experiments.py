@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and write CSV + JSON reports.
 
-Default settings mirror the acceptance suite (a few minutes of compute);
-``--quick`` shrinks replicate counts ~10x for a fast smoke pass.
+Default settings mirror the acceptance suite (about 55 s at workers=2 on two
+cores); ``--quick`` shrinks replicate counts ~10x for a fast smoke pass.
 """
 
 import argparse

@@ -17,6 +17,7 @@ from .constants import (
     subfactorial,
     tail_sandwich,
 )
+from .experiments import TOOL_VERSION as __version__
 from .experiments import ExperimentConfig, ExperimentReport, run
 from .oracle import (
     CancellationError,
@@ -52,5 +53,3 @@ from .statistics import (
     mdp_statistic,
     tail_log_prob,
 )
-
-__version__ = "0.1.0"

@@ -56,6 +56,19 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
+#: experiment subcommand -> kind, or -> {--law value: kind}
+_COMMAND_KINDS = {
+    "clt": "clt",
+    "berry-esseen": "berry_esseen_sweep",
+    "gumbel": "gumbel",
+    "ldp": "ldp",
+    "mdp": "mdp",
+    "lpball": {"ldp": "lp_ldp", "gumbel": "lp_gumbel"},
+    "equivalence": "equivalence_decay",
+    "general-clt": "general_clt",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplex-limits",
@@ -88,11 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--t", type=float, default=None, help="norm threshold (small-n-norm-cdf)")
     _add_output_flags(so)
 
-    for name in ("clt", "berry-esseen", "gumbel", "ldp", "mdp", "lpball",
-                 "equivalence", "general-clt"):
+    for name, kind in _COMMAND_KINDS.items():
         sub = subs.add_parser(name, help=f"run the {name} experiment")
-        if name == "lpball":
-            sub.add_argument("--law", choices=("ldp", "gumbel"), default="ldp")
+        if isinstance(kind, dict):
+            sub.add_argument("--law", choices=tuple(kind), default="ldp")
         _add_experiment_flags(sub)
 
     sr = subs.add_parser("report", help="re-emit a saved JSON report")
@@ -120,6 +132,12 @@ _DEFAULTS = {
 }
 
 
+#: config-file key, which is also the flag's name -> ExperimentConfig field
+_CONFIG_KEYS = {"n": "n_list", "q": "q", "p": "p", "replicates": "replicates",
+                "seed": "seed", "z": "thresholds", "sn": "s_n_rule", "source": "source",
+                "oracle_n": "oracle_n_list", "workers": "workers"}
+
+
 def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.ExperimentConfig:
     file_values = {}
     if args.config is not None:
@@ -127,29 +145,20 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.Exper
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-
-    def pick(flag, file_key, default):
-        if flag is not None:
-            return flag
-        if file_key in file_values and file_values[file_key] is not None:
-            value = file_values[file_key]
-            return tuple(value) if isinstance(value, list) else value
-        return default
-
-    defaults = _DEFAULTS[kind]
-    return experiments.ExperimentConfig(
-        kind=kind,
-        n_list=pick(args.n, "n", defaults.get("n_list", ())),
-        q=pick(args.q, "q", defaults.get("q")),
-        p=pick(args.p, "p", defaults.get("p")),
-        replicates=pick(args.replicates, "replicates", defaults.get("replicates", 10_000)),
-        seed=pick(args.seed, "seed", 0),
-        thresholds=pick(args.z, "z", defaults.get("thresholds", ())),
-        s_n_rule=pick(args.sn, "sn", "sqrt_log"),
-        source=pick(args.source, "source", "exponential"),
-        oracle_n_list=pick(args.oracle_n, "oracle_n", defaults.get("oracle_n_list", ())),
-        workers=pick(args.workers, "workers", 1),
-    )
+        unknown = sorted(set(file_values) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"config file {args.config} has unknown keys "
+                             f"{', '.join(unknown)}; known keys: {', '.join(_CONFIG_KEYS)}")
+    # an explicit flag beats the file, which beats the defaults
+    fields = {"replicates": 10_000, "seed": 0, **_DEFAULTS[kind]}
+    for key, field in _CONFIG_KEYS.items():
+        value = getattr(args, key)
+        if value is None:
+            value = file_values.get(key)
+            value = tuple(value) if isinstance(value, list) else value
+        if value is not None:
+            fields[field] = value
+    return experiments.ExperimentConfig(kind=kind, **fields)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -160,24 +169,10 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _table_text(rows: list[dict], fmt: str, header_note: str) -> str:
-    if fmt == "json":
-        body = [{k: (experiments._json_float(v) if isinstance(v, float) else v)
-                 for k, v in row.items()} for row in rows]
-        return json.dumps({"tool_version": experiments.TOOL_VERSION, "rows": body},
-                          sort_keys=True, indent=2) + "\n"
-    columns = list(rows[0].keys())
-    lines = [f"# simplex-limits {experiments.TOOL_VERSION}", f"# {header_note}",
-             ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(experiments._fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_constants(args: argparse.Namespace) -> int:
     rows = constants.constants_table(args.q)
-    _write(_table_text(rows, args.format, f"constants q={','.join(map(str, args.q))}"),
-           args.out)
+    _write(experiments.table_text(rows, args.format,
+                                  f"constants q={','.join(map(str, args.q))}"), args.out)
     return 0
 
 
@@ -185,22 +180,18 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     stream = RandomStream(args.seed)
     if args.kind == "exponential":
         matrix = sampling.exponential_block(stream, args.count, args.n)
-    elif args.kind == "simplex":
-        matrix = sampling.exponential_block(stream, args.count, args.n)
-        matrix = matrix / matrix.sum(axis=1)[:, None]
-        if not args.uncentered:
-            matrix = matrix - 1.0 / args.n
-    elif args.kind == "spacings":
-        matrix = sampling.spacings_block(stream, args.count, args.n)
-        if not args.uncentered:
-            matrix = matrix - 1.0 / args.n
+    elif args.kind in ("simplex", "spacings"):
+        construction = "exponential" if args.kind == "simplex" else "spacings"
+        matrix = sampling.simplex_block(stream, args.count, args.n, not args.uncentered,
+                                        construction)
     elif args.kind == "pgen":
         matrix = sampling.pgen_gaussian_block(stream, args.count, args.n, args.p)
     else:
         matrix = sampling.lp_ball_block(stream, args.count, args.n, args.p)
     rows = [{f"x{j + 1}": float(v) for j, v in enumerate(row)} for row in matrix]
-    _write(_table_text(rows, args.format,
-                       f"sample kind={args.kind} n={args.n} seed={args.seed}"), args.out)
+    _write(experiments.table_text(rows, args.format,
+                                  f"sample kind={args.kind} n={args.n} seed={args.seed}"),
+           args.out)
     return 0
 
 
@@ -218,7 +209,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         res = oracle.small_n_norm_cdf(args.n, args.q, args.t)
         row = {"op": args.op, "n": args.n, "q": args.q, "t": args.t, "value": res.value,
                "method": res.method, "error_bound": res.error_bound}
-    _write(_table_text([row], args.format, f"oracle {args.op}"), args.out)
+    _write(experiments.table_text([row], args.format, f"oracle {args.op}"), args.out)
     return 0
 
 
@@ -229,15 +220,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMAND_KINDS = {
-    "clt": "clt",
-    "berry-esseen": "berry_esseen_sweep",
-    "gumbel": "gumbel",
-    "ldp": "ldp",
-    "mdp": "mdp",
-    "equivalence": "equivalence_decay",
-    "general-clt": "general_clt",
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -252,10 +234,9 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_oracle(args)
         if args.command == "report":
             return _cmd_report(args)
-        if args.command == "lpball":
-            kind = "lp_ldp" if args.law == "ldp" else "lp_gumbel"
-        else:
-            kind = _COMMAND_KINDS[args.command]
+        kind = _COMMAND_KINDS[args.command]
+        if isinstance(kind, dict):
+            kind = kind[args.law]
         config = _experiment_config(kind, args)
         report = experiments.run(config)
         _write(report.to_csv() if args.format == "csv" else report.to_json(), args.out)

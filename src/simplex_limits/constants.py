@@ -74,17 +74,26 @@ def mu_q_integer(q: int) -> float:
     return 2.0 * math.factorial(q) / math.e - signed
 
 
+def _sigma_sq(q: float, m: float, m2: float) -> float:
+    # limit variance from m = mu_q and m2 = mu_2q
+    return (m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
+
+
+def _cov(q: float, m: float) -> float:
+    # Cov(E, |E - 1|**q) from m = mu_q
+    return (q + 1.0) * m - 1.0
+
+
 def sigma_q_sq(q: float) -> float:
     """Limit variance of the scaled lq-norm statistic."""
     _check_q(q)
-    m, m2 = mu_q(q), mu_q(2.0 * q)
-    return (m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
+    return _sigma_sq(q, mu_q(q), mu_q(2.0 * q))
 
 
 def cov_e_absq(q: float) -> float:
     """Covariance of E and |E - 1|**q: (q + 1) * mu_q - 1."""
     _check_q(q)
-    return (q + 1.0) * mu_q(q) - 1.0
+    return _cov(q, mu_q(q))
 
 
 def moment_derivative(q: float) -> float:
@@ -114,9 +123,8 @@ def moment_constants(q: float) -> MomentConstants:
     else:
         m, m2 = mu_q(q), mu_q(2.0 * q)
         method = "quadrature"
-    sig = (m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
-    return MomentConstants(q=float(q), mu_q=m, mu_2q=m2, sigma_q_sq=sig,
-                           cov_e_absq=(q + 1.0) * m - 1.0, method=method)
+    return MomentConstants(q=float(q), mu_q=m, mu_2q=m2, sigma_q_sq=_sigma_sq(q, m, m2),
+                           cov_e_absq=_cov(q, m), method=method)
 
 
 def c_p(p: float) -> float:

@@ -25,6 +25,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,12 +44,9 @@ from .statistics import (
     tail_log_prob,
 )
 
+#: The one statement of the version: reports, tables, ``--version``,
+#: ``__version__`` and the package metadata (``pyproject.toml``) all read it.
 TOOL_VERSION = "0.1.0"
-
-EXPERIMENT_KINDS = (
-    "clt", "berry_esseen_sweep", "gumbel", "ldp", "mdp",
-    "lp_ldp", "lp_gumbel", "equivalence_decay", "general_clt",
-)
 
 #: Replicate-block size in matrix elements (16 MiB of float64 per block; a
 #: block is one row of n elements when n > 2^21).  Peak memory is about one
@@ -79,7 +77,7 @@ TOLERANCES = {
     "ldp_band": (0.2, 0.3),
     "ldp_oracle_final_abs": 0.1,
     "inf_region_min": 3.0,
-    "mdp_band": 0.4,
+    "mdp_band": (0.4, 0.4),
     "mdp_lower_speeds": 3.0,
     "lp_ldp_band": (0.39, 0.51),
     "lp_gumbel_ks": 0.05,
@@ -89,8 +87,6 @@ TOLERANCES = {
     "general_ks": 0.05,
     "general_mean_sigmas": 4.0,
 }
-
-_SUP_KINDS = {"gumbel", "ldp", "mdp", "lp_ldp", "lp_gumbel", "equivalence_decay"}
 
 
 @dataclass(frozen=True)
@@ -157,6 +153,11 @@ class ReportRow:
     passed: bool
 
 
+#: CSV columns of a report, one per :class:`ReportRow` field in field order.
+REPORT_COLUMNS = ("experiment", "n", "param", "threshold", "estimate", "theory",
+                  "std_error", "pass")
+
+
 @dataclass
 class ExperimentReport:
     rows: list[ReportRow]
@@ -167,43 +168,40 @@ class ExperimentReport:
         return all(r.passed for r in self.rows)
 
     def to_csv(self) -> str:
-        lines = [
-            f"# simplex-limits {TOOL_VERSION}",
-            "# config=" + json.dumps(self.config.to_dict(), sort_keys=True),
-            "experiment,n,param,threshold,estimate,theory,std_error,pass",
-        ]
-        for r in self.rows:
-            lines.append(",".join([
-                r.experiment, str(r.n), r.param, _fmt(r.threshold), _fmt(r.estimate),
-                _fmt(r.theory), _fmt(r.std_error), "true" if r.passed else "false",
-            ]))
-        return "\n".join(lines) + "\n"
+        return self._text("csv")
 
     def to_json(self) -> str:
-        payload = {
-            "tool_version": TOOL_VERSION,
-            "config": self.config.to_dict(),
-            "rows": [
-                {
-                    "experiment": r.experiment,
-                    "n": r.n,
-                    "param": r.param,
-                    "threshold": _json_float(r.threshold),
-                    "estimate": _json_float(r.estimate),
-                    "theory": _json_float(r.theory),
-                    "std_error": _json_float(r.std_error),
-                    "pass": r.passed,
-                }
-                for r in self.rows
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return self._text("json")
+
+    def _text(self, fmt: str) -> str:
+        config = self.config.to_dict()
+        rows = [dict(zip(REPORT_COLUMNS, dataclasses.astuple(r))) for r in self.rows]
+        return table_text(rows, fmt, "config=" + json.dumps(config, sort_keys=True),
+                          columns=REPORT_COLUMNS, config=config)
+
+
+def table_text(rows: list[dict], fmt: str, note: str, columns=None, **meta) -> str:
+    """CSV or JSON text of a table of rows, headed by the tool version.
+
+    CSV adds ``note`` as a second comment line and a column line (``columns``,
+    by default the first row's keys); JSON adds the ``meta`` entries.
+    """
+    if fmt == "json":
+        body = [{k: _json_float(v) for k, v in row.items()} for row in rows]
+        return json.dumps({"tool_version": TOOL_VERSION, **meta, "rows": body},
+                          sort_keys=True, indent=2) + "\n"
+    columns = columns or list(rows[0])
+    lines = [f"# simplex-limits {TOOL_VERSION}", f"# {note}", ",".join(columns)]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(x) -> str:
-    """CSV text of a report or table cell: floats round-trip, infinities spelled out."""
+    """CSV text of a table cell: floats round-trip, infinities spelled out."""
     if x is None:
         return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
     if isinstance(x, float):
         if math.isinf(x):
             return "inf" if x > 0 else "-inf"
@@ -211,32 +209,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_float(x: float | None):
-    if x is None or not math.isinf(x):
-        return x
-    return "inf" if x > 0 else "-inf"
+def _json_float(x):
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
 
 
 def report_from_json(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON serialization (for format conversion)."""
     payload = json.loads(text)
-
-    def undo(x):
-        if x == "inf":
-            return math.inf
-        if x == "-inf":
-            return -math.inf
-        return x
-
-    rows = [
-        ReportRow(
-            experiment=r["experiment"], n=r["n"], param=r["param"],
-            threshold=undo(r["threshold"]), estimate=undo(r["estimate"]),
-            theory=undo(r["theory"]), std_error=undo(r["std_error"]),
-            passed=r["pass"],
-        )
-        for r in payload["rows"]
-    ]
+    undo = {"inf": math.inf, "-inf": -math.inf}
+    rows = [ReportRow(*(undo.get(r[c], r[c]) for c in REPORT_COLUMNS))
+            for r in payload["rows"]]
     return ExperimentReport(rows=rows, config=ExperimentConfig.from_dict(payload["config"]))
 
 
@@ -390,25 +374,21 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
 # runners
 
 
-def _require_q(config: ExperimentConfig) -> float:
-    if config.q is None or math.isinf(config.q):
-        raise ValueError(f"experiment {config.kind!r} requires a finite q")
-    return config.q
+def _require(config: ExperimentConfig, field: str) -> float:
+    value = getattr(config, field)
+    if value is None or math.isinf(value):
+        raise ValueError(f"experiment {config.kind!r} requires a finite {field}")
+    return value
 
 
-def _require_p(config: ExperimentConfig) -> float:
-    if config.p is None or math.isinf(config.p):
-        raise ValueError(f"experiment {config.kind!r} requires a finite p")
-    return config.p
-
-
-def _gaussian_fit_rows(experiment: str, n: int, param: str,
-                       studentized: EmpiricalSample, var_display: float,
-                       ks_tol: float) -> list[ReportRow]:
+def _gaussian_rows(experiment: str, n: int, param: str, studentized: EmpiricalSample,
+                   var_display: float, tol: str) -> list[ReportRow]:
     """KS / mean / variance rows for a studentized statistic.
 
     ``studentized`` should be standard normal in the limit; the variance row
     is reported in the limit-variance units (theory value ``var_display``).
+    ``tol`` is the prefix of the rows' ``TOLERANCES`` keys (``clt`` or
+    ``general``).
     """
     m = studentized.replicates
     d = ks_distance(studentized, gaussian_cdf, reference="gaussian").ks_distance
@@ -416,21 +396,21 @@ def _gaussian_fit_rows(experiment: str, n: int, param: str,
     mean_se = float(studentized.values.std()) / math.sqrt(m)
     var = float(studentized.values.var()) * var_display
     var_se = var * math.sqrt(2.0 / (m - 1)) if m > 1 else math.inf
-    mean_sigmas = TOLERANCES["clt_mean_sigmas" if experiment == "clt" else "general_mean_sigmas"]
-    var_rel = TOLERANCES["clt_var_rel" if experiment == "clt" else "general_var_rel"]
-    mean_tol = mean_sigmas * mean_se + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n)
+    mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] * mean_se
+                + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))
     return [
-        ReportRow(f"{experiment}:ks", n, param, None, d, 0.0, None, d <= ks_tol),
+        ReportRow(f"{experiment}:ks", n, param, None, d, 0.0, None,
+                  d <= TOLERANCES[f"{tol}_ks"]),
         ReportRow(f"{experiment}:mean", n, param, None, mean, 0.0, mean_se,
                   abs(mean) <= mean_tol),
         ReportRow(f"{experiment}:variance", n, param, None, var, var_display, var_se,
-                  abs(var - var_display) <= var_rel * var_display),
+                  abs(var - var_display) <= TOLERANCES[f"{tol}_var_rel"] * var_display),
     ]
 
 
 def run_clt(config: ExperimentConfig) -> ExperimentReport:
     """Gaussian-limit check of the scaled lq-norm statistic, per dimension."""
-    q = _require_q(config)
+    q = _require(config, "q")
     mc = moment_constants(q)
     param = f"q={q:g}"
     rows: list[ReportRow] = []
@@ -438,14 +418,13 @@ def run_clt(config: ExperimentConfig) -> ExperimentReport:
         sample = clt_sample(config.seed, n, q, config.replicates, mc=mc, workers=config.workers)
         # clt_sample is already studentized; the variance row is displayed
         # against the limit variance sigma_q^2 of the unstudentized statistic
-        rows.extend(_gaussian_fit_rows("clt", n, param, sample, mc.sigma_q_sq,
-                                       TOLERANCES["clt_ks"]))
+        rows.extend(_gaussian_rows("clt", n, param, sample, mc.sigma_q_sq, "clt"))
     return ExperimentReport(rows=rows, config=config)
 
 
 def run_berry_esseen_sweep(config: ExperimentConfig) -> ExperimentReport:
     """Boundedness of D_n * sqrt(n) / log n across a sweep of dimensions."""
-    q = _require_q(config)
+    q = _require(config, "q")
     if len(config.n_list) < 3:
         raise ValueError("berry_esseen_sweep needs at least 3 dimensions")
     mc = moment_constants(q)
@@ -465,25 +444,8 @@ def run_berry_esseen_sweep(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(rows=rows, config=config)
 
 
-def run_gumbel(config: ExperimentConfig) -> ExperimentReport:
-    """Gumbel-limit check of n * ||Z_n||_inf - (log n - 1), plus the exact
-    max-spacing oracle curve at the configured oracle dimensions."""
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        base = sup_norm_sample(config.seed, n, config.replicates, workers=config.workers)
-        sample = _affine_sample(base, 1.0, -(math.log(n) - 1.0), "gumbel")
-        d = ks_distance(sample, gumbel_cdf, reference="gumbel").ks_distance
-        rows.append(ReportRow("gumbel:ks", n, "", None, d, 0.0, None,
-                              d <= TOLERANCES["gumbel_ks"]))
-    x_grid = config.thresholds or (-1.0, 0.0, 1.0, 2.0)
-    for n in config.oracle_n_list:
-        for x in x_grid:
-            res = oracle.gumbel_surrogate_cdf(n, x)
-            theory = float(gumbel_cdf(x))
-            rows.append(ReportRow("gumbel:oracle", n, "", x, res.value, theory,
-                                  res.error_bound,
-                                  abs(res.value - theory) <= TOLERANCES["gumbel_oracle_abs"]))
-    return ExperimentReport(rows=rows, config=config)
+# ---------------------------------------------------------------------------
+# the sup-norm limit theorems: one table row each, one runner
 
 
 def _deviation_pass(estimate: float, theory: float, band: tuple[float, float]) -> bool:
@@ -494,141 +456,185 @@ def _deviation_pass(estimate: float, theory: float, band: tuple[float, float]) -
     return theory - band[0] <= estimate <= theory + band[1]
 
 
-def run_ldp(config: ExperimentConfig) -> ExperimentReport:
-    """Large-deviation rate estimates for (n / log n) * ||Z_n||_inf.
+def _oracle_rate(res: oracle.OracleResult, speed: float) -> tuple[float, float]:
+    """Normalized rate -log(P) / speed of an exact probability, with its error."""
+    return -math.log(res.value) / speed, res.error_bound / (res.value * speed)
 
-    Monte Carlo rows cover every configured threshold; thresholds below 1
-    target the +inf-rate region, where the pass rule accepts an empty tail
-    or an estimate past the super-decay floor.  Exact oracle rows are
-    evaluated only on the finite-rate side (z > 1): below 1 the alternating
+
+def _gumbel_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
+    """Exact max-spacing curve against the Gumbel CDF at the oracle dimensions."""
+    rows = []
+    for n in config.oracle_n_list:
+        for x in thresholds:
+            res = oracle.gumbel_surrogate_cdf(n, x)
+            theory = float(gumbel_cdf(x))
+            rows.append(ReportRow("gumbel:oracle", n, param, x, res.value, theory,
+                                  res.error_bound,
+                                  abs(res.value - theory) <= TOLERANCES["gumbel_oracle_abs"]))
+    return rows
+
+
+def _ldp_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
+    """Exact LDP rates, plus a trend row per threshold across the oracle dimensions.
+
+    Only the finite-rate side z > 1 is evaluated: below 1 the alternating
     series cancels past double precision by construction, which is the same
     super-exponential decay the Monte Carlo rows flag.
     """
-    if not config.thresholds:
-        raise ValueError("ldp experiment requires thresholds")
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        base = sup_norm_sample(config.seed, n, config.replicates, workers=config.workers)
-        sample = _affine_sample(base, 1.0 / math.log(n), 0.0, "ldp")
-        for z in config.thresholds:
-            theory = rate_function("simplex_sup", z)
-            direction = "above" if z >= 1.0 else "below"
-            dev = tail_log_prob(sample, z, speed=math.log(n), direction=direction)
-            rows.append(ReportRow("ldp:mc", n, "", z, dev.normalized_log_prob, theory,
-                                  dev.std_error,
-                                  _deviation_pass(dev.normalized_log_prob, theory,
-                                                  TOLERANCES["ldp_band"])))
-    for z in config.thresholds:
+    rows = []
+    for z in thresholds:
         if z <= 1.0:
             continue
         theory = rate_function("simplex_sup", z)
         estimates = []
         for n in sorted(config.oracle_n_list):
             res = oracle.max_spacing_sf(n, (1.0 + z * math.log(n)) / n)
-            est = -math.log(res.value) / math.log(n)
-            err = res.error_bound / (res.value * math.log(n))
-            rows.append(ReportRow("ldp:oracle", n, "", z, est, theory, err,
+            est, err = _oracle_rate(res, math.log(n))
+            rows.append(ReportRow("ldp:oracle", n, param, z, est, theory, err,
                                   _deviation_pass(est, theory, TOLERANCES["ldp_band"])))
             estimates.append(est)
         if len(estimates) >= 2:
             gaps = [abs(e - theory) for e in estimates]
             monotone = all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
-            rows.append(ReportRow("ldp:oracle_trend", max(config.oracle_n_list), "", z,
+            rows.append(ReportRow("ldp:oracle_trend", max(config.oracle_n_list), param, z,
                                   gaps[-1], 0.0, None,
                                   monotone and gaps[-1] <= TOLERANCES["ldp_oracle_final_abs"]))
-    return ExperimentReport(rows=rows, config=config)
+    return rows
 
 
-def run_mdp(config: ExperimentConfig) -> ExperimentReport:
-    """Moderate-deviation rate estimates at speed s_n.
-
-    Positive thresholds are estimated from the exact max-spacing survival
-    function (and by Monte Carlo at the configured dimensions); negative
-    thresholds check the super-decay of the lower tail against exp(-3 s_n).
-    """
-    thresholds = config.thresholds or (1.0,)
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        s_n = config.s_n(n)
-        log_n = math.log(n)
-        base = sup_norm_sample(config.seed, n, config.replicates, workers=config.workers)
-        sample = _affine_sample(base, 1.0 / s_n, -log_n / s_n, "mdp")
-        for x in thresholds:
-            theory = rate_function("mdp", x)
-            direction = "above" if x >= 0.0 else "below"
-            dev = tail_log_prob(sample, x, speed=s_n, direction=direction)
-            rows.append(ReportRow("mdp:mc", n, f"s_n={config.s_n_rule}", x,
-                                  dev.normalized_log_prob, theory, dev.std_error,
-                                  _deviation_pass(dev.normalized_log_prob, theory,
-                                                  (TOLERANCES["mdp_band"],
-                                                   TOLERANCES["mdp_band"]))))
+def _mdp_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
+    """Exact MDP rates; the lower tail checks super-decay against exp(-3 s_n)."""
+    rows = []
     for n in config.oracle_n_list:
         s_n = config.s_n(n)
         log_n = math.log(n)
         for x in thresholds:
             theory = rate_function("mdp", x)
-            if x >= 0.0:
-                res = oracle.max_spacing_sf(n, (1.0 + log_n + s_n * x) / n)
-                est = -math.log(res.value) / s_n
-                err = res.error_bound / (res.value * s_n)
-                passed = _deviation_pass(est, theory, (TOLERANCES["mdp_band"],
-                                                       TOLERANCES["mdp_band"]))
+            s = (1.0 + log_n + s_n * x) / n
+            if math.isfinite(theory):
+                est, err = _oracle_rate(oracle.max_spacing_sf(n, s), s_n)
+                passed = _deviation_pass(est, theory, TOLERANCES["mdp_band"])
             else:
                 # lower tail: fall back to the certified product bound when the
                 # exact series cancels; its -log is a lower bound on the
                 # normalized magnitude, which is all the pass rule needs
                 try:
-                    res = oracle.max_spacing_cdf(n, (1.0 + log_n + s_n * x) / n)
+                    res = oracle.max_spacing_cdf(n, s)
                 except oracle.CancellationError:
-                    res = oracle.max_spacing_cdf_upper(n, (1.0 + log_n + s_n * x) / n)
-                est = -math.log(res.value) / s_n
-                err = res.error_bound / (res.value * s_n)
+                    res = oracle.max_spacing_cdf_upper(n, s)
+                est, err = _oracle_rate(res, s_n)
                 passed = est >= TOLERANCES["mdp_lower_speeds"]
-            rows.append(ReportRow("mdp:oracle", n, f"s_n={config.s_n_rule}", x,
-                                  est, theory, err, passed))
-    return ExperimentReport(rows=rows, config=config)
+            rows.append(ReportRow("mdp:oracle", n, param, x, est, theory, err, passed))
+    return rows
 
 
-def run_lp_ldp(config: ExperimentConfig) -> ExperimentReport:
-    """Large-deviation rate estimates for the sup-norm of uniform lp-ball points."""
-    p = _require_p(config)
-    if not config.thresholds:
-        raise ValueError("lp_ldp experiment requires thresholds")
-    param = f"p={p:g}"
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        base, max_norm = ball_sup_sample(config.seed, n, p, config.replicates,
-                                         workers=config.workers)
-        rows.append(ReportRow("lp_ldp:membership", n, param, None, max_norm, 1.0,
-                              None, max_norm <= 1.0 + sampling.SUM_TOL))
-        scale = (n / (p * math.log(n))) ** (1.0 / p)
-        sample = _affine_sample(base, scale, 0.0, "lp_ldp")
-        for z in config.thresholds:
-            theory = rate_function("lp_sup", z, p=p)
-            direction = "above" if z >= 1.0 else "below"
-            dev = tail_log_prob(sample, z, speed=math.log(n), direction=direction)
-            rows.append(ReportRow("lp_ldp:mc", n, param, z, dev.normalized_log_prob,
-                                  theory, dev.std_error,
-                                  _deviation_pass(dev.normalized_log_prob, theory,
-                                                  TOLERANCES["lp_ldp_band"])))
-    return ExperimentReport(rows=rows, config=config)
+def _simplex_sup(config: ExperimentConfig, n: int):
+    return sup_norm_sample(config.seed, n, config.replicates, workers=config.workers), None
 
 
-def run_lp_gumbel(config: ExperimentConfig) -> ExperimentReport:
-    """Gumbel-limit check of n * ||Z_n||_inf - log n for the l1-ball."""
-    p = _require_p(config)
-    if p != 1.0:
+def _ball_sup(config: ExperimentConfig, n: int):
+    return ball_sup_sample(config.seed, n, config.p, config.replicates, workers=config.workers)
+
+
+def _p_param(config: ExperimentConfig) -> str:
+    return f"p={_require(config, 'p'):g}"
+
+
+def _l1_param(config: ExperimentConfig) -> str:
+    if _require(config, "p") != 1.0:
         raise ValueError("the lp Gumbel limit holds for the l1-ball only; use p=1")
+    return "p=1"
+
+
+def _log_speed(config: ExperimentConfig, n: int) -> float:
+    return math.log(n)
+
+
+@dataclass(frozen=True)
+class SupTheorem:
+    """How one sup-norm limit theorem is sampled, normalized and checked.
+
+    The statistic is an increasing affine map ``scale * x + shift`` of the
+    sampled sup-coordinate.  With ``rate`` None it is tested against the
+    Gumbel CDF (KS bound ``TOLERANCES[tol]``); otherwise each threshold's
+    tail frequency is compared with the rate function at ``speed`` (band
+    ``TOLERANCES[tol]``), in the direction where the rate is finite.
+    """
+
+    #: (config, n) -> (sample, largest lp-norm seen or None); a norm adds a
+    #: membership row
+    sample: Callable
+    affine: Callable  # (config, n) -> (scale, shift)
+    tol: str
+    rate: str | None  # a constants.rate_function kind
+    speed: Callable | None  # (config, n) -> deviation speed
+    thresholds: tuple[float, ...]  # used when the config gives none
+    param: Callable  # config -> row param label; validates the parameter
+    oracle: Callable | None  # (config, thresholds, param) -> exact rows
+
+
+SUP_THEOREMS = {
+    # n * ||Z_n||_inf - (log n - 1) -> Gumbel
+    "gumbel": SupTheorem(
+        sample=_simplex_sup, affine=lambda c, n: (1.0, -(math.log(n) - 1.0)),
+        tol="gumbel_ks", rate=None, speed=None, thresholds=(-1.0, 0.0, 1.0, 2.0),
+        param=lambda c: "", oracle=_gumbel_oracle),
+    # (n / log n) * ||Z_n||_inf: LDP at speed log n, rate z - 1
+    "ldp": SupTheorem(
+        sample=_simplex_sup, affine=lambda c, n: (1.0 / math.log(n), 0.0),
+        tol="ldp_band", rate="simplex_sup", speed=_log_speed, thresholds=(),
+        param=lambda c: "", oracle=_ldp_oracle),
+    # (n * ||Z_n||_inf - log n) / s_n: MDP at speed s_n, rate x
+    "mdp": SupTheorem(
+        sample=_simplex_sup, affine=lambda c, n: (1.0 / c.s_n(n), -math.log(n) / c.s_n(n)),
+        tol="mdp_band", rate="mdp", speed=lambda c, n: c.s_n(n), thresholds=(1.0,),
+        param=lambda c: f"s_n={c.s_n_rule}", oracle=_mdp_oracle),
+    # (n / (p log n))**(1/p) * sup-coordinate of the lp-ball: LDP, rate z**p - 1
+    "lp_ldp": SupTheorem(
+        sample=_ball_sup, affine=lambda c, n: ((n / (c.p * math.log(n))) ** (1.0 / c.p), 0.0),
+        tol="lp_ldp_band", rate="lp_sup", speed=_log_speed, thresholds=(),
+        param=_p_param, oracle=None),
+    # n * sup-coordinate of the l1-ball - log n -> Gumbel
+    "lp_gumbel": SupTheorem(
+        sample=_ball_sup, affine=lambda c, n: (float(n), -math.log(n)),
+        tol="lp_gumbel_ks", rate=None, speed=None, thresholds=(),
+        param=_l1_param, oracle=None),
+}
+
+
+def _run_sup(config: ExperimentConfig) -> ExperimentReport:
+    """Run one row of :data:`SUP_THEOREMS`: Monte Carlo rows per dimension,
+    then the theorem's exact oracle rows."""
+    kind = config.kind
+    th = SUP_THEOREMS[kind]
+    param = th.param(config)
+    thresholds = config.thresholds or th.thresholds
+    if th.rate is not None and not thresholds:
+        raise ValueError(f"{kind} experiment requires thresholds")
     rows: list[ReportRow] = []
     for n in config.n_list:
-        base, max_norm = ball_sup_sample(config.seed, n, p, config.replicates,
-                                         workers=config.workers)
-        rows.append(ReportRow("lp_gumbel:membership", n, "p=1", None, max_norm, 1.0,
-                              None, max_norm <= 1.0 + sampling.SUM_TOL))
-        sample = _affine_sample(base, float(n), -math.log(n), "lp_gumbel")
-        d = ks_distance(sample, gumbel_cdf, reference="gumbel").ks_distance
-        rows.append(ReportRow("lp_gumbel:ks", n, "p=1", None, d, 0.0, None,
-                              d <= TOLERANCES["lp_gumbel_ks"]))
+        scale, shift = th.affine(config, n)
+        base, max_norm = th.sample(config, n)
+        if max_norm is not None:
+            rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
+                                  None, max_norm <= 1.0 + sampling.SUM_TOL))
+        sample = _affine_sample(base, scale, shift, kind)
+        if th.rate is None:
+            d = ks_distance(sample, gumbel_cdf, reference="gumbel").ks_distance
+            rows.append(ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
+                                  d <= TOLERANCES[th.tol]))
+            continue
+        speed = th.speed(config, n)
+        for z in thresholds:
+            theory = rate_function(th.rate, z, p=config.p)
+            direction = "above" if math.isfinite(theory) else "below"
+            dev = tail_log_prob(sample, z, speed=speed, direction=direction)
+            rows.append(ReportRow(f"{kind}:mc", n, param, z, dev.normalized_log_prob, theory,
+                                  dev.std_error,
+                                  _deviation_pass(dev.normalized_log_prob, theory,
+                                                  TOLERANCES[th.tol])))
+    if th.oracle is not None:
+        rows.extend(th.oracle(config, thresholds, param))
     return ExperimentReport(rows=rows, config=config)
 
 
@@ -653,7 +659,7 @@ def run_equivalence_decay(config: ExperimentConfig) -> ExperimentReport:
 
 def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
     """Central-moment CLT for a named source distribution."""
-    q = _require_q(config)
+    q = _require(config, "q")
     if config.source not in SOURCE_DISTRIBUTIONS:
         raise ValueError(f"unknown source distribution {config.source!r}")
     dist = SOURCE_DISTRIBUTIONS[config.source]
@@ -671,27 +677,27 @@ def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
                                     config.replicates, workers=config.workers)
         studentized = _affine_sample(sample, 1.0 / math.sqrt(sigma_sq), 0.0,
                                      sample.statistic_kind + "_stud")
-        rows.extend(_gaussian_fit_rows("general_clt", n, param, studentized,
-                                       sigma_sq, TOLERANCES["general_ks"]))
+        rows.extend(_gaussian_rows("general_clt", n, param, studentized, sigma_sq, "general"))
     return ExperimentReport(rows=rows, config=config)
 
 
 _RUNNERS = {
     "clt": run_clt,
     "berry_esseen_sweep": run_berry_esseen_sweep,
-    "gumbel": run_gumbel,
-    "ldp": run_ldp,
-    "mdp": run_mdp,
-    "lp_ldp": run_lp_ldp,
-    "lp_gumbel": run_lp_gumbel,
+    **dict.fromkeys(SUP_THEOREMS, _run_sup),
     "equivalence_decay": run_equivalence_decay,
     "general_clt": run_general_clt,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+# every n must be >= 2 for these (log n > 0, two coordinates to compare)
+_SUP_KINDS = {*SUP_THEOREMS, "equivalence_decay"}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Dispatch a config to its runner and stamp the wall time."""
     start = time.perf_counter()
     report = _RUNNERS[config.kind](config)
+    if not report.rows:
+        raise ValueError(f"{config.kind}: the config yields no report rows")
     report.wall_time = time.perf_counter() - start
     return report

@@ -95,6 +95,22 @@ def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
     return out
 
 
+def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True,
+                  construction: str = "exponential") -> np.ndarray:
+    """Matrix of ``rows`` uniform simplex points (see :func:`sample_simplex`)."""
+    _check_dimension(n)
+    if construction == "exponential":
+        x = exponential_block(stream, rows, n)
+        x = x / x.sum(axis=1)[:, None]
+    elif construction == "spacings":
+        x = spacings_block(stream, rows, n)
+    else:
+        raise ValueError(f"unknown construction {construction!r}")
+    if centered:
+        x = x - 1.0 / n
+    return x
+
+
 def sample_simplex(
     stream: RandomStream,
     n: int,
@@ -106,16 +122,7 @@ def sample_simplex(
     Both constructions sample the same distribution; ``exponential`` is the
     default (O(n), no sort).
     """
-    _check_dimension(n)
-    if construction == "exponential":
-        e = sample_exponentials(stream, n)
-        coords = e / e.sum()
-    elif construction == "spacings":
-        coords = spacings_block(stream, 1, n)[0]
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
-    if centered:
-        coords = coords - 1.0 / n
+    coords = simplex_block(stream, 1, n, centered, construction)[0]
     return SimplexPoint(coords=coords, n=n, centered=centered, construction=construction)
 
 

@@ -123,3 +123,25 @@ def test_version_flag(capsys):
         run_cli(["--version"])
     assert exc.value.code == 0
     assert "simplex-limits 0.1.0" in capsys.readouterr().out
+
+
+def test_config_yielding_no_rows_is_a_usage_error(capsys):
+    assert run_cli(["clt", "--n", ""]) == 2
+    assert run_cli(["ldp", "--n", "", "--z", "0.5", "--oracle-n", "10000"]) == 2
+    assert "no report rows" in capsys.readouterr().err
+
+
+def test_config_file_unknown_keys_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_list": [5], "replicates": 1000, "replicat": 5}))
+    assert run_cli(["equivalence", "--config", str(cfg), "--out",
+                    str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "n_list" in err and "replicat" in err
+    # a saved report's own config uses the field names, not the file keys
+    report = tmp_path / "r.json"
+    assert run_cli(["equivalence", "--n", "5", "--replicates", "1000", "--format", "json",
+                    "--out", str(report)]) == 0
+    cfg.write_text(json.dumps(json.loads(report.read_text())["config"]))
+    assert run_cli(["equivalence", "--config", str(cfg)]) == 2
+    assert "n_list" in capsys.readouterr().err

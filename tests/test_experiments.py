@@ -244,3 +244,11 @@ def test_clt_mean_row_within_4_se_at_calibrated_size():
     mean = float(sample.values.mean())
     se = float(sample.values.std()) / 100.0
     assert abs(mean) <= 4.0 * se
+
+
+def test_config_without_rows_raises():
+    with pytest.raises(ValueError, match="no report rows"):
+        ex.run(ex.ExperimentConfig(kind="clt", n_list=(), q=2.0, replicates=10, seed=0))
+    with pytest.raises(ValueError, match="no report rows"):
+        ex.run(ex.ExperimentConfig(kind="ldp", n_list=(), replicates=10, seed=0,
+                                   thresholds=(0.5,), oracle_n_list=(10_000,)))

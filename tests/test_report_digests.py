@@ -1,0 +1,66 @@
+"""Pinned report bytes: one small config per experiment kind.
+
+Each digest is the SHA-256 of ``to_csv() + to_json()`` of the report, so any
+change to a sample, a row's arithmetic, the row order or the number format
+shows up here.  A change that means to move a report re-pins its digest and
+says why.
+"""
+
+import hashlib
+
+import pytest
+
+from simplex_limits import experiments as ex
+
+C = ex.ExperimentConfig
+
+CONFIGS = {
+    "clt": C(kind="clt", n_list=(50,), q=2.0, replicates=2000, seed=1),
+    "berry_esseen_sweep": C(kind="berry_esseen_sweep", n_list=(20, 40, 80), q=3.0,
+                            replicates=1000, seed=2),
+    "gumbel": C(kind="gumbel", n_list=(50,), replicates=2000, seed=3,
+                oracle_n_list=(1000,)),
+    "ldp": C(kind="ldp", n_list=(100,), replicates=5000, seed=4, thresholds=(1.5, 0.5),
+             oracle_n_list=(1000, 10_000)),
+    "mdp": C(kind="mdp", n_list=(1000,), replicates=2000, seed=5, thresholds=(1.0, -1.0),
+             s_n_rule="log_log", oracle_n_list=(10_000,)),
+    "lp_ldp": C(kind="lp_ldp", n_list=(50,), p=1.5, replicates=2000, seed=6,
+                thresholds=(1.3, 0.8)),
+    "lp_gumbel": C(kind="lp_gumbel", n_list=(100,), p=1.0, replicates=2000, seed=7),
+    "equivalence_decay": C(kind="equivalence_decay", n_list=(5, 10), replicates=5000,
+                           seed=8),
+    "general_clt": C(kind="general_clt", n_list=(100,), q=1.5, replicates=2000, seed=9,
+                     source="uniform01"),
+}
+
+PINNED_DIGESTS = {
+    "clt":
+        "08443f0d53738f76916ba3ce752afe11a497c5142e8919ba18f980bce3b69095",
+    "berry_esseen_sweep":
+        "4cb02031339d5445ca12bdb4b25cf05d0e36fec9b254e135956713a1d427e6ec",
+    "gumbel":
+        "8a396849557123c9cf323fe19085e4775cce4f0bf82393f79bd312b5b8575fec",
+    "ldp":
+        "adaa84abc1173510d0f92edc225ff5ae8ac26170c18e6de9036758533e1d021c",
+    "mdp":
+        "7b9fe18db84c5336fa0d2bbb53e5d84577ca923d84297a3bb4d1846ab5041fb1",
+    "lp_ldp":
+        "b8eac4c25396584d5fdac89b9e76cf3037f612f63ab04098c9b966cff70981fa",
+    "lp_gumbel":
+        "bbed97536a72ff28f058c82271ef3cfd9cfb2f78cab8d0d083c412edcbc6414a",
+    "equivalence_decay":
+        "d9509c4bb87fb23663e1508bdd39cc6b3bc04258295b33c7a5117830451e0208",
+    "general_clt":
+        "668b36b784d28f100a39a56d306f435fa39c6e4afa2d7714e613262384e8c51a",
+}
+
+
+def test_every_kind_is_pinned():
+    assert set(CONFIGS) == set(ex.EXPERIMENT_KINDS) == set(PINNED_DIGESTS)
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIGS))
+def test_report_bytes_match_pinned_digest(kind):
+    report = ex.run(CONFIGS[kind])
+    text = report.to_csv() + report.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGESTS[kind]
