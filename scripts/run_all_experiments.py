@@ -2,11 +2,13 @@
 """Run the full desk-scale experiment battery and write CSV + JSON reports.
 
 Default settings mirror the acceptance suite (about 55 s at workers=2 on two
-cores); ``--quick`` shrinks replicate counts ~10x for a fast smoke pass.
+cores); ``--quick`` shrinks replicate counts ~10x for a fast smoke pass.  The
+last line printed is the process's peak resident memory.
 """
 
 import argparse
 import pathlib
+import resource
 import sys
 
 from simplex_limits import experiments as ex
@@ -73,6 +75,9 @@ def main() -> int:
         print(f"[{status}] {stem:28s} {n_pass}/{len(report.rows)} rows "
               f"({report.wall_time:.1f}s)")
     print(f"reports written to {outdir}/")
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak resident memory {peak:.1f} MiB")
     return 1 if any_failed else 0
 
 

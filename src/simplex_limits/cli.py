@@ -132,10 +132,40 @@ _DEFAULTS = {
 }
 
 
-#: config-file key, which is also the flag's name -> ExperimentConfig field
-_CONFIG_KEYS = {"n": "n_list", "q": "q", "p": "p", "replicates": "replicates",
-                "seed": "seed", "z": "thresholds", "sn": "s_n_rule", "source": "source",
-                "oracle_n": "oracle_n_list", "workers": "workers"}
+#: config-file key, which is also the flag's name -> (ExperimentConfig field,
+#: JSON type the flag parses to: ``[t]`` for a list of ``t``)
+_CONFIG_KEYS = {"n": ("n_list", [int]), "q": ("q", float), "p": ("p", float),
+                "replicates": ("replicates", int), "seed": ("seed", int),
+                "z": ("thresholds", [float]), "sn": ("s_n_rule", str),
+                "source": ("source", str), "oracle_n": ("oracle_n_list", [int]),
+                "workers": ("workers", int)}
+
+
+#: type -> (one value, several values), in the words of a usage error
+_TYPE_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings")}
+
+
+def _is_json(value, kind: type) -> bool:
+    # JSON true/false are bools, which Python counts as ints
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _file_value(path: str, key: str, value):
+    """A config-file value as the flag ``key`` would have parsed it (a JSON 2
+    for a number flag is 2.0, so the report's config reads as the flag's)."""
+    kind = _CONFIG_KEYS[key][1]
+    if isinstance(kind, list):
+        if isinstance(value, list) and all(_is_json(v, kind[0]) for v in value):
+            return tuple(map(kind[0], value))
+        expected = f"a list of {_TYPE_WORDS[kind[0]][1]}"
+    elif _is_json(value, kind):
+        return kind(value)
+    else:
+        expected = _TYPE_WORDS[kind][0]
+    raise ValueError(f"config file {path}: key {key!r} must be {expected}, got {value!r}")
 
 
 def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.ExperimentConfig:
@@ -149,13 +179,14 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.Exper
         if unknown:
             raise ValueError(f"config file {args.config} has unknown keys "
                              f"{', '.join(unknown)}; known keys: {', '.join(_CONFIG_KEYS)}")
+        file_values = {key: _file_value(args.config, key, value)
+                       for key, value in file_values.items() if value is not None}
     # an explicit flag beats the file, which beats the defaults
     fields = {"replicates": 10_000, "seed": 0, **_DEFAULTS[kind]}
-    for key, field in _CONFIG_KEYS.items():
+    for key, (field, _) in _CONFIG_KEYS.items():
         value = getattr(args, key)
         if value is None:
             value = file_values.get(key)
-            value = tuple(value) if isinstance(value, list) else value
         if value is not None:
             fields[field] = value
     return experiments.ExperimentConfig(kind=kind, **fields)
@@ -177,6 +208,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     stream = RandomStream(args.seed)
     if args.kind == "exponential":
         matrix = sampling.exponential_block(stream, args.count, args.n)

@@ -6,7 +6,8 @@ calling one twice with the same stream yields bitwise-identical output.  The
 block variants (``*_block``) draw a whole matrix of replicates from a single
 stream and are the unit of work for the parallel experiment engine: the
 per-replicate draw order inside a block is fixed, so the output never depends
-on worker scheduling.
+on worker scheduling.  :func:`exponential_block` can also reduce each row as
+it draws, a cache-sized chunk of rows at a time, without building the block.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from .rng import RandomStream
 #: Loose bound used to validate the sum invariants of generated points.
 SUM_TOL = 1e-12
 
-#: Elements per chunk (512 KiB of float64) of the temporaries that the block
-#: samplers build piecewise, so that no such temporary is block-sized.
+#: Elements per chunk (512 KiB of float64, a quarter of a 2 MiB L2 cache): the
+#: block samplers build their temporaries, and the row-reducing samplers draw
+#: and reduce their rows, this many elements at a time.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -69,12 +71,67 @@ def _redraw_exact_zeros(rng: np.random.Generator, draw, x: np.ndarray) -> np.nda
         x[mask] = draw(rng, int(mask.sum()))
 
 
-def exponential_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
-    """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``."""
-    _check_dimension(n)
+def _whole_exponential_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
+    # the chunked path falls back here, not to exponential_block, so that a
+    # wrapper of the public name (the traced benchmark's) sees one call a block
     rng = stream.generator()
     x = rng.standard_exponential((rows, n))
     return _redraw_exact_zeros(rng, lambda r, k: r.standard_exponential(k), x)
+
+
+class _ExactZero(Exception):
+    """A chunk drew an exact 0.0, which only the whole-block guard may replace."""
+
+
+def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> np.ndarray:
+    """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``.
+
+    Given a per-row ``reduce`` (a chunk of rows, which it may overwrite ->
+    one value per row), the block is never built: it is drawn a chunk of rows
+    at a time into one reused buffer and each chunk is reduced while it is
+    still in cache (see :func:`reduce_rows`); the result is the vector of the
+    ``rows`` values.  The draws are those of the whole block, so the values
+    are ``reduce`` of the whole block, bit for bit.
+    """
+    _check_dimension(n)
+    if reduce is None:
+        return _whole_exponential_block(stream, rows, n)
+    rng = stream.generator()
+    buf = np.empty((min(rows, _chunk_rows(n)), n))
+
+    def draw(k: int) -> np.ndarray:
+        e = buf[:k]
+        rng.standard_exponential(out=e)
+        if not e.min() > 0.0:
+            raise _ExactZero
+        return e
+
+    try:
+        return reduce_rows(rows, n, draw, reduce)
+    except _ExactZero:
+        # the guard redraws after the whole block, so only the whole block
+        # has the guarded bits
+        return reduce(_whole_exponential_block(stream, rows, n))
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_ELEMS // n)
+
+
+def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
+    """Per-row values of a ``rows`` x ``n`` block that is drawn and reduced a
+    chunk of rows (about :data:`_CHUNK_ELEMS` elements, one row when n is
+    larger) at a time.
+
+    ``draw(k)`` returns the next ``k`` rows, in the block's draw order;
+    ``reduce`` maps them to their ``k`` values.
+    """
+    values = np.empty(rows)
+    step = _chunk_rows(n)
+    for start in range(0, rows, step):
+        k = min(step, rows - start)
+        values[start:start + k] = reduce(draw(k))
+    return values
 
 
 def sample_exponentials(stream: RandomStream, n: int) -> np.ndarray:
@@ -195,7 +252,7 @@ def _power_row_sums(a: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
         return a.sum(axis=1)  # a ** 1.0 is a exactly
     sums = np.empty(a.shape[0])
-    step = max(1, _CHUNK_ELEMS // a.shape[1])
+    step = _chunk_rows(a.shape[1])
     for i in range(0, a.shape[0], step):
         sums[i:i + step] = (a[i:i + step] ** p).sum(axis=1)
     return sums

@@ -145,3 +145,35 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps(json.loads(report.read_text())["config"]))
     assert run_cli(["equivalence", "--config", str(cfg)]) == 2
     assert "n_list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values, key", [
+    ({"n": 300, "replicates": 100}, "n"),
+    ({"n": [300], "z": 1.5}, "z"),
+    ({"n": [300], "oracle_n": 10_000}, "oracle_n"),
+    ({"n": [300.5]}, "n"),
+    ({"n": [300], "replicates": "100"}, "replicates"),
+    ({"n": [300], "q": "2"}, "q"),
+    ({"n": [300], "seed": True}, "seed"),
+    ({"n": [300], "source": 1}, "source"),
+])
+def test_config_file_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, values, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    assert run_cli(["clt", "--config", str(cfg), "--oracle-n", ""]) == 2
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
+def test_sample_count_below_one_is_a_usage_error(capsys):
+    assert run_cli(["sample", "--kind", "simplex", "--n", "3", "--count", "0"]) == 2
+    assert run_cli(["sample", "--kind", "ball", "--n", "3", "--count", "-1"]) == 2
+    assert "--count" in capsys.readouterr().err
+
+
+def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
+    cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg.write_text(json.dumps({"n": [300], "replicates": 200, "q": 2}))
+    assert run_cli(["clt", "--config", str(cfg), "--oracle-n", "", "--out", str(a)]) == 0
+    assert run_cli(["clt", "--n", "300", "--replicates", "200", "--q", "2",
+                    "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()

@@ -252,3 +252,20 @@ def test_config_without_rows_raises():
     with pytest.raises(ValueError, match="no report rows"):
         ex.run(ex.ExperimentConfig(kind="ldp", n_list=(), replicates=10, seed=0,
                                    thresholds=(0.5,), oracle_n_list=(10_000,)))
+
+
+def test_mdp_oracle_lower_tail_uses_the_inf_region_floor(monkeypatch):
+    cfg = ex.ExperimentConfig(kind="mdp", n_list=(), replicates=1, seed=7,
+                              thresholds=(-1.0,), oracle_n_list=(10**6,))
+    (row,) = ex.run(cfg).rows
+    assert row.passed
+    monkeypatch.setitem(ex.TOLERANCES, "inf_region_min", row.estimate + 1.0)
+    (row,) = ex.run(cfg).rows
+    assert not row.passed
+
+
+def test_table_text_needs_columns_for_an_empty_table():
+    with pytest.raises(ValueError, match="columns"):
+        ex.table_text([], "csv", "note")
+    text = ex.table_text([], "csv", "note", columns=("a", "b"))
+    assert text.splitlines()[-1] == "a,b"

@@ -1,9 +1,11 @@
-"""The replicate-block kernels transform their freshly drawn block in place.
+"""The replicate-block kernels transform their freshly drawn block in place,
+or draw and reduce it by cache-sized row chunks without building it.
 
-Each kernel must give exactly the bits of the allocating expression it
-replaced, which is kept here as the reference; each sample function must peak
-at about one block of memory; and the exact-zero guard of the samplers must
-replace an underflowed draw.
+Each kernel must give exactly the bits of the allocating whole-block
+expression it replaced, which is kept here as the reference; each sample
+function must peak at about one block of memory, or one chunk when it reduces
+by chunks; and the exact-zero guard of the samplers must replace an
+underflowed draw, with the bits of the whole-block guard.
 """
 
 import math
@@ -64,6 +66,23 @@ def _ref_clt_values(seed, n, q, reps):
         return sqrt_n * (scaled - 1.0) / sigma
 
     return _ref_collect(seed, n, reps, kernel)
+
+
+def _ref_sup_values(seed, n, reps):
+    def kernel(bstream, rows):
+        e = sampling.exponential_block(bstream, rows, n)
+        total = e.sum(axis=1)
+        return np.maximum(n * e.max(axis=1) / total - 1.0, 1.0 - n * e.min(axis=1) / total)
+
+    return _ref_collect(seed, n, reps, kernel)
+
+
+def _ref_equivalence_hits(seed, n, reps):
+    def kernel(bstream, rows):
+        e = sampling.exponential_block(bstream, rows, n)
+        return (2.0 * e.sum(axis=1) / n > e.max(axis=1) + e.min(axis=1)).astype(np.float64)
+
+    return float(ex._collect(ex._experiment_stream(seed, n), kernel, reps, n, 1).sum())
 
 
 def _ref_general_clt_values(seed, n, q, source, mq, reps):
@@ -133,6 +152,54 @@ def test_pgen_gaussian_block_matches_allocating_reference(p, rows, n):
 
 
 # ---------------------------------------------------------------------------
+# row-chunk reduction: the bits of the whole-block reference
+
+_CHUNK = sampling._CHUNK_ELEMS
+
+# (n, replicates): n=1000 spans a full block of 2097 rows and a partial one of
+# 403, neither a whole number of 65-row chunks; n=2 draws 32768-row chunks;
+# from n = _CHUNK - 1 on, a chunk is one row
+_FUSED_SHAPES = [(2, 5000), (1000, 2500), (_CHUNK - 1, 3), (_CHUNK, 2), (_CHUNK + 1, 3),
+                 (100_003, 2)]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
+def test_fused_clt_matches_whole_block_reference(q, n, reps):
+    got = ex.clt_sample(51, n, q, reps).values
+    assert np.array_equal(got, _ref_clt_values(51, n, q, reps))
+
+
+@pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
+def test_fused_sup_norm_matches_whole_block_reference(n, reps):
+    got = ex.sup_norm_sample(52, n, reps).values
+    assert np.array_equal(got, _ref_sup_values(52, n, reps))
+
+
+@pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
+def test_fused_equivalence_matches_whole_block_reference(n, reps):
+    freq, _ = ex.equivalence_frequency(53, n, reps)
+    assert freq == _ref_equivalence_hits(53, n, reps) / reps
+
+
+@pytest.mark.parametrize("source", ["exponential", "uniform01"])
+@pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
+def test_fused_general_clt_matches_whole_block_reference(source, n, reps):
+    got = ex.general_clt_sample(54, n, 2.0, source, 0.5, reps).values
+    assert np.array_equal(got, _ref_general_clt_values(54, n, 2.0, source, 0.5, reps))
+
+
+@pytest.mark.parametrize("sample", [
+    lambda w: ex.clt_sample(55, 1000, 3.0, 5000, workers=w).values,
+    lambda w: ex.sup_norm_sample(56, 1000, 5000, workers=w).values,
+    lambda w: np.array(ex.equivalence_frequency(57, 50, 100_000, workers=w)),
+    lambda w: ex.general_clt_sample(58, 1000, 2.0, "uniform01", 0.1, 5000, workers=w).values,
+], ids=["clt", "sup_norm", "equivalence", "general_clt"])
+def test_fused_kernels_do_not_depend_on_workers(sample):
+    assert np.array_equal(sample(1), sample(2))
+
+
+# ---------------------------------------------------------------------------
 # memory: about one block per sample-function call
 
 _HUGE = 1 << 21  # one row of this many doubles is one 16 MiB block
@@ -166,39 +233,57 @@ def test_sample_function_peaks_at_about_one_block(name, call, block_bytes):
     assert peak <= 1.25 * block_bytes, f"{name}: peak {peak / block_bytes:.2f} blocks"
 
 
+_FULL_BLOCK = ex._BLOCK_ELEMS // 10_000  # 209 rows at n=1e4
+
+
+@pytest.mark.parametrize("name, call", [
+    ("clt_q2", lambda: ex.clt_sample(6, 10_000, 2.0, _FULL_BLOCK, mc=_MC2)),
+    ("sup_norm", lambda: ex.sup_norm_sample(7, 10_000, _FULL_BLOCK)),
+    ("equivalence", lambda: ex.equivalence_frequency(8, 10_000, _FULL_BLOCK)),
+    ("general_clt_exponential",
+     lambda: ex.general_clt_sample(9, 10_000, 2.0, "exponential", 1.0, _FULL_BLOCK)),
+])
+def test_row_reducing_sample_function_peaks_under_one_mib(name, call):
+    # a 16 MiB block, drawn and reduced 6 rows (480 KB) at a time
+    peak = _peak_traced_bytes(call)
+    assert peak < 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # exact-zero guard
 
 _ZERO_AT = 5  # flat index of the injected 0.0 in a (3, 4) block
 
 
-class _ZeroInFirstDraw:
-    """Generator proxy whose first call of ``method`` returns a draw with an
-    exact 0.0 at flat index ``_ZERO_AT``; every later call is the real one."""
+class _ZeroAt:
+    """Generator proxy whose ``method`` draws, counted as one stream across
+    calls, have an exact 0.0 at stream position ``at``; all else is real."""
 
-    def __init__(self, rng, method):
+    def __init__(self, rng, method, at):
         self._rng = rng
         self._method = method
-        self._pending = True
+        self._at = at
+        self._drawn = 0
 
     def __getattr__(self, name):
         real = getattr(self._rng, name)
-        if name != self._method or not self._pending:
+        if name != self._method:
             return real
 
-        def first(*args, **kwargs):
-            self._pending = False
+        def draw(*args, **kwargs):
             x = real(*args, **kwargs)
-            x.flat[_ZERO_AT] = 0.0
+            if 0 <= self._at - self._drawn < x.size:
+                x.flat[self._at - self._drawn] = 0.0
+            self._drawn += x.size
             return x
 
-        return first
+        return draw
 
 
-def _inject_zero(monkeypatch, method):
+def _inject_zero(monkeypatch, method, at=_ZERO_AT):
     real_generator = RandomStream.generator
     monkeypatch.setattr(RandomStream, "generator",
-                        lambda self: _ZeroInFirstDraw(real_generator(self), method))
+                        lambda self: _ZeroAt(real_generator(self), method, at))
 
 
 def test_exponential_block_redraws_an_exact_zero(monkeypatch):
@@ -219,3 +304,29 @@ def test_lp_ball_block_redraws_an_exact_zero(monkeypatch, p):
     assert abs(c.flat[_ZERO_AT]) > 0.0
     for row in c:
         sampling.check_ball_invariants(sampling.LpBallPoint(coords=row, n=4, p=p))
+
+
+# n=1000 draws 65-row chunks: this position lies in the second chunk
+_SECOND_CHUNK_AT = 65 * 1000 + 1234
+
+
+def test_zero_in_second_chunk_gives_the_whole_block_guard_bits(monkeypatch):
+    def row_sums(e):
+        return e.sum(axis=1)
+
+    clean = sampling.exponential_block(RandomStream(59), 200, 1000, row_sums)
+    _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
+    guarded = sampling.exponential_block(RandomStream(59), 200, 1000)
+    assert guarded.min() > 0.0
+    got = sampling.exponential_block(RandomStream(59), 200, 1000, row_sums)
+    assert np.array_equal(got, guarded.sum(axis=1))
+    changed = np.flatnonzero(got != clean)
+    assert changed.tolist() == [_SECOND_CHUNK_AT // 1000]
+
+
+def test_clt_zero_in_second_chunk_matches_the_whole_block_reference(monkeypatch):
+    clean = ex.clt_sample(60, 1000, 2.0, 200).values
+    _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
+    got = ex.clt_sample(60, 1000, 2.0, 200).values
+    assert np.array_equal(got, _ref_clt_values(60, 1000, 2.0, 200))
+    assert not np.array_equal(got, clean)
