@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of perfbench runs, written as a BENCH file.
+
+    python3 scripts/bench_pairs.py --parent DIR --label NAME --workload W \\
+        --metric wall_s --seed-pairs 20240:10 77003:3 [--seconds 20] [--change DIR]
+
+``--parent`` and ``--change`` are checkouts of the two commits (``--change``
+defaults to this one).  For each seed, pair i runs ``perfbench/run.py
+--trace 0`` once in each checkout, the parent first when i is even and the
+change first when it is odd, so a drift of the host's speed favours neither.
+The result goes to ``BENCH_<label>.json`` at the root of this checkout (or
+``--out``): every run's end-to-end metrics, ``correct`` flag and digest
+check (``digests_match``, false if a report digest differed from the pinned
+one), per seed each side's median and interquartile range and the change's
+wins on ``--metric``, and perfbench's environment line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run: its end-to-end metrics, ``correct``, whether every
+    report digest matched the pinned one, and the env line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
+    return {"correct": result["correct"], "failed": result["failed"],
+            "digests_match": not any("MISMATCH" in line for line in lines),
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "env": env}
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def git_describe(checkout: Path) -> str | None:
+    """The checkout's commit, marked ``-dirty`` if its files differ from it."""
+    proc = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
+                          cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() or None
+
+
+def seed_pairs(text: str) -> tuple[int, int]:
+    try:
+        seed, pairs = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected SEED:PAIRS, got {text!r}") from None
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"an IQR needs at least 2 pairs, got {text!r}")
+    return seed, pairs
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, default=ROOT)
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--metric", required=True, help="end-to-end metric the wins count on")
+    parser.add_argument("--seed-pairs", type=seed_pairs, nargs="+", required=True,
+                        metavar="SEED:PAIRS")
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if args.metric not in better:
+        parser.error(f"--metric must be one of {sorted(better)}")
+    plan = args.seed_pairs
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    runs, env = [], None
+    for seed, pairs in plan:
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "pair": i, "first": order[0]}
+            for side in order:
+                result = run_once(sides[side], args.workload, seed, args.seconds)
+                env = result.pop("env")
+                pair[side] = result
+            print(f"seed {seed} pair {i}: {args.metric} parent "
+                  f"{pair['parent']['metrics'][args.metric]:.4g}, change "
+                  f"{pair['change']['metrics'][args.metric]:.4g}", flush=True)
+            runs.append(pair)
+
+    sign = 1.0 if better[args.metric] == "lower" else -1.0
+    summary = {}
+    for seed, _ in plan:
+        mine = [r for r in runs if r["seed"] == seed]
+        summary[str(seed)] = {
+            "pairs": len(mine),
+            "wins": sum(sign * (r["change"]["metrics"][args.metric]
+                                - r["parent"]["metrics"][args.metric]) < 0 for r in mine),
+            "all_correct": all(r[s]["correct"] for r in mine for s in sides),
+            **{metric: {side: spread([r[side]["metrics"][metric] for r in mine])
+                        for side in sides}
+               for metric in better},
+        }
+    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps({
+        "label": args.label,
+        "workload": args.workload,
+        "metric": args.metric,
+        "better": better[args.metric],
+        "seconds": args.seconds,
+        "commits": {side: git_describe(path) for side, path in sides.items()},
+        "env": env,
+        "summary": summary,
+        "runs": runs,
+    }, indent=1) + "\n")
+    print(f"written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,16 +6,15 @@ so the merged sample is a pure function of the config and never depends on
 worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
-Memory model: the simplex and source-distribution kernels (CLT, sup-norm,
-equivalence, general CLT) never hold a block.  They draw it a chunk of rows
-at a time (``sampling._CHUNK_ELEMS``, 512 KiB, or one row of 8n bytes when
-n > 2^16) into a reused buffer and reduce each chunk to its per-replicate
-values, so a sample function holds about one chunk per worker plus 8 bytes
-per replicate; q=3 keeps one more chunk, its ``d*d``.  Only a chunk that
-draws an exact 0.0 (about 2^-64 per variate) makes its block be drawn whole
-again.  The lp-ball kernel transforms a whole drawn block in place: about
-one block per worker, i.e. workers x 16 MiB, or workers x one row of 8n
-bytes when n > 2^21, plus at p != 1 the powers of one chunk of rows.
+Memory model: no kernel holds a block.  Each draws it a chunk of rows at a
+time (``sampling._CHUNK_ELEMS``, 512 KiB, or one row of 8n bytes when
+n > 2^16) into a reused buffer and reduces each chunk to its per-replicate
+values, so a sample function holds about one chunk per worker plus a few
+values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  The
+lp-ball kernel keeps no sign: it reduces each row to its largest magnitude
+and power sum, then draws again only the chunks that hold a row which can
+have the block's largest norm (usually one).  Only a chunk that draws an
+exact 0.0 (about 2^-64 per variate) makes its block be drawn whole again.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -55,8 +54,8 @@ TOOL_VERSION = "0.1.0"
 
 #: Replicate-block size in matrix elements (16 MiB of float64 per block; a
 #: block is one row of n elements when n > 2^21).  A block is the unit of
-#: substream and worker; only the lp-ball kernel holds a whole one, the others
-#: draw and reduce it by cache-sized row chunks (see the module docstring).
+#: substream and worker; the kernels draw and reduce it by cache-sized row
+#: chunks and never hold a whole one (see the module docstring).
 #: Fixed: it is part of the substream assignment rule.
 _BLOCK_ELEMS = 1 << 21
 
@@ -237,21 +236,6 @@ def report_from_json(text: str) -> ExperimentReport:
 # replicate-block engine
 
 
-def _abs_pow(d: np.ndarray, q: float) -> np.ndarray:
-    """Raise the nonnegative block ``d``, which the caller owns, to the power
-    ``q`` in place and return it."""
-    # integer fast paths: generic float powers dominate the runtime otherwise
-    if q == 2.0:
-        d *= d
-    elif q == 3.0:
-        np.multiply(d * d, d, out=d)  # one temporary keeps the (d*d)*d bits
-    elif float(q).is_integer():
-        d **= int(q)
-    elif q != 1.0:
-        d **= q
-    return d
-
-
 def _blocks(replicates: int, n: int) -> list[tuple[int, int]]:
     rows = max(1, _BLOCK_ELEMS // max(n, 1))
     out = []
@@ -309,7 +293,7 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
     def reduce(e: np.ndarray) -> np.ndarray:
         mean = e.mean(axis=1)
         e -= mean[:, None]
-        power_sum = _abs_pow(np.abs(e, out=e), q).sum(axis=1)
+        power_sum = sampling.pow_in_place(np.abs(e, out=e), q).sum(axis=1)
         scaled = (power_sum * (inv_mu / n)) ** (1.0 / q) / mean
         return sqrt_n * (scaled - 1.0) / sigma
 
@@ -345,9 +329,7 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
     lp-norm seen (for the membership check)."""
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
-        a = sampling.lp_ball_block(bstream, rows, n, p)
-        sup = np.abs(a, out=a).max(axis=1)  # before _abs_pow overwrites a
-        return np.column_stack([sup, _abs_pow(a, p).sum(axis=1) ** (1.0 / p)])
+        return sampling.lp_ball_block(bstream, rows, n, p, sup=True)
 
     both = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
     sample = EmpiricalSample.from_values(both[:, 0], n=n,
@@ -378,7 +360,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
 
     def reduce(x: np.ndarray) -> np.ndarray:
         x -= x.mean(axis=1)[:, None]
-        return sqrt_n * (_abs_pow(np.abs(x, out=x), q).mean(axis=1) - mq)
+        return sqrt_n * (sampling.pow_in_place(np.abs(x, out=x), q).mean(axis=1) - mq)
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
         rng = bstream.generator()

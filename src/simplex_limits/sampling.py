@@ -6,8 +6,9 @@ calling one twice with the same stream yields bitwise-identical output.  The
 block variants (``*_block``) draw a whole matrix of replicates from a single
 stream and are the unit of work for the parallel experiment engine: the
 per-replicate draw order inside a block is fixed, so the output never depends
-on worker scheduling.  :func:`exponential_block` can also reduce each row as
-it draws, a cache-sized chunk of rows at a time, without building the block.
+on worker scheduling.  :func:`exponential_block` and :func:`lp_ball_block`
+can also reduce each row as they draw, a cache-sized chunk of rows at a time,
+without building the block.
 """
 
 from __future__ import annotations
@@ -64,11 +65,11 @@ def _redraw_exact_zeros(rng: np.random.Generator, draw, x: np.ndarray) -> np.nda
     # A coordinate that underflows to exactly 0.0 would break the strict
     # positivity the normalizing sums rely on; probability is ~2**-64 per
     # draw but the guard makes it impossible rather than merely unlikely.
-    while True:
+    # testing the min first spares the usual call a block-sized mask
+    while x.size and not x.min() > 0.0:
         mask = x == 0.0
-        if not mask.any():
-            return x
         x[mask] = draw(rng, int(mask.sum()))
+    return x
 
 
 def _whole_exponential_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
@@ -183,6 +184,40 @@ def sample_simplex(
     return SimplexPoint(coords=coords, n=n, centered=centered, construction=construction)
 
 
+def pow_in_place(d: np.ndarray, q: float) -> np.ndarray:
+    """Raise the nonnegative ``d``, which the caller owns, to the power ``q``
+    in place and return it."""
+    # integer fast paths: generic float powers dominate the runtime otherwise
+    if q == 2.0:
+        d *= d
+    elif q == 3.0:
+        np.multiply(d * d, d, out=d)  # one temporary keeps the (d*d)*d bits
+    elif float(q).is_integer():
+        d **= int(q)
+    elif q != 1.0:
+        d **= q
+    return d
+
+
+def _gamma_fill(rng: np.random.Generator, out: np.ndarray, p: float) -> np.ndarray:
+    """Fill ``out`` with i.i.d. Gamma(1/p) variates and return it.
+
+    At p=1, ``standard_exponential`` gives the bits of ``gamma(1.0)`` in about
+    two thirds of the time.
+    """
+    if p == 1.0:
+        return rng.standard_exponential(out=out)
+    return rng.standard_gamma(1.0 / p, out=out)
+
+
+def _gamma_to_magnitudes(w: np.ndarray, p: float) -> np.ndarray:
+    """Map Gamma(1/p) variates W to |Y| = (p W)**(1/p) in place (at p=1, W)."""
+    if p != 1.0:
+        w *= p
+        w **= 1.0 / p
+    return w
+
+
 def _pgen_magnitudes(rng: np.random.Generator, rows: int, n: int, p: float) -> np.ndarray:
     """Magnitudes |Y| of a matrix of i.i.d. p-generalized Gaussians Y.
 
@@ -191,11 +226,9 @@ def _pgen_magnitudes(rng: np.random.Generator, rows: int, n: int, p: float) -> n
     signs are drawn next, by :func:`_apply_fair_signs`: the draw order
     (magnitudes, then signs) is fixed.
     """
-    w = rng.gamma(1.0 / p, 1.0, (rows, n))
-    w = _redraw_exact_zeros(rng, lambda r, k: r.gamma(1.0 / p, 1.0, k), w)
-    w *= p
-    w **= 1.0 / p
-    return w
+    w = _gamma_fill(rng, np.empty((rows, n)), p)
+    w = _redraw_exact_zeros(rng, lambda r, k: _gamma_fill(r, np.empty(k), p), w)
+    return _gamma_to_magnitudes(w, p)
 
 
 def _apply_fair_signs(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
@@ -215,8 +248,24 @@ def _apply_fair_signs(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _skip_fair_signs(rng: np.random.Generator, k: int) -> None:
+    """Leave ``rng`` where drawing ``k`` signs by :func:`_apply_fair_signs`
+    leaves it, without drawing them.
+
+    numpy draws each fair sign (``integers(0, 2)``: Lemire's method, which
+    never rejects at range 2) as one buffered 32-bit half of a 64-bit draw.
+    The magnitudes leave that buffer empty, so ``k >= 1`` signs take
+    ceil(k / 2) 64-bit draws.  All but the last are skipped by ``advance``;
+    the last is drawn, with its one or two signs, because ``advance`` clears
+    the buffer, which the drawn signs leave full (odd k) or stale (even k).
+    """
+    rng.bit_generator.advance((k - 1) // 2)
+    rng.integers(0, 2, 2 - k % 2)
+
+
 def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
     """Matrix of i.i.d. p-generalized Gaussian variates (see :func:`_pgen_magnitudes`)."""
+    _check_dimension(n)
     _check_p(p)
     rng = stream.generator()
     return _apply_fair_signs(rng, _pgen_magnitudes(rng, rows, n, p))
@@ -229,14 +278,32 @@ def sample_pgen_gaussian(stream: RandomStream, p: float, size: int | None = None
     return pgen_gaussian_block(stream, 1, size, p)[0]
 
 
-def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
+def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
+                  sup: bool = False) -> np.ndarray:
     """Matrix of uniform points of the unit lp-ball.
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
     Gaussians and U an independent uniform radius factor.
+
+    With ``sup``, the block is never built (see :func:`_ball_sup_rows`) and
+    the result is a ``rows`` x 2 array.  Column 0 holds each point's largest
+    absolute coordinate.  Column 1 holds the point's lp-norm on the rows that
+    can hold the block's largest one, and 0.0 on the others.  The values, and
+    the largest norm, are those of the built block, bit for bit.
     """
     _check_dimension(n)
     _check_p(p)
+    if not sup:
+        return _whole_lp_ball_block(stream, rows, n, p)
+    try:
+        return _ball_sup_rows(stream, rows, n, p)
+    except _ExactZero:
+        # the guard redraws after the whole block's magnitudes, so only the
+        # whole block has the guarded bits
+        return _block_sup(_whole_lp_ball_block(stream, rows, n, p), p)
+
+
+def _whole_lp_ball_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
     rng = stream.generator()
     y = _pgen_magnitudes(rng, rows, n, p)
     # the norm is taken before the signs, from magnitudes that are |Y| exactly
@@ -245,6 +312,85 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarr
     radius = rng.random(rows) ** (1.0 / n)
     y *= (radius / norms)[:, None]
     return y
+
+
+def _block_sup(a: np.ndarray, p: float) -> np.ndarray:
+    """Per-row (largest absolute coordinate, lp-norm) of ``a``, which it overwrites."""
+    sup = np.abs(a, out=a).max(axis=1)
+    return np.column_stack([sup, pow_in_place(a, p).sum(axis=1) ** (1.0 / p)])
+
+
+def _norm_rounding_bound(n: int) -> float:
+    """A bound g on |lp-norm / U**(1/n) - 1| for each row of
+    :func:`lp_ball_block`, its norm computed as :func:`_block_sup` does.
+
+    Let u = eps/2 be the unit roundoff and assume every float64 power and
+    root is within e = 4 eps of exact (squares and square roots are correctly
+    rounded).  With S the sum of |Y_i|**p, the computed norm of Y is
+    S**(1/p) (1 + d1), |d1| <= ((n - 1) u + e) / p + e: the powers, a sum of
+    n positive terms, the root.  The scale c = U**(1/n) / norm rounds once
+    (u).  Each coordinate |Y_i| c rounds once (u, which its p-th power turns
+    into p u), and the point's norm is c S**(1/p) (1 + d2),
+    |d2| <= u + ((n - 1) u + e) / p + e.  So to first order, for p >= 1,
+    |lp-norm / U**(1/n) - 1| <= u + |d1| + |d2| <= n eps + 4 e
+    = (n + 16) eps.  The factor 2 covers the higher-order terms and the
+    rounding of the candidate threshold built from g.
+    """
+    return 2.0 * (n + 16) * np.finfo(np.float64).eps
+
+
+def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
+    """:func:`lp_ball_block` with ``sup``: the magnitudes are drawn a chunk of
+    rows at a time into one reused buffer and each row reduced to its largest
+    magnitude and its power sum; the signs are skipped, not drawn.
+
+    Bit identity with the built block: the chunks draw the whole block's
+    variates, and each row's sum is that row's alone.  A sign flips a
+    coordinate exactly, and rounding is symmetric, so |sign * y * c| = y * c.
+    A positive scale c is monotone under rounding, so max(y * c) is
+    max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
+    U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with U_r**(1/n)
+    >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest one.  Their
+    chunks are drawn again from the saved generator state, scaled, and
+    reduced with the built block's elementwise ops and row sums; the root is
+    then taken on the whole vector of rows, as numpy takes it there.  (A
+    Python-scalar root would call libm's power, which can differ from
+    numpy's by an ulp.)
+    """
+    rng = stream.generator()
+    step = _chunk_rows(n)
+    buf = np.empty((min(rows, step), n))
+    states = []
+
+    def magnitudes(start: int) -> np.ndarray:
+        y = _gamma_fill(rng, buf[:min(step, rows - start)], p)
+        if not y.min() > 0.0:
+            raise _ExactZero
+        return _gamma_to_magnitudes(y, p)
+
+    row_max, power_sums = np.empty(rows), np.empty(rows)
+    for start in range(0, rows, step):
+        states.append(rng.bit_generator.state)
+        y = magnitudes(start)
+        row_max[start:start + step] = y.max(axis=1)
+        if p != 1.0:
+            y **= p  # the powers of _power_row_sums, in place
+        power_sums[start:start + step] = y.sum(axis=1)
+    _skip_fair_signs(rng, rows * n)
+    radius = rng.random(rows) ** (1.0 / n)
+    scale = radius / power_sums ** (1.0 / p)
+
+    g = _norm_rounding_bound(n)
+    candidates = radius >= radius.max() * ((1.0 - g) / (1.0 + g))
+    point_sums = np.zeros(rows)
+    for chunk in np.unique(np.flatnonzero(candidates) // step):
+        start = int(chunk) * step
+        rng.bit_generator.state = states[chunk]
+        y = magnitudes(start)
+        y *= scale[start:start + step, None]
+        point_sums[start:start + step] = pow_in_place(y, p).sum(axis=1)
+    point_sums[~candidates] = 0.0
+    return np.column_stack([row_max * scale, point_sums ** (1.0 / p)])
 
 
 def _power_row_sums(a: np.ndarray, p: float) -> np.ndarray:

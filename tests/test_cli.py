@@ -170,6 +170,13 @@ def test_sample_count_below_one_is_a_usage_error(capsys):
     assert "--count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["exponential", "pgen", "ball"])
+def test_sample_dimension_below_one_is_a_usage_error(capsys, kind):
+    assert run_cli(["sample", "--kind", kind, "--n", "0", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "dimension" in captured.err and captured.out == ""
+
+
 def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
     cfg.write_text(json.dumps({"n": [300], "replicates": 200, "q": 2}))

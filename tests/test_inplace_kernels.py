@@ -96,10 +96,14 @@ def _ref_general_clt_values(seed, n, q, source, mq, reps):
     return _ref_collect(seed, n, reps, kernel)
 
 
+def _ref_sup_columns(points, p):
+    a = np.abs(points)
+    return np.column_stack([a.max(axis=1), _ref_abs_pow(a, p).sum(axis=1) ** (1.0 / p)])
+
+
 def _ref_ball_sup(seed, n, p, reps):
     def kernel(bstream, rows):
-        a = np.abs(_ref_lp_ball_block(bstream, rows, n, p))
-        return np.column_stack([a.max(axis=1), _ref_abs_pow(a, p).sum(axis=1) ** (1.0 / p)])
+        return _ref_sup_columns(_ref_lp_ball_block(bstream, rows, n, p), p)
 
     both = ex._collect(ex._experiment_stream(seed, n), kernel, reps, n, 1)
     return np.sort(both[:, 0]), float(both[:, 1].max())
@@ -189,6 +193,83 @@ def test_fused_general_clt_matches_whole_block_reference(source, n, reps):
     assert np.array_equal(got, _ref_general_clt_values(54, n, 2.0, source, 0.5, reps))
 
 
+# (n, replicates): n=2 and 3 draw 32768- and 21845-row chunks; n=1000 a full
+# block and a partial one, each ending in a partial 65-row chunk; from
+# n = _CHUNK - 1 on, a chunk is one row, and n=131071 a block is 16 rows
+_BALL_SHAPES = [(2, 40_000), (3, 25_000), (1000, 2500), (_CHUNK - 1, 3), (_CHUNK, 2),
+                (_CHUNK + 1, 3), (131_071, 17)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("n, reps", _BALL_SHAPES)
+def test_fused_ball_sup_matches_whole_block_reference(n, reps, p, workers):
+    sample, max_norm = ex.ball_sup_sample(61, n, p, reps, workers=workers)
+    ref_values, ref_max_norm = _ref_ball_sup(61, n, p, reps)
+    assert np.array_equal(sample.values, ref_values)
+    assert max_norm == ref_max_norm
+
+
+def _ref_block_sup(stream, rows, n, p):
+    return _ref_sup_columns(_ref_lp_ball_block(stream, rows, n, p), p)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("rows, n", [(200, 1000), (9, 7), (2, 70_001)])
+def test_lp_ball_sup_columns_hold_the_built_block_values(p, rows, n):
+    got = sampling.lp_ball_block(RandomStream(62, n), rows, n, p, sup=True)
+    ref = _ref_block_sup(RandomStream(62, n), rows, n, p)
+    assert np.array_equal(got[:, 0], ref[:, 0])
+    assert got[:, 1].max() == ref[:, 1].max()
+    # rows that cannot hold the largest norm are not measured
+    assert np.all((got[:, 1] == ref[:, 1]) | (got[:, 1] == 0.0))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_lp_ball_sup_with_every_row_a_candidate_measures_every_norm(monkeypatch, p):
+    rows, n = 200, 1000  # four 65-row chunks and a partial one
+    usual_max = sampling.lp_ball_block(RandomStream(63), rows, n, p, sup=True)[:, 1].max()
+    monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
+    got = sampling.lp_ball_block(RandomStream(63), rows, n, p, sup=True)
+    ref = _ref_block_sup(RandomStream(63), rows, n, p)
+    assert np.array_equal(got, ref)
+    assert got[:, 1].max() == usual_max
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("rows, n", [(200, 1000), (500, 7), (2, 70_001)])
+def test_lp_ball_norms_lie_within_the_rounding_bound_of_the_radius(p, rows, n):
+    stream = RandomStream(64, n)
+    norms = _ref_block_sup(stream, rows, n, p)[:, 1]
+    rng = stream.generator()  # the radius is the block's last draw
+    rng.gamma(1.0 / p, 1.0, (rows, n))
+    rng.integers(0, 2, (rows, n))
+    radius = rng.random(rows) ** (1.0 / n)
+    g = sampling._norm_rounding_bound(n)
+    assert np.all(np.abs(norms / radius - 1.0) <= g / 2)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 7.0])
+def test_float64_power_is_within_the_assumed_error(p):
+    # _norm_rounding_bound assumes numpy's powers within 4 eps of exact;
+    # libm's pow is within 1 ulp, so 3 eps from it leaves room for that ulp
+    x = RandomStream(65).generator().exponential(size=20_000) * 3.0
+    for e in (p, 1.0 / p):
+        ref = np.array([math.pow(v, e) for v in x])
+        assert np.all(np.abs(x**e - ref) <= 3 * np.finfo(np.float64).eps * ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 2**16 + 1])
+def test_skipped_signs_leave_the_generator_where_drawn_signs_do(k):
+    drawn, skipped = RandomStream(66).generator(), RandomStream(66).generator()
+    drawn.standard_exponential(3)
+    skipped.standard_exponential(3)
+    sampling._apply_fair_signs(drawn, np.ones(k))
+    sampling._skip_fair_signs(skipped, k)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert drawn.random() == skipped.random()
+
+
 @pytest.mark.parametrize("sample", [
     lambda w: ex.clt_sample(55, 1000, 3.0, 5000, workers=w).values,
     lambda w: ex.sup_norm_sample(56, 1000, 5000, workers=w).values,
@@ -249,6 +330,18 @@ def test_row_reducing_sample_function_peaks_under_one_mib(name, call):
     assert peak < 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("name, call", [
+    ("p1", lambda: ex.ball_sup_sample(10, 10_000, 1.0, _FULL_BLOCK)),
+    # 2097 rows at n=1000: the full block
+    ("p2", lambda: ex.ball_sup_sample(11, 1000, 2.0, ex._BLOCK_ELEMS // 1000)),
+])
+def test_ball_sup_sample_peaks_under_two_mib(name, call):
+    # one 512 KiB chunk buffer, powered in place, and a few vectors of one
+    # value per row
+    peak = _peak_traced_bytes(call)
+    assert peak <= 2 * 2**20, f"ball_sup_{name}: peak {peak / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # exact-zero guard
 
@@ -296,9 +389,13 @@ def test_exponential_block_redraws_an_exact_zero(monkeypatch):
     assert np.array_equal(x.ravel()[others], clean.ravel()[others])
 
 
+# at p=1 the magnitudes are standard exponentials, the bits of gamma(1.0)
+_MAGNITUDE_DRAW = {1.0: "standard_exponential", 2.0: "standard_gamma"}
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_lp_ball_block_redraws_an_exact_zero(monkeypatch, p):
-    _inject_zero(monkeypatch, "gamma")
+    _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p])
     c = sampling.lp_ball_block(RandomStream(47), 3, 4, p)
     assert np.all(np.isfinite(c))
     assert abs(c.flat[_ZERO_AT]) > 0.0
@@ -330,3 +427,17 @@ def test_clt_zero_in_second_chunk_matches_the_whole_block_reference(monkeypatch)
     got = ex.clt_sample(60, 1000, 2.0, 200).values
     assert np.array_equal(got, _ref_clt_values(60, 1000, 2.0, 200))
     assert not np.array_equal(got, clean)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_ball_sup_zero_in_second_chunk_matches_the_whole_block_path(monkeypatch, p):
+    def whole_block_kernel(bstream, rows):
+        return _ref_sup_columns(sampling.lp_ball_block(bstream, rows, 1000, p), p)
+
+    clean, _ = ex.ball_sup_sample(67, 1000, p, 200)
+    _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_CHUNK_AT)
+    got, max_norm = ex.ball_sup_sample(67, 1000, p, 200)
+    ref = ex._collect(ex._experiment_stream(67, 1000), whole_block_kernel, 200, 1000, 1)
+    assert np.array_equal(got.values, np.sort(ref[:, 0]))
+    assert max_norm == ref[:, 1].max()
+    assert not np.array_equal(got.values, clean.values)

@@ -110,6 +110,13 @@ def test_pgen_rejects_bad_p():
         sample_pgen_gaussian(RandomStream(0), 0.9)
 
 
+def test_pgen_rejects_dimension_below_one():
+    with pytest.raises(ValueError, match="dimension"):
+        pgen_gaussian_block(RandomStream(0), 3, 0, 2.0)
+    with pytest.raises(ValueError, match="dimension"):
+        sample_pgen_gaussian(RandomStream(0), 2.0, size=0)
+
+
 def test_pgen_scalar_is_deterministic():
     s = RandomStream(5)
     assert sample_pgen_gaussian(s, 1.5) == sample_pgen_gaussian(s, 1.5)
