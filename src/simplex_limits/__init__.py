@@ -2,12 +2,10 @@
 verification of limit theorems for norms of random simplex and lp-ball points."""
 
 from .constants import (
-    LpConstants,
     MomentConstants,
     c_p,
     cov_e_absq,
     gamma_fn,
-    lp_constants,
     m_n,
     moment_constants,
     moment_derivative,
@@ -25,31 +23,15 @@ from .oracle import (
     cov_bruteforce,
     max_spacing_cdf,
     max_spacing_sf,
-    mu_q_bruteforce,
     small_n_norm_cdf,
 )
 from .rng import RandomStream
-from .sampling import (
-    LpBallPoint,
-    SimplexPoint,
-    sample_exponentials,
-    sample_lp_ball,
-    sample_pgen_gaussian,
-    sample_simplex,
-)
 from .statistics import (
     DeviationEstimate,
     EmpiricalSample,
     GoodnessOfFit,
-    clt_statistic,
-    equivalence_indicator,
     gaussian_cdf,
     gumbel_cdf,
-    gumbel_statistic,
     ks_distance,
-    ldp_statistic,
-    lp_ldp_statistic,
-    lq_norm,
-    mdp_statistic,
     tail_log_prob,
 )

@@ -201,6 +201,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
+    if not args.q:
+        raise ValueError("--q needs at least one value")
     rows = constants.constants_table(args.q)
     _write(experiments.table_text(rows, args.format,
                                   f"constants q={','.join(map(str, args.q))}"), args.out)

@@ -144,20 +144,6 @@ def c1_qq(q: float) -> float:
     return (math.gamma(2.0 * q + 1.0) / math.gamma(q + 1.0) ** 2 - 1.0) / (q * q) - 1.0
 
 
-@dataclass(frozen=True)
-class LpConstants:
-    """Ball-side constants for one exponent p, plus the comparison pair at q = p."""
-
-    p: float
-    c_p: float
-    m1: float
-    c1_qq: float
-
-
-def lp_constants(p: float) -> LpConstants:
-    return LpConstants(p=float(p), c_p=c_p(p), m1=m1(p), c1_qq=c1_qq(p))
-
-
 def pgen_two_sided_tail(p: float, m: float) -> float:
     """P[|Y| > m] for a p-generalized Gaussian Y.
 

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .rng import RandomStream
-from .sampling import sample_exponentials
+from .sampling import exponential_block
 
 #: exp() overflow guard for individual term magnitudes.
 _LOG_OVERFLOW = 690.0
@@ -39,7 +38,7 @@ class CancellationError(RuntimeError):
 @dataclass(frozen=True)
 class OracleResult:
     value: float
-    method: str  # closed_form | inclusion_exclusion | quadrature | monte_carlo_bruteforce
+    method: str  # closed_form | inclusion_exclusion | monte_carlo_bruteforce
     error_bound: float
 
     def __post_init__(self) -> None:
@@ -180,33 +179,13 @@ def small_n_norm_cdf(n: int, q: float, t: float) -> OracleResult:
     return OracleResult(value=min(1.0, scale * t), method="closed_form", error_bound=0.0)
 
 
-def mu_q_bruteforce(q: float) -> OracleResult:
-    """Direct quadrature of int_0^inf |x - 1|**q exp(-x) dx.
-
-    Independent of the factorized Gamma form used by the constants module;
-    the [x_max, inf) remainder is bounded analytically and folded into the
-    error bound.
-    """
-    if not q >= 1.0:
-        raise ValueError(f"moment order must satisfy q >= 1, got {q}")
-    x_max = 20.0 + 12.0 * q
-    left, e1 = quad(lambda x: (1.0 - x) ** q * math.exp(-x), 0.0, 1.0,
-                    epsabs=1e-12, epsrel=1e-12)
-    right, e2 = quad(lambda x: (x - 1.0) ** q * math.exp(-x), 1.0, x_max,
-                     epsabs=1e-12, epsrel=1e-12, limit=200)
-    a = x_max - 1.0  # tail bound: int_A^inf u^q e^-u du <= A^q e^-A / (1 - q/A)
-    tail = a**q * math.exp(-a) / (1.0 - q / a) * math.exp(-1.0)
-    return OracleResult(value=left + right, method="quadrature",
-                        error_bound=e1 + e2 + tail)
-
-
 def cov_bruteforce(q: float, draws: int, stream: RandomStream) -> OracleResult:
     """Monte Carlo covariance of (E, |E - 1|**q) with a jackknife error bound."""
     if not q >= 1.0:
         raise ValueError(f"moment order must satisfy q >= 1, got {q}")
     if draws < 10_000:
         raise ValueError(f"cov_bruteforce needs at least 10^4 draws, got {draws}")
-    x = sample_exponentials(stream, draws)
+    x = exponential_block(stream, 1, draws)[0]
     y = np.abs(x - 1.0) ** q
     m = draws
     sx, sy, sxy = float(x.sum()), float(y.sum()), float(x @ y)

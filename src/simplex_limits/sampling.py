@@ -1,54 +1,31 @@
 """Seeded samplers for exponential vectors, uniform simplex points,
 p-generalized Gaussians, and uniform lp-ball points.
 
-All samplers are pure functions of a :class:`~simplex_limits.rng.RandomStream`;
-calling one twice with the same stream yields bitwise-identical output.  The
-block variants (``*_block``) draw a whole matrix of replicates from a single
-stream and are the unit of work for the parallel experiment engine: the
-per-replicate draw order inside a block is fixed, so the output never depends
-on worker scheduling.  :func:`exponential_block` and :func:`lp_ball_block`
-can also reduce each row as they draw, a cache-sized chunk of rows at a time,
-without building the block.
+All samplers (the ``*_block`` functions) are pure functions of a
+:class:`~simplex_limits.rng.RandomStream`; calling one twice with the same
+stream yields bitwise-identical output.  Each draws a whole matrix of
+replicates, one per row, from a single stream and is the unit of work for the
+parallel experiment engine: the per-replicate draw order inside a block is
+fixed, so the output never depends on worker scheduling.
+:func:`exponential_block` and :func:`lp_ball_block` can also reduce each row
+as they draw, a cache-sized chunk of rows at a time, without building the
+block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import RandomStream
 
-#: Loose bound used to validate the sum invariants of generated points.
+#: Arithmetic slack of the invariants of generated points: the coordinate sum
+#: of a simplex point, the lp-norm of an lp-ball point.
 SUM_TOL = 1e-12
 
 #: Elements per chunk (512 KiB of float64, a quarter of a 2 MiB L2 cache): the
 #: block samplers build their temporaries, and the row-reducing samplers draw
 #: and reduce their rows, this many elements at a time.
 _CHUNK_ELEMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A uniform point of the regular simplex, optionally barycenter-shifted.
-
-    ``construction`` records which of the two equidistributed recipes built
-    the point: normalized exponentials or uniform order-statistic spacings.
-    """
-
-    coords: np.ndarray
-    n: int
-    centered: bool
-    construction: str = "exponential"
-
-
-@dataclass(frozen=True)
-class LpBallPoint:
-    """A uniform point of the unit lp-ball in dimension ``n``."""
-
-    coords: np.ndarray
-    n: int
-    p: float
 
 
 def _check_dimension(n: int) -> None:
@@ -135,11 +112,6 @@ def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
     return values
 
 
-def sample_exponentials(stream: RandomStream, n: int) -> np.ndarray:
-    """Vector of ``n`` i.i.d. standard-exponential variates."""
-    return exponential_block(stream, 1, n)[0]
-
-
 def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
     """Matrix of uniform spacings vectors: gaps of n-1 sorted uniforms on [0, 1]."""
     _check_dimension(n)
@@ -155,7 +127,13 @@ def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
 
 def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True,
                   construction: str = "exponential") -> np.ndarray:
-    """Matrix of ``rows`` uniform simplex points (see :func:`sample_simplex`)."""
+    """Matrix of ``rows`` uniform simplex points, shifted by the barycenter
+    1/n when ``centered``.
+
+    Both constructions sample the same distribution: ``exponential``
+    (normalized exponentials, the default; O(n), no sort) and ``spacings``
+    (uniform order-statistic spacings).
+    """
     _check_dimension(n)
     if construction == "exponential":
         x = exponential_block(stream, rows, n)
@@ -167,21 +145,6 @@ def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True
     if centered:
         x = x - 1.0 / n
     return x
-
-
-def sample_simplex(
-    stream: RandomStream,
-    n: int,
-    centered: bool = True,
-    construction: str = "exponential",
-) -> SimplexPoint:
-    """A uniform point of the simplex, shifted by its barycenter when centered.
-
-    Both constructions sample the same distribution; ``exponential`` is the
-    default (O(n), no sort).
-    """
-    coords = simplex_block(stream, 1, n, centered, construction)[0]
-    return SimplexPoint(coords=coords, n=n, centered=centered, construction=construction)
 
 
 def pow_in_place(d: np.ndarray, q: float) -> np.ndarray:
@@ -269,13 +232,6 @@ def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np
     _check_p(p)
     rng = stream.generator()
     return _apply_fair_signs(rng, _pgen_magnitudes(rng, rows, n, p))
-
-
-def sample_pgen_gaussian(stream: RandomStream, p: float, size: int | None = None):
-    """One variate (or ``size`` variates) with density proportional to exp(-|y|**p / p)."""
-    if size is None:
-        return float(pgen_gaussian_block(stream, 1, 1, p)[0, 0])
-    return pgen_gaussian_block(stream, 1, size, p)[0]
 
 
 def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
@@ -402,26 +358,3 @@ def _power_row_sums(a: np.ndarray, p: float) -> np.ndarray:
     for i in range(0, a.shape[0], step):
         sums[i:i + step] = (a[i:i + step] ** p).sum(axis=1)
     return sums
-
-
-def sample_lp_ball(stream: RandomStream, n: int, p: float) -> LpBallPoint:
-    """A uniform point of the unit lp-ball in dimension ``n``."""
-    coords = lp_ball_block(stream, 1, n, p)[0]
-    return LpBallPoint(coords=coords, n=n, p=float(p))
-
-
-def check_simplex_invariants(point: SimplexPoint) -> None:
-    """Raise if the sum/positivity invariants of a simplex point fail."""
-    target = 0.0 if point.centered else 1.0
-    floor = -1.0 / point.n if point.centered else 0.0
-    if abs(float(point.coords.sum()) - target) > SUM_TOL * point.n:
-        raise AssertionError(f"coordinate sum {point.coords.sum()} != {target}")
-    if np.any(point.coords < floor - SUM_TOL):
-        raise AssertionError("coordinate below simplex floor")
-
-
-def check_ball_invariants(point: LpBallPoint) -> None:
-    """Raise if a ball point leaves the unit ball beyond arithmetic slack."""
-    norm = float(np.sum(np.abs(point.coords) ** point.p) ** (1.0 / point.p))
-    if norm > 1.0 + SUM_TOL:
-        raise AssertionError(f"lp norm {norm} exceeds 1")

@@ -1,10 +1,11 @@
-"""Norms, scaled limit statistics, reference CDFs, empirical-distribution
-machinery, and deviation-rate estimators.
+"""Reference CDFs, empirical-distribution machinery, deviation-rate
+estimators, and the source distributions of the central-moment CLT.
 
-Statistics are pure maps from sampled points to reals; anything distributional
-(KS distances, tail log-probabilities) operates on an
-:class:`EmpiricalSample`, so the oracle module can evaluate exact
-probabilities of the very same statistics.
+The statistics themselves are computed by the batch kernels of
+:mod:`simplex_limits.experiments`; anything distributional (KS distances,
+tail log-probabilities) operates on the :class:`EmpiricalSample` they
+return, so the oracle module can evaluate exact probabilities of the very
+same statistics.
 """
 
 from __future__ import annotations
@@ -17,106 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .constants import MomentConstants
-from .sampling import LpBallPoint, SimplexPoint
-
 
 class DegenerateVarianceError(ValueError):
     """The central-moment CLT variance is not strictly positive."""
-
-
-# ---------------------------------------------------------------------------
-# norms and scaled statistics
-
-
-def lq_norm(x, q: float) -> float:
-    """(sum |x_i|**q)**(1/q), or the coordinate maximum for q = inf.
-
-    Scales by the coordinate maximum before powering, so large inputs do not
-    overflow for big q.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("lq_norm of an empty vector")
-    if not q >= 1.0:
-        raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
-    a = np.abs(x)
-    top = float(a.max())
-    if math.isinf(q) or top == 0.0:
-        return top
-    return top * float(np.sum((a / top) ** q)) ** (1.0 / q)
-
-
-def clt_statistic(point: SimplexPoint, q: float, mc: MomentConstants) -> float:
-    """sqrt(n) * (n**(1-1/q) * ||Z||_q * mu_q**(-1/q) - 1) / sigma_q."""
-    if not point.centered:
-        raise ValueError("clt_statistic requires a centered simplex point")
-    if mc.q != q:
-        raise ValueError(f"constants bundle is for q={mc.q}, statistic asked for q={q}")
-    if math.isinf(q):
-        raise ValueError("clt_statistic requires q < inf")
-    n = point.n
-    scaled = n ** (1.0 - 1.0 / q) * lq_norm(point.coords, q) * mc.mu_q ** (-1.0 / q)
-    return math.sqrt(n) * (scaled - 1.0) / math.sqrt(mc.sigma_q_sq)
-
-
-def gumbel_statistic(point: SimplexPoint) -> float:
-    """n * ||Z||_inf - (log n - 1)."""
-    if not point.centered:
-        raise ValueError("gumbel_statistic requires a centered simplex point")
-    n = point.n
-    return n * lq_norm(point.coords, math.inf) - (math.log(n) - 1.0)
-
-
-def ldp_statistic(point: SimplexPoint) -> float:
-    """(n / log n) * ||Z||_inf."""
-    if not point.centered:
-        raise ValueError("ldp_statistic requires a centered simplex point")
-    if point.n < 2:
-        raise ValueError("ldp_statistic requires n >= 2")
-    return point.n * lq_norm(point.coords, math.inf) / math.log(point.n)
-
-
-def default_mdp_speed(n: int) -> float:
-    """Default moderate-deviation speed sqrt(log n)."""
-    return math.sqrt(math.log(n))
-
-
-def mdp_statistic(point: SimplexPoint, s_n: float) -> float:
-    """(log n / s_n) * ((n / log n) * ||Z||_inf - 1)."""
-    if not point.centered:
-        raise ValueError("mdp_statistic requires a centered simplex point")
-    if point.n < 2:
-        raise ValueError("mdp_statistic requires n >= 2")
-    log_n = math.log(point.n)
-    if not 1.0 < s_n < log_n:
-        raise ValueError(f"moderate speed must satisfy 1 < s_n < log n, got {s_n} at n={point.n}")
-    return (log_n / s_n) * (point.n * lq_norm(point.coords, math.inf) / log_n - 1.0)
-
-
-def lp_ldp_statistic(point: LpBallPoint, p: float) -> float:
-    """(n / (p log n))**(1/p) * ||Z||_inf for an lp-ball point."""
-    if point.p != p:
-        raise ValueError(f"point was sampled with p={point.p}, statistic asked for p={p}")
-    if point.n < 2:
-        raise ValueError("lp_ldp_statistic requires n >= 2")
-    n = point.n
-    return (n / (p * math.log(n))) ** (1.0 / p) * lq_norm(point.coords, math.inf)
-
-
-def equivalence_indicator(exponentials: np.ndarray) -> bool:
-    """True iff ||Z||_inf differs from the one-sided maximum for this vector.
-
-    The two statistics differ exactly when the most negative centered
-    coordinate strictly exceeds the most positive one in absolute value,
-    i.e. when 2 * mean(E) > max(E) + min(E).  Ties resolve to False (the
-    norms agree); this comparison form is also exactly tie-symmetric in
-    floating point at n = 2, where the two sides are equal by construction.
-    """
-    e = np.asarray(exponentials, dtype=np.float64)
-    if e.ndim != 1 or e.size < 2:
-        raise ValueError("equivalence_indicator needs a vector of length >= 2")
-    return bool(2.0 * float(e.sum()) / e.size > float(e.max()) + float(e.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +199,6 @@ def _expect(dist, f: Callable[[float], float], split: float) -> float:
 def abs_moment(dist, q: float, t: float) -> float:
     """E|X - t|**q for the named source distribution, by quadrature."""
     return _expect(dist, lambda x: abs(x - t) ** q, split=t)
-
-
-def general_central_moment_stat(data, q: float, mu: float, mq: float) -> float:
-    """sqrt(n) * ((1/n) sum |X_i - Xbar|**q - mq).
-
-    ``mu`` is the distribution mean used by the matching variance formula; the
-    statistic itself centers at the empirical mean.
-    """
-    x = np.asarray(data, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("general_central_moment_stat requires nonempty data")
-    if not q >= 1.0:
-        raise ValueError(f"moment order must satisfy q >= 1, got {q}")
-    n = x.size
-    centered = np.abs(x - x.mean())
-    return math.sqrt(n) * (float(np.mean(centered**q)) - mq)
 
 
 def general_clt_variance(dist, q: float, fd_step: float = 1e-4) -> float:

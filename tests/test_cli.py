@@ -184,3 +184,13 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     assert run_cli(["clt", "--n", "300", "--replicates", "200", "--q", "2",
                     "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("args, message", [
+    # the sweep's ratio divides by log n, which is 0 at n=1
+    (["berry-esseen", "--n", "1,10,100", "--replicates", "100"], "every n >= 2"),
+    (["constants", "--q", ""], "--q needs at least one value"),
+])
+def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
+    assert run_cli(args) == 2
+    assert message in capsys.readouterr().err

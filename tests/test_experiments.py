@@ -8,7 +8,9 @@ from simplex_limits import experiments as ex
 from simplex_limits import statistics as stats
 from simplex_limits.constants import moment_constants
 from simplex_limits.rng import RandomStream
-from simplex_limits.sampling import SimplexPoint, exponential_block
+from simplex_limits.sampling import exponential_block, lp_ball_block
+
+import reference as ref
 
 
 def test_blocks_partition_replicates_exactly():
@@ -25,31 +27,64 @@ def test_collect_is_worker_count_invariant():
         assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 2.5])
-def test_batch_clt_matches_scalar_statistic(q):
+def _block0(seed: int, n: int) -> RandomStream:
+    # the stream of block 0 at dimension n, which holds every replicate here
+    return RandomStream(seed).substream(n).substream(0)
+
+
+@pytest.mark.parametrize("source,q", [
+    *(pytest.param("simplex", q, id=str(q)) for q in (1.0, 2.0, 3.0, 2.5)),
+    *(pytest.param(source, q, id=f"general-{source}-{q}")
+      for source, q in (("exponential", 2.0), ("exponential", 2.5), ("uniform01", 1.0))),
+])
+def test_batch_clt_matches_scalar_statistic(source, q):
     seed, n, reps = 31, 20, 64
-    mc = moment_constants(q)
-    batch = ex.clt_sample(seed, n, q, reps, mc=mc)
-    e = exponential_block(RandomStream(seed).substream(n).substream(0), reps, n)
-    scalar = []
-    for row in e:
-        point = SimplexPoint(coords=row / row.sum() - 1.0 / n, n=n, centered=True)
-        scalar.append(stats.clt_statistic(point, q, mc))
+    if source == "simplex":
+        mc = moment_constants(q)
+        batch = ex.clt_sample(seed, n, q, reps, mc=mc)
+        e = exponential_block(_block0(seed, n), reps, n)
+        scalar = [ref.clt_statistic(row / row.sum() - 1.0 / n, mc) for row in e]
+    else:
+        dist = stats.SOURCE_DISTRIBUTIONS[source]
+        mq = stats.abs_moment(dist, q, dist.mean)
+        batch = ex.general_clt_sample(seed, n, q, source, mq, reps)
+        x = dist.sample(_block0(seed, n).generator(), (reps, n))
+        scalar = [ref.general_central_moment_stat(row, q, mq) for row in x]
     assert np.max(np.abs(np.sort(scalar) - batch.values)) < 1e-10
 
 
-def test_batch_sup_matches_scalar_statistics():
-    seed, n, reps = 13, 25, 64
-    base = ex.sup_norm_sample(seed, n, reps)
-    e = exponential_block(RandomStream(seed).substream(n).substream(0), reps, n)
-    gumbel, ldp = [], []
-    for row in e:
-        point = SimplexPoint(coords=row / row.sum() - 1.0 / n, n=n, centered=True)
-        gumbel.append(stats.gumbel_statistic(point))
-        ldp.append(stats.ldp_statistic(point))
-    assert np.max(np.abs(np.sort(gumbel) -
-                         (base.values - (math.log(n) - 1.0)))) < 1e-10
-    assert np.max(np.abs(np.sort(ldp) - base.values / math.log(n))) < 1e-10
+#: sup-norm theorem -> its statistic of one point, given the run's config
+_SUP_REFERENCES = {
+    "gumbel": lambda z, c: ref.gumbel_statistic(z),
+    "ldp": lambda z, c: ref.ldp_statistic(z),
+    "mdp": lambda z, c: ref.mdp_statistic(z, c.s_n(len(z))),
+    "lp_ldp": lambda x, c: ref.lp_ldp_statistic(x, c.p),
+}
+
+
+# the norms almost never differ at n=25, so the indicator is compared at n=5
+@pytest.mark.parametrize("kind,n", [*((kind, 25) for kind in _SUP_REFERENCES),
+                                    ("equivalence_decay", 5)],
+                         ids=[*_SUP_REFERENCES, "equivalence_decay"])
+def test_batch_sup_matches_scalar_statistics(kind, n):
+    seed, reps, p = 13, 2000, 2.0
+    if kind == "equivalence_decay":
+        freq, _ = ex.equivalence_frequency(seed, n, reps)
+        hits = [ref.equivalence_indicator(row)
+                for row in exponential_block(_block0(seed, n), reps, n)]
+        assert any(hits) and freq == np.mean(hits)
+        return
+    if kind == "lp_ldp":
+        points = lp_ball_block(_block0(seed, n), reps, n, p)
+    else:
+        points = [row / row.sum() - 1.0 / n
+                  for row in exponential_block(_block0(seed, n), reps, n)]
+    config = ex.ExperimentConfig(kind=kind, n_list=(n,), replicates=reps, seed=seed, p=p)
+    th = ex.SUP_THEOREMS[kind]
+    base, _ = th.sample(config, n)
+    scale, shift = th.affine(config, n)
+    scalar = [_SUP_REFERENCES[kind](point, config) for point in points]
+    assert np.max(np.abs(np.sort(scalar) - (base.values * scale + shift))) < 1e-10
 
 
 def test_config_validation():

@@ -19,6 +19,8 @@ from simplex_limits import sampling
 from simplex_limits.constants import moment_constants
 from simplex_limits.rng import RandomStream
 
+import reference
+
 # ---------------------------------------------------------------------------
 # allocating references
 
@@ -400,7 +402,7 @@ def test_lp_ball_block_redraws_an_exact_zero(monkeypatch, p):
     assert np.all(np.isfinite(c))
     assert abs(c.flat[_ZERO_AT]) > 0.0
     for row in c:
-        sampling.check_ball_invariants(sampling.LpBallPoint(coords=row, n=4, p=p))
+        reference.check_ball_invariants(row, p)
 
 
 # n=1000 draws 65-row chunks: this position lies in the second chunk

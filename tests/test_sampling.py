@@ -8,17 +8,14 @@ from scipy.stats import ks_2samp
 
 from simplex_limits.rng import RandomStream
 from simplex_limits.sampling import (
-    check_ball_invariants,
-    check_simplex_invariants,
     exponential_block,
     lp_ball_block,
     pgen_gaussian_block,
-    sample_exponentials,
-    sample_lp_ball,
-    sample_pgen_gaussian,
-    sample_simplex,
+    simplex_block,
     spacings_block,
 )
+
+import reference as ref
 
 
 def _uniform_ks(values, lo, hi):
@@ -35,23 +32,24 @@ def _uniform_ks(values, lo, hi):
 
 def test_exponentials_deterministic():
     s = RandomStream(1, 2)
-    assert np.array_equal(sample_exponentials(s, 1), sample_exponentials(s, 1))
-    assert np.array_equal(sample_exponentials(s, 100), sample_exponentials(s, 100))
+    assert np.array_equal(exponential_block(s, 1, 1), exponential_block(s, 1, 1))
+    assert np.array_equal(exponential_block(s, 1, 100), exponential_block(s, 1, 100))
 
 
 def test_exponentials_match_block_layout():
+    # rows are drawn in order, so a one-row block is the first row of any taller one
     s = RandomStream(3)
-    assert np.array_equal(sample_exponentials(s, 5), exponential_block(s, 1, 5)[0])
+    assert np.array_equal(exponential_block(s, 1, 5)[0], exponential_block(s, 4, 5)[0])
 
 
 def test_exponentials_zero_dimension_rejected():
     with pytest.raises(ValueError):
-        sample_exponentials(RandomStream(0), 0)
+        exponential_block(RandomStream(0), 1, 0)
 
 
 def test_exponential_moments():
     n = 10**6
-    x = sample_exponentials(RandomStream(11), n)
+    x = exponential_block(RandomStream(11), 1, n)[0]
     assert abs(x.mean() - 1.0) < 4.0 * n**-0.5
     # Var(E) = 1 with Var of the variance estimator driven by the 4th moment 9
     assert abs(x.var() - 1.0) < 5.0 * n**-0.5 * math.sqrt(8.0)
@@ -62,8 +60,8 @@ def test_exponential_moments():
 
 
 def test_simplex_n1_is_exact():
-    assert sample_simplex(RandomStream(0), 1, centered=True).coords[0] == 0.0
-    assert sample_simplex(RandomStream(0), 1, centered=False).coords[0] == 1.0
+    assert simplex_block(RandomStream(0), 1, 1, centered=True).tolist() == [[0.0]]
+    assert simplex_block(RandomStream(0), 1, 1, centered=False).tolist() == [[1.0]]
     assert spacings_block(RandomStream(0), 3, 1).tolist() == [[1.0], [1.0], [1.0]]
 
 
@@ -75,8 +73,8 @@ def test_simplex_n1_is_exact():
     construction=st.sampled_from(["exponential", "spacings"]),
 )
 def test_simplex_invariants(seed, n, centered, construction):
-    point = sample_simplex(RandomStream(seed), n, centered=centered, construction=construction)
-    check_simplex_invariants(point)
+    (point,) = simplex_block(RandomStream(seed), 1, n, centered, construction)
+    ref.check_simplex_invariants(point, centered)
 
 
 def test_simplex_first_coordinate_is_centered_uniform_at_n2():
@@ -107,19 +105,17 @@ def test_constructions_equidistributed(n, q):
 
 def test_pgen_rejects_bad_p():
     with pytest.raises(ValueError):
-        sample_pgen_gaussian(RandomStream(0), 0.9)
+        pgen_gaussian_block(RandomStream(0), 1, 1, 0.9)
 
 
 def test_pgen_rejects_dimension_below_one():
     with pytest.raises(ValueError, match="dimension"):
         pgen_gaussian_block(RandomStream(0), 3, 0, 2.0)
-    with pytest.raises(ValueError, match="dimension"):
-        sample_pgen_gaussian(RandomStream(0), 2.0, size=0)
 
 
 def test_pgen_scalar_is_deterministic():
     s = RandomStream(5)
-    assert sample_pgen_gaussian(s, 1.5) == sample_pgen_gaussian(s, 1.5)
+    assert pgen_gaussian_block(s, 1, 1, 1.5) == pgen_gaussian_block(s, 1, 1, 1.5)
 
 
 def test_pgen_p2_is_standard_gaussian():
@@ -168,10 +164,11 @@ def test_ball_membership_l1():
     p=st.sampled_from([1.0, 1.5, 2.0, 4.0]),
 )
 def test_ball_invariants(seed, n, p):
-    check_ball_invariants(sample_lp_ball(RandomStream(seed), n, p))
+    (point,) = lp_ball_block(RandomStream(seed), 1, n, p)
+    ref.check_ball_invariants(point, p)
 
 
 def test_ball_deterministic():
-    a = sample_lp_ball(RandomStream(13), 6, 1.5)
-    b = sample_lp_ball(RandomStream(13), 6, 1.5)
-    assert np.array_equal(a.coords, b.coords)
+    a = lp_ball_block(RandomStream(13), 1, 6, 1.5)
+    b = lp_ball_block(RandomStream(13), 1, 6, 1.5)
+    assert np.array_equal(a, b)
