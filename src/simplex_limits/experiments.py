@@ -121,6 +121,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
         if self.kind in _N_FROM_2_KINDS and any(n < 2 for n in self.n_list):
             raise ValueError(f"{self.kind} experiments require every n >= 2")
+        if any(n < 2 for n in self.oracle_n_list):
+            raise ValueError(f"the max-spacing oracle requires every n >= 2 in oracle_n_list, "
+                             f"got {self.oracle_n_list}")
         if self.kind == "equivalence_decay" and any(not 2 <= n <= 200 for n in self.n_list):
             raise ValueError("equivalence_decay expects n in [2, 200]")
 

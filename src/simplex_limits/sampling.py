@@ -10,6 +10,12 @@ fixed, so the output never depends on worker scheduling.
 :func:`exponential_block` and :func:`lp_ball_block` can also reduce each row
 as they draw, a cache-sized chunk of rows at a time, without building the
 block.
+
+The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
+drawn per p: standard exponentials at p=1, the absolute values of standard
+normals at p=2, and the gamma transform (p W)**(1/p), W ~ Gamma(1/p), at
+every other p >= 1.  Each is followed by the fair signs, then (lp-ball) the
+radius factor.
 """
 
 from __future__ import annotations
@@ -162,36 +168,36 @@ def pow_in_place(d: np.ndarray, q: float) -> np.ndarray:
     return d
 
 
-def _gamma_fill(rng: np.random.Generator, out: np.ndarray, p: float) -> np.ndarray:
-    """Fill ``out`` with i.i.d. Gamma(1/p) variates and return it.
+def _magnitudes_fill(rng: np.random.Generator, out: np.ndarray, p: float) -> np.ndarray:
+    """Fill ``out`` with i.i.d. magnitudes |Y| of p-generalized Gaussians Y,
+    in place, and return it.
 
-    At p=1, ``standard_exponential`` gives the bits of ``gamma(1.0)`` in about
-    two thirds of the time.
+    p=1: |Y| is standard exponential.  p=2: Y is standard normal, so |Y| is
+    ``abs(standard_normal)``, in about a quarter of the time of the gamma
+    transform.  Other p: the exact gamma transform |Y|**p / p ~ Gamma(1/p),
+    so |Y| = (p W)**(1/p).
     """
     if p == 1.0:
         return rng.standard_exponential(out=out)
-    return rng.standard_gamma(1.0 / p, out=out)
-
-
-def _gamma_to_magnitudes(w: np.ndarray, p: float) -> np.ndarray:
-    """Map Gamma(1/p) variates W to |Y| = (p W)**(1/p) in place (at p=1, W)."""
-    if p != 1.0:
-        w *= p
-        w **= 1.0 / p
-    return w
+    if p == 2.0:
+        rng.standard_normal(out=out)
+        return np.abs(out, out=out)
+    rng.standard_gamma(1.0 / p, out=out)
+    out *= p
+    out **= 1.0 / p
+    return out
 
 
 def _pgen_magnitudes(rng: np.random.Generator, rows: int, n: int, p: float) -> np.ndarray:
-    """Magnitudes |Y| of a matrix of i.i.d. p-generalized Gaussians Y.
+    """Magnitudes |Y| of a matrix of i.i.d. p-generalized Gaussians Y, drawn
+    by :func:`_magnitudes_fill` (exponential at p=1, half-normal at p=2, the
+    gamma transform otherwise); an exact 0.0 among them is drawn again.
 
-    Uses the exact gamma transform |Y|**p / p ~ Gamma(1/p), rejection-free for
-    every p >= 1, and builds |Y| in the gamma buffer.  The independent fair
-    signs are drawn next, by :func:`_apply_fair_signs`: the draw order
-    (magnitudes, then signs) is fixed.
+    The independent fair signs are drawn next, by :func:`_apply_fair_signs`:
+    the draw order (magnitudes, then signs) is fixed.
     """
-    w = _gamma_fill(rng, np.empty((rows, n)), p)
-    w = _redraw_exact_zeros(rng, lambda r, k: _gamma_fill(r, np.empty(k), p), w)
-    return _gamma_to_magnitudes(w, p)
+    y = _magnitudes_fill(rng, np.empty((rows, n)), p)
+    return _redraw_exact_zeros(rng, lambda r, k: _magnitudes_fill(r, np.empty(k), p), y)
 
 
 def _apply_fair_signs(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
@@ -319,10 +325,10 @@ def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndar
     states = []
 
     def magnitudes(start: int) -> np.ndarray:
-        y = _gamma_fill(rng, buf[:min(step, rows - start)], p)
+        y = _magnitudes_fill(rng, buf[:min(step, rows - start)], p)
         if not y.min() > 0.0:
             raise _ExactZero
-        return _gamma_to_magnitudes(y, p)
+        return y
 
     row_max, power_sums = np.empty(rows), np.empty(rows)
     for start in range(0, rows, step):

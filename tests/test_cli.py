@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from simplex_limits import cli
+from simplex_limits import cli, sampling
 
 
 def run_cli(args):
@@ -129,6 +129,15 @@ def test_config_yielding_no_rows_is_a_usage_error(capsys):
     assert run_cli(["clt", "--n", ""]) == 2
     assert run_cli(["ldp", "--n", "", "--z", "0.5", "--oracle-n", "10000"]) == 2
     assert "no report rows" in capsys.readouterr().err
+
+
+def test_oracle_dimension_below_two_is_a_usage_error_before_sampling(monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
+    assert run_cli(["gumbel", "--n", "300", "--replicates", "100", "--oracle-n", "1"]) == 2
+    assert "oracle_n_list" in capsys.readouterr().err
 
 
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):

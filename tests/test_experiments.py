@@ -100,6 +100,13 @@ def test_config_validation():
         ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=0, s_n_rule="huh")
 
 
+@pytest.mark.parametrize("kind", ["gumbel", "ldp", "mdp"])
+def test_oracle_dimension_below_two_is_rejected_at_construction(kind):
+    with pytest.raises(ValueError, match="oracle_n_list"):
+        ex.ExperimentConfig(kind=kind, n_list=(300,), replicates=10, seed=0,
+                            thresholds=(1.5,), oracle_n_list=(1000, 1))
+
+
 def test_config_roundtrip():
     cfg = ex.ExperimentConfig(kind="ldp", n_list=(100, 200), replicates=10, seed=1,
                               thresholds=(1.5, 0.5), oracle_n_list=(1000,))

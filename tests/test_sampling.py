@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.special import erf
+from scipy.stats import kstest, ks_2samp
 
 from simplex_limits.rng import RandomStream
 from simplex_limits.sampling import (
+    _magnitudes_fill,
     exponential_block,
     lp_ball_block,
     pgen_gaussian_block,
@@ -126,6 +128,36 @@ def test_pgen_p2_is_standard_gaussian():
 def test_pgen_p1_is_standard_laplace():
     y = pgen_gaussian_block(RandomStream(7), 1, 10**6, 1.0)[0]
     assert abs(np.abs(y).mean() - 1.0) < 0.01
+
+
+# the p=2 magnitude law, |Y| with Y ~ N(0, 1), on fixed seeds
+_M = 1 << 17
+# Kolmogorov's alpha = 0.001 critical value: sqrt(ln(2 / alpha) / 2) / sqrt(size)
+_KS_C = math.sqrt(math.log(2 / 0.001) / 2)
+
+
+def _p2_magnitudes(seed):
+    return _magnitudes_fill(RandomStream(seed).generator(), np.empty(_M), 2.0)
+
+
+def test_p2_magnitudes_have_the_law_of_the_gamma_transform():
+    # |Y|**2 / 2 ~ Gamma(1/2), so |Y| = (2 W)**0.5 in law
+    w = RandomStream(74).generator().standard_gamma(0.5, _M)
+    assert ks_2samp(_p2_magnitudes(73), (2.0 * w) ** 0.5).statistic <= _KS_C * math.sqrt(2 / _M)
+
+
+def test_p2_magnitudes_are_half_normal():
+    def half_normal_cdf(x):
+        return erf(x / math.sqrt(2.0))  # 2 Phi(x) - 1
+
+    assert kstest(_p2_magnitudes(75), half_normal_cdf).statistic <= _KS_C / math.sqrt(_M)
+
+
+def test_p2_magnitude_moments():
+    y = _p2_magnitudes(76)
+    # E|Y| = sqrt(2 / pi), Var|Y| = 1 - 2 / pi; E Y**2 = 1, Var Y**2 = 2
+    assert abs(y.mean() - math.sqrt(2 / math.pi)) <= 4 * math.sqrt((1 - 2 / math.pi) / _M)
+    assert abs((y * y).mean() - 1.0) <= 4 * math.sqrt(2 / _M)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
