@@ -13,8 +13,10 @@ values, so a sample function holds about one chunk per worker plus a few
 values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  The
 lp-ball kernel keeps no sign: it reduces each row to its largest magnitude
 and power sum, then draws again only the chunks that hold a row which can
-have the block's largest norm (usually one).  Only a chunk that draws an
-exact 0.0 (about 2^-64 per variate) makes its block be drawn whole again.
+have the block's largest norm (usually one).  A chunk that draws an exact
+0.0 (about 2^-53 per exponential or gamma variate, 2^-52 per normal) draws
+it again right after the chunk, on the built and the reducing path alike,
+so neither ever needs the whole block.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -142,6 +144,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        _require_keys(d, [k for k, f in fields.items() if f.default is dataclasses.MISSING],
+                      "config")
+        unknown = sorted(set(d) - set(fields))
+        if unknown:
+            raise ValueError(f"config has unknown keys {', '.join(map(repr, unknown))}")
         d = dict(d)
         for key in ("n_list", "thresholds", "oracle_n_list"):
             if key in d and d[key] is not None:
@@ -226,9 +234,26 @@ def _json_float(x):
     return x
 
 
+def _require_keys(obj, keys, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"{what} has no key {', '.join(map(repr, missing))}")
+
+
 def report_from_json(text: str) -> ExperimentReport:
-    """Rebuild a report from its JSON serialization (for format conversion)."""
+    """Rebuild a report from its JSON serialization (for format conversion).
+
+    JSON that is not such a report is a ``ValueError`` that names the missing
+    or unknown key.
+    """
     payload = json.loads(text)
+    _require_keys(payload, ("rows", "config"), "report")
+    if not isinstance(payload["rows"], list):
+        raise ValueError("report key 'rows' must be a list")
+    for i, row in enumerate(payload["rows"]):
+        _require_keys(row, REPORT_COLUMNS, f"report row {i}")
     undo = {"inf": math.inf, "-inf": -math.inf}
     rows = [ReportRow(*(undo.get(r[c], r[c]) for c in REPORT_COLUMNS))
             for r in payload["rows"]]

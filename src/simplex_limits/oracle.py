@@ -173,7 +173,7 @@ def small_n_norm_cdf(n: int, q: float, t: float) -> OracleResult:
         raise ValueError(f"small_n_norm_cdf supports n = 2 only, got n={n}")
     if not q >= 1.0:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
-    if t < 0:
+    if not t >= 0.0:  # NaN fails this too; t = +inf is P = 1
         raise ValueError(f"threshold must be nonnegative, got {t}")
     scale = 2.0 if math.isinf(q) else 2.0 * 2.0 ** (-1.0 / q)
     return OracleResult(value=min(1.0, scale * t), method="closed_form", error_bound=0.0)

@@ -7,9 +7,14 @@ stream yields bitwise-identical output.  Each draws a whole matrix of
 replicates, one per row, from a single stream and is the unit of work for the
 parallel experiment engine: the per-replicate draw order inside a block is
 fixed, so the output never depends on worker scheduling.
-:func:`exponential_block` and :func:`lp_ball_block` can also reduce each row
-as they draw, a cache-sized chunk of rows at a time, without building the
-block.
+
+The exponentials and the p-generalized Gaussian magnitudes are drawn a
+cache-sized chunk of rows at a time (:func:`_row_chunks`), each chunk by
+:func:`_guarded_fill`, which draws an exact 0.0 again right after its chunk.
+A built block is that chunk loop writing into the rows of the output.
+:func:`exponential_block` and :func:`lp_ball_block` can instead reduce each
+chunk as they draw it, in one reused buffer, without building the block;
+they draw the same bits.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1, the absolute values of standard
@@ -20,6 +25,8 @@ radius factor.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .rng import RandomStream
@@ -29,8 +36,8 @@ from .rng import RandomStream
 SUM_TOL = 1e-12
 
 #: Elements per chunk (512 KiB of float64, a quarter of a 2 MiB L2 cache): the
-#: block samplers build their temporaries, and the row-reducing samplers draw
-#: and reduce their rows, this many elements at a time.
+#: samplers draw, guard and reduce a block, and draw its fair signs, this many
+#: elements at a time (a row chunk is one row when n is larger).
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -44,27 +51,46 @@ def _check_p(p: float) -> None:
         raise ValueError(f"ball exponent p must satisfy p >= 1, got {p}")
 
 
-def _redraw_exact_zeros(rng: np.random.Generator, draw, x: np.ndarray) -> np.ndarray:
-    # A coordinate that underflows to exactly 0.0 would break the strict
-    # positivity the normalizing sums rely on; probability is ~2**-64 per
-    # draw but the guard makes it impossible rather than merely unlikely.
-    # testing the min first spares the usual call a block-sized mask
-    while x.size and not x.min() > 0.0:
-        mask = x == 0.0
-        x[mask] = draw(rng, int(mask.sum()))
-    return x
+def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray:
+    """``fill(rng, out)``, then draw each exact 0.0 of ``out`` again, before
+    anything else is drawn, until none is left; return ``out``.
+
+    A coordinate of exactly 0.0 would break the strict positivity the
+    normalizing sums rely on.  It is rare: an exponential or gamma variate
+    is 0.0 when its raw 64-bit draw is below 2**11 (about 2**-53 per
+    variate), a normal when 52 of its bits are zero (about 2**-52); the guard
+    makes it impossible.  Testing the minimum first spares the usual call a
+    chunk-sized mask.
+    """
+    fill(rng, out)
+    while not out.min() > 0.0:
+        zeros = out == 0.0
+        out[zeros] = fill(rng, np.empty(int(zeros.sum())))
+    return out
 
 
-def _whole_exponential_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
-    # the chunked path falls back here, not to exponential_block, so that a
-    # wrapper of the public name (the traced benchmark's) sees one call a block
-    rng = stream.generator()
-    x = rng.standard_exponential((rows, n))
-    return _redraw_exact_zeros(rng, lambda r, k: r.standard_exponential(k), x)
+def _exponential_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    return rng.standard_exponential(out=out)
 
 
-class _ExactZero(Exception):
-    """A chunk drew an exact 0.0, which only the whole-block guard may replace."""
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_ELEMS // n)
+
+
+def _row_chunks(rows: int, n: int) -> list[slice]:
+    """The row chunks of a ``rows`` x ``n`` block, in draw order: about
+    :data:`_CHUNK_ELEMS` elements each, one row when n is larger."""
+    step = _chunk_rows(n)
+    return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
+
+
+def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
+    """A ``rows`` x ``n`` block drawn by :func:`_guarded_fill`, a row chunk at
+    a time, into its own rows."""
+    out = np.empty((rows, n))
+    for chunk in _row_chunks(rows, n):
+        _guarded_fill(rng, fill, out[chunk])
+    return out
 
 
 def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> np.ndarray:
@@ -74,47 +100,28 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     one value per row), the block is never built: it is drawn a chunk of rows
     at a time into one reused buffer and each chunk is reduced while it is
     still in cache (see :func:`reduce_rows`); the result is the vector of the
-    ``rows`` values.  The draws are those of the whole block, so the values
-    are ``reduce`` of the whole block, bit for bit.
+    ``rows`` values.  The chunks are drawn as the built block's are, so the
+    values are ``reduce`` of the built block, bit for bit.
     """
     _check_dimension(n)
-    if reduce is None:
-        return _whole_exponential_block(stream, rows, n)
     rng = stream.generator()
+    if reduce is None:
+        return _built_block(rng, _exponential_fill, rows, n)
     buf = np.empty((min(rows, _chunk_rows(n)), n))
-
-    def draw(k: int) -> np.ndarray:
-        e = buf[:k]
-        rng.standard_exponential(out=e)
-        if not e.min() > 0.0:
-            raise _ExactZero
-        return e
-
-    try:
-        return reduce_rows(rows, n, draw, reduce)
-    except _ExactZero:
-        # the guard redraws after the whole block, so only the whole block
-        # has the guarded bits
-        return reduce(_whole_exponential_block(stream, rows, n))
-
-
-def _chunk_rows(n: int) -> int:
-    return max(1, _CHUNK_ELEMS // n)
+    return reduce_rows(rows, n, lambda k: _guarded_fill(rng, _exponential_fill, buf[:k]),
+                       reduce)
 
 
 def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
     """Per-row values of a ``rows`` x ``n`` block that is drawn and reduced a
-    chunk of rows (about :data:`_CHUNK_ELEMS` elements, one row when n is
-    larger) at a time.
+    chunk of rows (:func:`_row_chunks`) at a time.
 
     ``draw(k)`` returns the next ``k`` rows, in the block's draw order;
     ``reduce`` maps them to their ``k`` values.
     """
     values = np.empty(rows)
-    step = _chunk_rows(n)
-    for start in range(0, rows, step):
-        k = min(step, rows - start)
-        values[start:start + k] = reduce(draw(k))
+    for chunk in _row_chunks(rows, n):
+        values[chunk] = reduce(draw(chunk.stop - chunk.start))
     return values
 
 
@@ -188,18 +195,6 @@ def _magnitudes_fill(rng: np.random.Generator, out: np.ndarray, p: float) -> np.
     return out
 
 
-def _pgen_magnitudes(rng: np.random.Generator, rows: int, n: int, p: float) -> np.ndarray:
-    """Magnitudes |Y| of a matrix of i.i.d. p-generalized Gaussians Y, drawn
-    by :func:`_magnitudes_fill` (exponential at p=1, half-normal at p=2, the
-    gamma transform otherwise); an exact 0.0 among them is drawn again.
-
-    The independent fair signs are drawn next, by :func:`_apply_fair_signs`:
-    the draw order (magnitudes, then signs) is fixed.
-    """
-    y = _magnitudes_fill(rng, np.empty((rows, n)), p)
-    return _redraw_exact_zeros(rng, lambda r, k: _magnitudes_fill(r, np.empty(k), p), y)
-
-
 def _apply_fair_signs(rng: np.random.Generator, y: np.ndarray) -> np.ndarray:
     """Multiply each entry of the C-contiguous ``y`` by an independent fair
     sign, in place, and return it.
@@ -233,11 +228,13 @@ def _skip_fair_signs(rng: np.random.Generator, k: int) -> None:
 
 
 def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
-    """Matrix of i.i.d. p-generalized Gaussian variates (see :func:`_pgen_magnitudes`)."""
+    """Matrix of i.i.d. p-generalized Gaussian variates: the magnitudes
+    (:func:`_magnitudes_fill`), then the fair signs."""
     _check_dimension(n)
     _check_p(p)
     rng = stream.generator()
-    return _apply_fair_signs(rng, _pgen_magnitudes(rng, rows, n, p))
+    return _apply_fair_signs(rng, _built_block(rng, functools.partial(_magnitudes_fill, p=p),
+                                               rows, n))
 
 
 def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
@@ -255,36 +252,23 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     """
     _check_dimension(n)
     _check_p(p)
-    if not sup:
-        return _whole_lp_ball_block(stream, rows, n, p)
-    try:
+    if sup:
         return _ball_sup_rows(stream, rows, n, p)
-    except _ExactZero:
-        # the guard redraws after the whole block's magnitudes, so only the
-        # whole block has the guarded bits
-        return _block_sup(_whole_lp_ball_block(stream, rows, n, p), p)
-
-
-def _whole_lp_ball_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
     rng = stream.generator()
-    y = _pgen_magnitudes(rng, rows, n, p)
-    # the norm is taken before the signs, from magnitudes that are |Y| exactly
-    norms = _power_row_sums(y, p) ** (1.0 / p)
+    y = _built_block(rng, functools.partial(_magnitudes_fill, p=p), rows, n)
+    # the norm is taken before the signs, from magnitudes that are |Y| exactly;
+    # the powers a chunk of rows at a time, so the temporary is one chunk
+    power_sums = np.concatenate([(y[c] ** p).sum(axis=1) for c in _row_chunks(rows, n)])
     _apply_fair_signs(rng, y)
     radius = rng.random(rows) ** (1.0 / n)
-    y *= (radius / norms)[:, None]
+    y *= (radius / power_sums ** (1.0 / p))[:, None]
     return y
-
-
-def _block_sup(a: np.ndarray, p: float) -> np.ndarray:
-    """Per-row (largest absolute coordinate, lp-norm) of ``a``, which it overwrites."""
-    sup = np.abs(a, out=a).max(axis=1)
-    return np.column_stack([sup, pow_in_place(a, p).sum(axis=1) ** (1.0 / p)])
 
 
 def _norm_rounding_bound(n: int) -> float:
     """A bound g on |lp-norm / U**(1/n) - 1| for each row of
-    :func:`lp_ball_block`, its norm computed as :func:`_block_sup` does.
+    :func:`lp_ball_block`, its norm computed from its coordinates: the sum of
+    their absolute p-th powers, then the root.
 
     Let u = eps/2 be the unit roundoff and assume every float64 power and
     root is within e = 4 eps of exact (squares and square roots are correctly
@@ -306,11 +290,11 @@ def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndar
     rows at a time into one reused buffer and each row reduced to its largest
     magnitude and its power sum; the signs are skipped, not drawn.
 
-    Bit identity with the built block: the chunks draw the whole block's
-    variates, and each row's sum is that row's alone.  A sign flips a
-    coordinate exactly, and rounding is symmetric, so |sign * y * c| = y * c.
-    A positive scale c is monotone under rounding, so max(y * c) is
-    max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
+    Bit identity with the built block: the chunks are drawn, exact-zero
+    guard included, as the built block's are, and each row's sum is that
+    row's alone.  A sign flips a coordinate exactly, and rounding is
+    symmetric, so |sign * y * c| = y * c.  A positive scale c is monotone
+    under rounding, so max(y * c) is max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
     U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with U_r**(1/n)
     >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest one.  Their
     chunks are drawn again from the saved generator state, scaled, and
@@ -320,24 +304,20 @@ def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndar
     numpy's by an ulp.)
     """
     rng = stream.generator()
+    fill = functools.partial(_magnitudes_fill, p=p)
+    chunks = _row_chunks(rows, n)
     step = _chunk_rows(n)
+    # one buffer for both passes: a second one would double the peak
     buf = np.empty((min(rows, step), n))
     states = []
-
-    def magnitudes(start: int) -> np.ndarray:
-        y = _magnitudes_fill(rng, buf[:min(step, rows - start)], p)
-        if not y.min() > 0.0:
-            raise _ExactZero
-        return y
-
     row_max, power_sums = np.empty(rows), np.empty(rows)
-    for start in range(0, rows, step):
+    for chunk in chunks:
         states.append(rng.bit_generator.state)
-        y = magnitudes(start)
-        row_max[start:start + step] = y.max(axis=1)
+        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        row_max[chunk] = y.max(axis=1)
         if p != 1.0:
-            y **= p  # the powers of _power_row_sums, in place
-        power_sums[start:start + step] = y.sum(axis=1)
+            y **= p  # the built block's powers, in place
+        power_sums[chunk] = y.sum(axis=1)
     _skip_fair_signs(rng, rows * n)
     radius = rng.random(rows) ** (1.0 / n)
     scale = radius / power_sums ** (1.0 / p)
@@ -345,22 +325,11 @@ def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndar
     g = _norm_rounding_bound(n)
     candidates = radius >= radius.max() * ((1.0 - g) / (1.0 + g))
     point_sums = np.zeros(rows)
-    for chunk in np.unique(np.flatnonzero(candidates) // step):
-        start = int(chunk) * step
-        rng.bit_generator.state = states[chunk]
-        y = magnitudes(start)
-        y *= scale[start:start + step, None]
-        point_sums[start:start + step] = pow_in_place(y, p).sum(axis=1)
+    for i in np.unique(np.flatnonzero(candidates) // step):
+        chunk = chunks[i]
+        rng.bit_generator.state = states[i]
+        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        y *= scale[chunk, None]
+        point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
     point_sums[~candidates] = 0.0
     return np.column_stack([row_max * scale, point_sums ** (1.0 / p)])
-
-
-def _power_row_sums(a: np.ndarray, p: float) -> np.ndarray:
-    """Row sums of ``a ** p``; the powers are taken a chunk of rows at a time."""
-    if p == 1.0:
-        return a.sum(axis=1)  # a ** 1.0 is a exactly
-    sums = np.empty(a.shape[0])
-    step = _chunk_rows(a.shape[1])
-    for i in range(0, a.shape[0], step):
-        sums[i:i + step] = (a[i:i + step] ** p).sum(axis=1)
-    return sums

@@ -85,6 +85,31 @@ def test_report_conversion_matches_direct_csv(tmp_path):
     assert csv_direct.read_bytes() == csv_converted.read_bytes()
 
 
+def _without(d, *path):
+    # d with the key at the end of path deleted
+    inner = d
+    for key in path[:-1]:
+        inner = inner[key]
+    del inner[path[-1]]
+    return d
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda r: {}, "report has no key 'rows', 'config'"),
+    (lambda r: [r], "report must be a JSON object, got list"),
+    (lambda r: _without(r, "rows", 0, "n"), "report row 0 has no key 'n'"),
+    (lambda r: _without(r, "config", "seed"), "config has no key 'seed'"),
+    (lambda r: {**r, "config": {**r["config"], "bogus": 1}}, "config has unknown keys 'bogus'"),
+], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key"])
+def test_report_from_malformed_json_is_a_usage_error(tmp_path, capsys, edit, message):
+    report = tmp_path / "r.json"
+    assert run_cli(["equivalence", "--n", "5", "--replicates", "100", "--format", "json",
+                    "--out", str(report)]) == 0
+    report.write_text(json.dumps(edit(json.loads(report.read_text()))))
+    assert run_cli(["report", "--in", str(report)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sample_command_deterministic_and_in_ball(tmp_path):
     a, b = tmp_path / "s1.csv", tmp_path / "s2.csv"
     args = ["sample", "--kind", "ball", "--n", "4", "--count", "8", "--p", "1.5",
@@ -199,6 +224,9 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     # the sweep's ratio divides by log n, which is 0 at n=1
     (["berry-esseen", "--n", "1,10,100", "--replicates", "100"], "every n >= 2"),
     (["constants", "--q", ""], "--q needs at least one value"),
+    # min(1, 2 * nan) would read 1.0
+    (["oracle", "--op", "small-n-norm-cdf", "--n", "2", "--q", "2", "--t", "nan"],
+     "threshold must be nonnegative, got nan"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2

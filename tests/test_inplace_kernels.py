@@ -5,7 +5,7 @@ Each kernel must give exactly the bits of the allocating whole-block
 expression it replaced, which is kept here as the reference; each sample
 function must peak at about one block of memory, or one chunk when it reduces
 by chunks; and the exact-zero guard of the samplers must replace an
-underflowed draw, with the bits of the whole-block guard.
+underflowed draw right after its row chunk, on every path alike.
 """
 
 import math
@@ -38,17 +38,26 @@ def _ref_abs_pow(d, q):
 
 
 def _ref_magnitudes(rng, size, p):
-    # |Y| of a p-generalized Gaussian Y: half-normal at p=2, else the gamma
-    # transform |Y|**p / p ~ Gamma(1/p) (at p=1, gamma(1.0) has the bits of
-    # standard_exponential)
+    # |Y| of a p-generalized Gaussian Y: exponential at p=1, half-normal at
+    # p=2, else the gamma transform |Y|**p / p ~ Gamma(1/p)
+    if p == 1.0:
+        return rng.standard_exponential(size)
     if p == 2.0:
         return np.abs(rng.standard_normal(size))
-    return (p * rng.gamma(1.0 / p, 1.0, size)) ** (1.0 / p)
+    return (p * rng.standard_gamma(1.0 / p, size)) ** (1.0 / p)
 
 
 def _ref_pgen(rng, rows, n, p):
-    y = _ref_magnitudes(rng, (rows, n), p)
-    y = sampling._redraw_exact_zeros(rng, lambda r, k: _ref_magnitudes(r, k, p), y)
+    # the magnitudes by row chunks of _CHUNK_ELEMS elements (one row when n is
+    # larger); each exact 0.0 is drawn again right after its chunk
+    step = max(1, sampling._CHUNK_ELEMS // n)
+    chunks = []
+    for start in range(0, rows, step):
+        y = _ref_magnitudes(rng, (min(step, rows - start), n), p)
+        while (y == 0.0).any():
+            y[y == 0.0] = _ref_magnitudes(rng, int((y == 0.0).sum()), p)
+        chunks.append(y)
+    y = np.vstack(chunks)
     signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
     return signs * y
 
@@ -423,18 +432,32 @@ def test_lp_ball_block_redraws_an_exact_zero(monkeypatch, p):
 _SECOND_CHUNK_AT = 65 * 1000 + 1234
 
 
-def test_zero_in_second_chunk_gives_the_whole_block_guard_bits(monkeypatch):
+def test_zero_in_second_chunk_gives_the_same_bits_on_built_and_reducing_paths(monkeypatch):
     def row_sums(e):
         return e.sum(axis=1)
 
-    clean = sampling.exponential_block(RandomStream(59), 200, 1000, row_sums)
+    clean = sampling.exponential_block(RandomStream(59), 200, 1000)
     _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
-    guarded = sampling.exponential_block(RandomStream(59), 200, 1000)
-    assert guarded.min() > 0.0
+    built = sampling.exponential_block(RandomStream(59), 200, 1000)
+    assert built.min() > 0.0
     got = sampling.exponential_block(RandomStream(59), 200, 1000, row_sums)
-    assert np.array_equal(got, guarded.sum(axis=1))
-    changed = np.flatnonzero(got != clean)
-    assert changed.tolist() == [_SECOND_CHUNK_AT // 1000]
+    assert np.array_equal(got, built.sum(axis=1))
+    # the zero is drawn again right after its chunk: only the zero's own
+    # element and every element of the rows drawn after its chunk change
+    changed = built != clean
+    after = 2 * 65
+    assert np.flatnonzero(changed[:after]).tolist() == [_SECOND_CHUNK_AT]
+    assert changed[after:].all()
+
+
+@pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
+def test_pgen_and_ball_zero_in_second_chunk_match_the_references(monkeypatch, p):
+    _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_CHUNK_AT)
+    got = sampling.pgen_gaussian_block(RandomStream(68), 200, 1000, p)
+    assert np.array_equal(got, _ref_pgen(RandomStream(68).generator(), 200, 1000, p))
+    assert got.flat[_SECOND_CHUNK_AT] != 0.0
+    got = sampling.lp_ball_block(RandomStream(69), 200, 1000, p)
+    assert np.array_equal(got, _ref_lp_ball_block(RandomStream(69), 200, 1000, p))
 
 
 def test_clt_zero_in_second_chunk_matches_the_whole_block_reference(monkeypatch):
@@ -457,3 +480,33 @@ def test_ball_sup_zero_in_second_chunk_matches_the_whole_block_path(monkeypatch,
     assert np.array_equal(got.values, np.sort(ref[:, 0]))
     assert max_norm == ref[:, 1].max()
     assert not np.array_equal(got.values, clean.values)
+
+
+# numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then
+# outputs the XSL-RR hash of the new state, which is 0 for the state 0
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_whose_next_raw_draw_is_zero():
+    rng = np.random.Generator(np.random.PCG64(70))
+    state = rng.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = -inc * pow(_PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_exponential_block_redraws_a_real_zero_draw(monkeypatch):
+    # a raw 64-bit draw below 2**11 is an exponential of exactly 0.0
+    assert _generator_whose_next_raw_draw_is_zero().bit_generator.random_raw() == 0
+    draws = _generator_whose_next_raw_draw_is_zero().standard_exponential(13)
+    assert draws[0] == 0.0 and draws[1:].min() > 0.0
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: _generator_whose_next_raw_draw_is_zero())
+    x = sampling.exponential_block(RandomStream(70), 3, 4)
+    # the zero is drawn again right after its chunk, the whole (3, 4) block
+    assert x.min() > 0.0
+    assert x.flat[0] == draws[12]
+    assert np.array_equal(x.ravel()[1:], draws[1:12])
+    row_sums = sampling.exponential_block(RandomStream(70), 3, 4, lambda e: e.sum(axis=1))
+    assert np.array_equal(row_sums, x.sum(axis=1))
