@@ -29,7 +29,6 @@ from .rng import RandomStream
 from .statistics import (
     DeviationEstimate,
     EmpiricalSample,
-    GoodnessOfFit,
     gaussian_cdf,
     gumbel_cdf,
     ks_distance,

@@ -35,7 +35,7 @@ def _float_list(text: str) -> tuple[float, ...]:
 def _add_experiment_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=_int_list, default=None, help="comma list of dimensions")
     sub.add_argument("--q", type=float, default=None, help="norm / moment order q >= 1")
-    sub.add_argument("--p", type=float, default=None, help="ball exponent p >= 1")
+    sub.add_argument("--p", type=float, default=None, help="ball exponent 1 <= p <= 20.26")
     sub.add_argument("--replicates", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--workers", type=int, default=None)
@@ -132,40 +132,10 @@ _DEFAULTS = {
 }
 
 
-#: config-file key, which is also the flag's name -> (ExperimentConfig field,
-#: JSON type the flag parses to: ``[t]`` for a list of ``t``)
-_CONFIG_KEYS = {"n": ("n_list", [int]), "q": ("q", float), "p": ("p", float),
-                "replicates": ("replicates", int), "seed": ("seed", int),
-                "z": ("thresholds", [float]), "sn": ("s_n_rule", str),
-                "source": ("source", str), "oracle_n": ("oracle_n_list", [int]),
-                "workers": ("workers", int)}
-
-
-#: type -> (one value, several values), in the words of a usage error
-_TYPE_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-               str: ("a string", "strings")}
-
-
-def _is_json(value, kind: type) -> bool:
-    # JSON true/false are bools, which Python counts as ints
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _file_value(path: str, key: str, value):
-    """A config-file value as the flag ``key`` would have parsed it (a JSON 2
-    for a number flag is 2.0, so the report's config reads as the flag's)."""
-    kind = _CONFIG_KEYS[key][1]
-    if isinstance(kind, list):
-        if isinstance(value, list) and all(_is_json(v, kind[0]) for v in value):
-            return tuple(map(kind[0], value))
-        expected = f"a list of {_TYPE_WORDS[kind[0]][1]}"
-    elif _is_json(value, kind):
-        return kind(value)
-    else:
-        expected = _TYPE_WORDS[kind][0]
-    raise ValueError(f"config file {path}: key {key!r} must be {expected}, got {value!r}")
+#: config-file key, which is also the flag's name -> ExperimentConfig field
+_CONFIG_KEYS = {"n": "n_list", "q": "q", "p": "p", "replicates": "replicates", "seed": "seed",
+                "z": "thresholds", "sn": "s_n_rule", "source": "source",
+                "oracle_n": "oracle_n_list", "workers": "workers"}
 
 
 def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.ExperimentConfig:
@@ -179,11 +149,12 @@ def _experiment_config(kind: str, args: argparse.Namespace) -> experiments.Exper
         if unknown:
             raise ValueError(f"config file {args.config} has unknown keys "
                              f"{', '.join(unknown)}; known keys: {', '.join(_CONFIG_KEYS)}")
-        file_values = {key: _file_value(args.config, key, value)
+        file_values = {key: experiments.field_value(_CONFIG_KEYS[key], value,
+                                                    f"config file {args.config}: key {key!r}")
                        for key, value in file_values.items() if value is not None}
     # an explicit flag beats the file, which beats the defaults
     fields = {"replicates": 10_000, "seed": 0, **_DEFAULTS[kind]}
-    for key, (field, _) in _CONFIG_KEYS.items():
+    for key, field in _CONFIG_KEYS.items():
         value = getattr(args, key)
         if value is None:
             value = file_values.get(key)

@@ -113,6 +113,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                object.__setattr__(self, f.name, field_value(f.name, value))
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
@@ -121,6 +125,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.s_n_rule not in ("sqrt_log", "log_log"):
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
         if self.kind in _N_FROM_2_KINDS and any(n < 2 for n in self.n_list):
             raise ValueError(f"{self.kind} experiments require every n >= 2")
         if any(n < 2 for n in self.oracle_n_list):
@@ -150,11 +156,42 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(fields))
         if unknown:
             raise ValueError(f"config has unknown keys {', '.join(map(repr, unknown))}")
-        d = dict(d)
-        for key in ("n_list", "thresholds", "oracle_n_list"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
         return cls(**d)
+
+
+#: config field -> the JSON type of its value, ``[t]`` for a list of ``t``;
+#: a field whose default is None may also be None
+_FIELD_TYPES = {"kind": str, "n_list": [int], "replicates": int, "seed": int, "q": float,
+                "p": float, "thresholds": [float], "s_n_rule": str, "source": str,
+                "oracle_n_list": [int], "workers": int}
+
+#: type -> (one value, several values), in the words of a usage error
+_TYPE_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+               str: ("a string", "strings")}
+
+
+def _is_json(value, kind: type) -> bool:
+    # JSON true/false are bools, which Python counts as ints
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def field_value(field: str, value, what: str | None = None):
+    """``value`` as the config field ``field`` holds it: a list as a tuple, and
+    an integer as a float in a number field (so a JSON 2 reads as the flag's
+    2.0).  A value of the wrong JSON type is a ``ValueError`` that names
+    ``what``, by default the field."""
+    kind = _FIELD_TYPES[field]
+    if isinstance(kind, list):
+        if isinstance(value, (list, tuple)) and all(_is_json(v, kind[0]) for v in value):
+            return tuple(map(kind[0], value))
+        expected = f"a list of {_TYPE_WORDS[kind[0]][1]}"
+    elif _is_json(value, kind):
+        return kind(value)
+    else:
+        expected = _TYPE_WORDS[kind][0]
+    raise ValueError(f"{what or f'config field {field!r}'} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -326,7 +363,7 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
         return sqrt_n * (scaled - 1.0) / sigma
 
     values = _collect_exponential(seed, n, reduce, replicates, workers)
-    return EmpiricalSample.from_values(values, n=n, statistic_kind=f"clt_q{q:g}", seed=seed)
+    return EmpiricalSample.from_values(values)
 
 
 def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> EmpiricalSample:
@@ -342,13 +379,12 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
                           1.0 - n * e.min(axis=1) / total)
 
     values = _collect_exponential(seed, n, reduce, replicates, workers)
-    return EmpiricalSample.from_values(values, n=n, statistic_kind="sup_norm_scaled", seed=seed)
+    return EmpiricalSample.from_values(values)
 
 
-def _affine_sample(base: EmpiricalSample, scale: float, shift: float, kind: str) -> EmpiricalSample:
+def _affine_sample(base: EmpiricalSample, scale: float, shift: float) -> EmpiricalSample:
     # increasing affine maps preserve sortedness, no re-sort needed
-    return EmpiricalSample(values=base.values * scale + shift, replicates=base.replicates,
-                           n=base.n, statistic_kind=kind, seed=base.seed)
+    return EmpiricalSample(base.values * scale + shift)
 
 
 def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
@@ -360,9 +396,7 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
         return sampling.lp_ball_block(bstream, rows, n, p, sup=True)
 
     both = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
-    sample = EmpiricalSample.from_values(both[:, 0], n=n,
-                                         statistic_kind=f"ball_sup_p{p:g}", seed=seed)
-    return sample, float(both[:, 1].max())
+    return EmpiricalSample.from_values(both[:, 0]), float(both[:, 1].max())
 
 
 def equivalence_frequency(seed: int, n: int, replicates: int,
@@ -398,8 +432,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
         return sampling.reduce_rows(rows, n, lambda k: dist.sample(rng, (k, n)), reduce)
 
     values = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
-    return EmpiricalSample.from_values(values, n=n,
-                                       statistic_kind=f"general_{source}_q{q:g}", seed=seed)
+    return EmpiricalSample.from_values(values)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +456,7 @@ def _gaussian_rows(experiment: str, n: int, param: str, studentized: EmpiricalSa
     ``general``).
     """
     m = studentized.replicates
-    d = ks_distance(studentized, gaussian_cdf, reference="gaussian").ks_distance
+    d = ks_distance(studentized, gaussian_cdf)
     mean = float(studentized.values.mean())
     mean_se = float(studentized.values.std()) / math.sqrt(m)
     var = float(studentized.values.var()) * var_display
@@ -465,7 +498,7 @@ def run_berry_esseen_sweep(config: ExperimentConfig) -> ExperimentReport:
     ratios: list[tuple[int, float]] = []
     for n in sorted(config.n_list):
         sample = clt_sample(config.seed, n, q, config.replicates, mc=mc, workers=config.workers)
-        d = ks_distance(sample, gaussian_cdf, reference="gaussian").ks_distance
+        d = ks_distance(sample, gaussian_cdf)
         rows.append(ReportRow("berry_esseen:ks", n, param, None, d, 0.0, None,
                               0.0 <= d <= 1.0))
         ratios.append((n, d * math.sqrt(n) / math.log(n)))
@@ -650,9 +683,9 @@ def _run_sup(config: ExperimentConfig) -> ExperimentReport:
         if max_norm is not None:
             rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
                                   None, max_norm <= 1.0 + sampling.SUM_TOL))
-        sample = _affine_sample(base, scale, shift, kind)
+        sample = _affine_sample(base, scale, shift)
         if th.rate is None:
-            d = ks_distance(sample, gumbel_cdf, reference="gumbel").ks_distance
+            d = ks_distance(sample, gumbel_cdf)
             rows.append(ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
                                   d <= TOLERANCES[th.tol]))
             continue
@@ -707,8 +740,7 @@ def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
     for n in config.n_list:
         sample = general_clt_sample(config.seed, n, q, config.source, mq,
                                     config.replicates, workers=config.workers)
-        studentized = _affine_sample(sample, 1.0 / math.sqrt(sigma_sq), 0.0,
-                                     sample.statistic_kind + "_stud")
+        studentized = _affine_sample(sample, 1.0 / math.sqrt(sigma_sq), 0.0)
         rows.extend(_gaussian_rows("general_clt", n, param, studentized, sigma_sq, "general"))
     return ExperimentReport(rows=rows, config=config)
 

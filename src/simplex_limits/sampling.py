@@ -19,8 +19,8 @@ they draw the same bits.
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1, the absolute values of standard
 normals at p=2, and the gamma transform (p W)**(1/p), W ~ Gamma(1/p), at
-every other p >= 1.  Each is followed by the fair signs, then (lp-ball) the
-radius factor.
+every other p in [1, 1074/53] (:data:`_P_MAX`).  Each is followed by the
+fair signs, then (lp-ball) the radius factor.
 """
 
 from __future__ import annotations
@@ -46,9 +46,16 @@ def _check_dimension(n: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {n}")
 
 
+#: Largest ball exponent.  numpy draws Gamma(1/p) as U**p, which underflows
+#: to an exact 0.0 with probability about exp(-1074 ln 2 / p); above this p
+#: that exceeds the 2**-53 the zero guard is made for, and the redraws would
+#: change the law (at p = 64 it is 7.7e-6 per variate).
+_P_MAX = 1074 / 53
+
+
 def _check_p(p: float) -> None:
-    if not p >= 1.0:
-        raise ValueError(f"ball exponent p must satisfy p >= 1, got {p}")
+    if not 1.0 <= p <= _P_MAX:
+        raise ValueError(f"ball exponent p must satisfy 1 <= p <= {_P_MAX:.4f}, got {p}")
 
 
 def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray:

@@ -2,10 +2,12 @@
 estimators, and the source distributions of the central-moment CLT.
 
 The statistics themselves are computed by the batch kernels of
-:mod:`simplex_limits.experiments`; anything distributional (KS distances,
-tail log-probabilities) operates on the :class:`EmpiricalSample` they
-return, so the oracle module can evaluate exact probabilities of the very
-same statistics.
+:mod:`simplex_limits.experiments`; anything distributional operates on the
+:class:`EmpiricalSample` they return, which is nothing but the sorted
+values, so the oracle module can evaluate exact probabilities of the very
+same statistics.  Results carry only what a report reads: a KS distance is
+a float, and a tail estimate is its hit count, normalized log-probability
+and standard error.
 """
 
 from __future__ import annotations
@@ -43,38 +45,24 @@ def gaussian_cdf(x):
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Sorted replicated statistic values with their generation metadata."""
+    """Replicated values of one statistic, sorted nondecreasing."""
 
     values: np.ndarray
-    replicates: int
-    n: int
-    statistic_kind: str
-    seed: int
 
     def __post_init__(self) -> None:
-        if self.replicates != len(self.values):
-            raise ValueError("replicates must equal len(values)")
         if np.any(np.diff(self.values) < 0):
             raise ValueError("values must be sorted nondecreasing")
 
+    @property
+    def replicates(self) -> int:
+        return len(self.values)
+
     @classmethod
-    def from_values(cls, values, n: int, statistic_kind: str, seed: int) -> "EmpiricalSample":
-        v = np.sort(np.asarray(values, dtype=np.float64))
-        return cls(values=v, replicates=len(v), n=n, statistic_kind=statistic_kind, seed=seed)
+    def from_values(cls, values) -> "EmpiricalSample":
+        return cls(np.sort(np.asarray(values, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
-class GoodnessOfFit:
-    ks_distance: float
-    replicates: int
-    reference: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ks_distance <= 1.0:
-            raise ValueError(f"KS distance {self.ks_distance} outside [0, 1]")
-
-
-def ks_distance(sample: EmpiricalSample, cdf: Callable, reference: str = "custom") -> GoodnessOfFit:
+def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     """Kolmogorov-Smirnov sup-distance of the sample against a reference CDF.
 
     Evaluates both one-sided step discrepancies at every sorted sample point.
@@ -86,7 +74,10 @@ def ks_distance(sample: EmpiricalSample, cdf: Callable, reference: str = "custom
     i = np.arange(1, m + 1, dtype=np.float64)
     d_plus = float(np.max(i / m - f))
     d_minus = float(np.max(f - (i - 1.0) / m))
-    return GoodnessOfFit(ks_distance=max(d_plus, d_minus), replicates=m, reference=reference)
+    d = max(d_plus, d_minus)
+    if not 0.0 <= d <= 1.0:
+        raise ValueError(f"KS distance {d} outside [0, 1]")
+    return d
 
 
 @dataclass(frozen=True)
@@ -98,17 +89,13 @@ class DeviationEstimate:
     the honest one-sided reading of a zero count.
     """
 
-    threshold: float
-    speed: float
     hit_count: int
-    replicates: int
     normalized_log_prob: float
     std_error: float
-    empty_tail: bool
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.hit_count <= self.replicates:
-            raise ValueError(f"hit count {self.hit_count} outside [0, {self.replicates}]")
+    @property
+    def empty_tail(self) -> bool:
+        return self.hit_count == 0
 
 
 def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
@@ -130,16 +117,10 @@ def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
     else:
         hits = int(np.count_nonzero(sample.values < z))
     if hits == 0:
-        return DeviationEstimate(threshold=z, speed=speed, hit_count=0, replicates=m,
-                                 normalized_log_prob=math.inf, std_error=math.inf,
-                                 empty_tail=True)
+        return DeviationEstimate(0, math.inf, math.inf)
     phat = hits / m
-    return DeviationEstimate(
-        threshold=z, speed=speed, hit_count=hits, replicates=m,
-        normalized_log_prob=-math.log(phat) / speed,
-        std_error=math.sqrt((1.0 - phat) / (phat * m)) / speed,
-        empty_tail=False,
-    )
+    return DeviationEstimate(hits, -math.log(phat) / speed,
+                             math.sqrt((1.0 - phat) / (phat * m)) / speed)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +130,6 @@ def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
 class ExponentialDist:
     """Standard exponential source for the central-moment CLT."""
 
-    name = "exponential"
     mean = 1.0
 
     @staticmethod
@@ -166,7 +146,6 @@ class ExponentialDist:
 class Uniform01Dist:
     """Uniform [0, 1] source for the central-moment CLT."""
 
-    name = "uniform01"
     mean = 0.5
 
     @staticmethod

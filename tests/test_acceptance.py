@@ -28,10 +28,6 @@ def _criterion(number: int, description: str, checks: list[tuple[str, bool]]) ->
     assert not failed, f"criterion {number} failing checks: {failed}"
 
 
-def _ks(sample: stats.EmpiricalSample, cdf) -> float:
-    return stats.ks_distance(sample, cdf).ks_distance
-
-
 # ---------------------------------------------------------------------------
 # shared heavy samples
 
@@ -85,8 +81,8 @@ def test_criterion_02_covariance_identity():
 def test_criterion_03_gaussian_limit(clt_sweep):
     checks = []
     for q in (1.0, 2.0, 3.0):
-        small = _ks(clt_sweep[(q, 100)], stats.gaussian_cdf)
-        big = _ks(clt_sweep[(q, 10_000)], stats.gaussian_cdf)
+        small = stats.ks_distance(clt_sweep[(q, 100)], stats.gaussian_cdf)
+        big = stats.ks_distance(clt_sweep[(q, 10_000)], stats.gaussian_cdf)
         var = float(clt_sweep[(q, 10_000)].values.var())
         checks.append((f"ks_n1e4_q{q:g}={big:.4f}", big <= 0.02))
         checks.append((f"variance_q{q:g}={var:.4f}", abs(var - 1.0) <= 0.05))
@@ -99,7 +95,7 @@ def test_criterion_04_berry_esseen_boundedness(clt_sweep):
     checks = []
     for q in (1.0, 2.0, 3.0):
         ratios = [
-            _ks(clt_sweep[(q, n)], stats.gaussian_cdf) * math.sqrt(n) / math.log(n)
+            stats.ks_distance(clt_sweep[(q, n)], stats.gaussian_cdf) * math.sqrt(n) / math.log(n)
             for n in (100, 1000, 10_000)
         ]
         bound = 2.0 * ratios[0]
@@ -110,8 +106,8 @@ def test_criterion_04_berry_esseen_boundedness(clt_sweep):
 
 def test_criterion_05_gumbel_limit(sup_samples):
     n = 10_000
-    gum = ex._affine_sample(sup_samples[n], 1.0, -(math.log(n) - 1.0), "gumbel")
-    d = _ks(gum, stats.gumbel_cdf)
+    gum = ex._affine_sample(sup_samples[n], 1.0, -(math.log(n) - 1.0))
+    d = stats.ks_distance(gum, stats.gumbel_cdf)
     checks = [(f"ks_n1e4={d:.4f}", d <= 0.05)]
     for x in (-1.0, 0.0, 1.0, 2.0):
         res = oracle.gumbel_surrogate_cdf(10**6, x)
@@ -123,7 +119,7 @@ def test_criterion_05_gumbel_limit(sup_samples):
 def test_criterion_06_large_deviations():
     n = 1000
     base = ex.sup_norm_sample(seed=606, n=n, replicates=10**6, workers=WORKERS)
-    sample = ex._affine_sample(base, 1.0 / math.log(n), 0.0, "ldp")
+    sample = ex._affine_sample(base, 1.0 / math.log(n), 0.0)
     dev = stats.tail_log_prob(sample, 1.5, speed=math.log(n), direction="above")
     checks = [(f"mc_estimate={dev.normalized_log_prob:.4f}",
                0.3 <= dev.normalized_log_prob <= 0.8)]
@@ -141,7 +137,7 @@ def test_criterion_06_large_deviations():
     # inside the +inf-rate regime
     n_low = 10_000
     low_base = ex.sup_norm_sample(seed=607, n=n_low, replicates=10_000, workers=WORKERS)
-    low = ex._affine_sample(low_base, 1.0 / math.log(n_low), 0.0, "ldp")
+    low = ex._affine_sample(low_base, 1.0 / math.log(n_low), 0.0)
     dev_low = stats.tail_log_prob(low, 0.5, speed=math.log(n_low), direction="below")
     bound = oracle.max_spacing_cdf_upper(n_low, (1.0 + 0.5 * math.log(n_low)) / n_low)
     bound_mag = -math.log(bound.value) / math.log(n_low)
@@ -248,8 +244,8 @@ def test_criterion_12_reproducibility(tmp_path):
 def test_gumbel_ks_decreases_with_n(sup_samples):
     distances = {}
     for n in (100, 10_000):
-        gum = ex._affine_sample(sup_samples[n], 1.0, -(math.log(n) - 1.0), "gumbel")
-        distances[n] = _ks(gum, stats.gumbel_cdf)
+        gum = ex._affine_sample(sup_samples[n], 1.0, -(math.log(n) - 1.0))
+        distances[n] = stats.ks_distance(gum, stats.gumbel_cdf)
     assert distances[10_000] < distances[100]
 
 
@@ -261,7 +257,7 @@ def test_gumbel_median_near_limit(sup_samples):
 
 def test_clt_ks_decreases_through_the_sweep(clt_sweep):
     for q in (1.0, 2.0, 3.0):
-        d = [_ks(clt_sweep[(q, n)], stats.gaussian_cdf) for n in (100, 1000, 10_000)]
+        d = [stats.ks_distance(clt_sweep[(q, n)], stats.gaussian_cdf) for n in (100, 1000, 10_000)]
         assert d[0] > d[1] > d[2]
 
 

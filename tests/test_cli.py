@@ -94,13 +94,24 @@ def _without(d, *path):
     return d
 
 
+def _with_config(report, **values):
+    return {**report, "config": {**report["config"], **values}}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda r: {}, "report has no key 'rows', 'config'"),
     (lambda r: [r], "report must be a JSON object, got list"),
     (lambda r: _without(r, "rows", 0, "n"), "report row 0 has no key 'n'"),
     (lambda r: _without(r, "config", "seed"), "config has no key 'seed'"),
     (lambda r: {**r, "config": {**r["config"], "bogus": 1}}, "config has unknown keys 'bogus'"),
-], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key"])
+    (lambda r: _with_config(r, replicates="100"),
+     "config field 'replicates' must be an integer, got '100'"),
+    (lambda r: _with_config(r, workers=None), "config field 'workers' must be an integer"),
+    (lambda r: _with_config(r, n_list=5), "config field 'n_list' must be a list of integers"),
+    (lambda r: _with_config(r, q="2"), "config field 'q' must be a number, got '2'"),
+    (lambda r: _with_config(r, seed="x"), "config field 'seed' must be an integer"),
+], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key",
+        "replicates_string", "workers_null", "n_list_number", "q_string", "seed_string"])
 def test_report_from_malformed_json_is_a_usage_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"
     assert run_cli(["equivalence", "--n", "5", "--replicates", "100", "--format", "json",
@@ -227,6 +238,10 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     # min(1, 2 * nan) would read 1.0
     (["oracle", "--op", "small-n-norm-cdf", "--n", "2", "--q", "2", "--t", "nan"],
      "threshold must be nonnegative, got nan"),
+    (["clt", "--n", "-5", "--replicates", "10"], "every n in n_list must be >= 1"),
+    (["clt", "--n", "100,0", "--replicates", "10"], "every n in n_list must be >= 1"),
+    (["sample", "--kind", "ball", "--n", "3", "--p", "inf"], "ball exponent p"),
+    (["sample", "--kind", "pgen", "--n", "3", "--p", "64"], "ball exponent p"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2

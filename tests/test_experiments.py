@@ -100,6 +100,18 @@ def test_config_validation():
         ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=0, s_n_rule="huh")
 
 
+def test_config_fields_take_their_json_types():
+    # a Python caller gets the config the CLI builds from the same values
+    cfg = ex.ExperimentConfig(kind="clt", n_list=[300], q=2, replicates=10, seed=0)
+    assert cfg.n_list == (300,) and isinstance(cfg.q, float)
+    assert cfg == ex.ExperimentConfig(kind="clt", n_list=(300,), q=2.0, replicates=10, seed=0)
+    for bad in ({"replicates": "10"}, {"q": "2"}, {"seed": True}, {"n_list": 300},
+                {"thresholds": [1, "x"]}, {"workers": None}):
+        with pytest.raises(ValueError, match=f"config field {next(iter(bad))!r}"):
+            ex.ExperimentConfig(**{"kind": "clt", "n_list": (300,), "replicates": 10,
+                                   "seed": 0, **bad})
+
+
 @pytest.mark.parametrize("kind", ["gumbel", "ldp", "mdp"])
 def test_oracle_dimension_below_two_is_rejected_at_construction(kind):
     with pytest.raises(ValueError, match="oracle_n_list"):
@@ -271,7 +283,7 @@ def test_ldp_tail_frequency_matches_exact_oracle():
 
     n, reps, z = 1000, 100_000, 1.5
     base = ex.sup_norm_sample(seed=17, n=n, replicates=reps, workers=2)
-    sample = ex._affine_sample(base, 1.0 / math.log(n), 0.0, "ldp")
+    sample = ex._affine_sample(base, 1.0 / math.log(n), 0.0)
     dev = tail_log_prob(sample, z, speed=math.log(n), direction="above")
     phat = dev.hit_count / reps
     exact = oracle.max_spacing_sf(n, (1.0 + z * math.log(n)) / n).value

@@ -110,6 +110,16 @@ def test_pgen_rejects_bad_p():
         pgen_gaussian_block(RandomStream(0), 1, 1, 0.9)
 
 
+@pytest.mark.parametrize("p", [math.inf, 64.0])
+@pytest.mark.parametrize("sampler", [pgen_gaussian_block, lp_ball_block])
+def test_p_beyond_the_zero_guard_is_rejected(sampler, p):
+    # past p = 1074/53 numpy's Gamma(1/p) is an exact 0.0 more often than 2**-53,
+    # and p = inf is no gamma draw at all
+    with pytest.raises(ValueError, match="ball exponent"):
+        sampler(RandomStream(0), 1, 3, p)
+    assert sampler(RandomStream(0), 1, 3, 20.0).shape == (1, 3)
+
+
 def test_pgen_rejects_dimension_below_one():
     with pytest.raises(ValueError, match="dimension"):
         pgen_gaussian_block(RandomStream(0), 3, 0, 2.0)

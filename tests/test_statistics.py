@@ -12,8 +12,8 @@ from simplex_limits.experiments import clt_sample, sup_norm_sample
 import reference as ref
 
 
-def _sample(values, kind="test", n=10, seed=0):
-    return stats.EmpiricalSample.from_values(values, n=n, statistic_kind=kind, seed=seed)
+def _sample(values):
+    return stats.EmpiricalSample.from_values(values)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +166,13 @@ def test_gaussian_cdf_symmetry(x):
 def test_ks_distance_exact_quantile_construction():
     m = 200
     quantiles = [-math.log(-math.log((i - 0.5) / m)) for i in range(1, m + 1)]
-    got = stats.ks_distance(_sample(quantiles), stats.gumbel_cdf, reference="gumbel")
-    assert got.ks_distance == pytest.approx(1.0 / (2.0 * m), abs=1e-12)
-    assert got.reference == "gumbel"
+    got = stats.ks_distance(_sample(quantiles), stats.gumbel_cdf)
+    assert got == pytest.approx(1.0 / (2.0 * m), abs=1e-12)
 
 
 def test_ks_distance_single_point_at_median():
     got = stats.ks_distance(_sample([0.0]), stats.gaussian_cdf)
-    assert got.ks_distance == 0.5
+    assert got == 0.5
 
 
 def test_ks_distance_iid_reference_draws():
@@ -181,15 +180,15 @@ def test_ks_distance_iid_reference_draws():
     sample = _sample(rng.standard_normal(100_000))
     got = stats.ks_distance(sample, stats.gaussian_cdf)
     # 99% Kolmogorov bound at m = 1e5
-    assert got.ks_distance <= 1.63 / math.sqrt(100_000)
+    assert got <= 1.63 / math.sqrt(100_000)
 
 
 def test_ks_distance_probability_integral_transform():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(5000)
-    direct = stats.ks_distance(_sample(values), stats.gaussian_cdf).ks_distance
+    direct = stats.ks_distance(_sample(values), stats.gaussian_cdf)
     uniforms = stats.gaussian_cdf(np.sort(values))
-    via_pit = stats.ks_distance(_sample(uniforms), lambda u: np.clip(u, 0.0, 1.0)).ks_distance
+    via_pit = stats.ks_distance(_sample(uniforms), lambda u: np.clip(u, 0.0, 1.0))
     assert direct == via_pit
 
 
@@ -235,11 +234,7 @@ def test_empirical_sample_sorts_and_validates():
     s = _sample([3.0, 1.0, 2.0])
     assert s.values.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
-        stats.EmpiricalSample(values=np.array([2.0, 1.0]), replicates=2, n=1,
-                              statistic_kind="bad", seed=0)
-    with pytest.raises(ValueError):
-        stats.EmpiricalSample(values=np.array([1.0, 2.0]), replicates=3, n=1,
-                              statistic_kind="bad", seed=0)
+        stats.EmpiricalSample(np.array([2.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
