@@ -3,12 +3,9 @@ verification of limit theorems for norms of random simplex and lp-ball points.""
 
 from .constants import (
     MomentConstants,
-    c_p,
     cov_e_absq,
-    gamma_fn,
     m_n,
     moment_constants,
-    moment_derivative,
     mu_q,
     rate_function,
     sigma_q_sq,

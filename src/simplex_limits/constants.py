@@ -9,6 +9,13 @@ absolute moment
 for a standard exponential E; the infinite part is folded into the Gamma
 term so only a finite integral is ever quadratured.  For integer q the same
 moment has an exact subfactorial form used as a cross-check.
+
+scipy is imported on first use, inside the functions that call it
+(``mu_q``, ``pgen_two_sided_tail``, ``m_n``, ``tail_sandwich`` here and
+``gaussian_cdf`` and ``_expect`` in :mod:`simplex_limits.statistics`), so
+``import simplex_limits`` and the ``gumbel``, ``ldp``, ``mdp``, ``lp_ldp``,
+``lp_gumbel``, ``equivalence_decay``, ``oracle``, ``sample`` and ``report``
+subcommands never load it.
 """
 
 from __future__ import annotations
@@ -16,10 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import gammaincc
 
 #: Quadrature absolute tolerance for the finite moment integrals.
 QUAD_ABS_TOL = 1e-12
@@ -29,13 +32,6 @@ RATE_KINDS = ("simplex_sup", "mdp", "lp_sup")
 
 class NumericalError(RuntimeError):
     """A numerical routine (quadrature, root-finding) failed to converge."""
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function on the positive half-line."""
-    if not x > 0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def subfactorial(q: int) -> int:
@@ -56,6 +52,8 @@ def _check_q(q: float) -> None:
 def mu_q(q: float) -> float:
     """Absolute moment E|E - 1|**q of a standard exponential."""
     _check_q(q)
+    from scipy.integrate import quad
+
     finite, err = quad(lambda x: x**q * math.exp(x), 0.0, 1.0,
                        epsabs=QUAD_ABS_TOL, epsrel=QUAD_ABS_TOL)
     if err > 1e-9:
@@ -96,12 +94,6 @@ def cov_e_absq(q: float) -> float:
     return _cov(q, mu_q(q))
 
 
-def moment_derivative(q: float) -> float:
-    """Derivative of t -> E|E - t|**q at t = 1: equals 1 - mu_q."""
-    _check_q(q)
-    return 1.0 - mu_q(q)
-
-
 @dataclass(frozen=True)
 class MomentConstants:
     """Per-q bundle of the moment constants, with evaluation provenance."""
@@ -127,13 +119,6 @@ def moment_constants(q: float) -> MomentConstants:
                            cov_e_absq=_cov(q, m), method=method)
 
 
-def c_p(p: float) -> float:
-    """Normalization constant of the p-generalized Gaussian density."""
-    if not p >= 1.0:
-        raise ValueError(f"c_p requires p >= 1, got {p}")
-    return 1.0 / (2.0 * p ** (1.0 / p) * math.gamma(1.0 + 1.0 / p))
-
-
 def m1(q: float) -> float:
     """Centering constant Gamma(q + 1) of the l1-ball comparison CLT."""
     return math.gamma(q + 1.0)
@@ -155,6 +140,8 @@ def pgen_two_sided_tail(p: float, m: float) -> float:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     if m < 0:
         raise ValueError(f"threshold must be nonnegative, got {m}")
+    from scipy.special import gammaincc
+
     return float(gammaincc(1.0 / p, m**p / p))
 
 
@@ -169,6 +156,8 @@ def m_n(p: float, n: int) -> float:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
+    from scipy.optimize import brentq
+
     lo, hi = 1e-6, 2.0 * p ** (1.0 / p) * math.log(n) ** (1.0 / p) + 10.0
 
     def f(m: float) -> float:
@@ -195,6 +184,8 @@ def tail_sandwich(p: float, x: float) -> TailSandwich:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
+    from scipy.integrate import quad
+
     value, err = quad(lambda y: math.exp(-(y**p) / p), x, math.inf,
                       epsabs=1e-12, epsrel=1e-12)
     if err > 1e-8:

@@ -167,13 +167,13 @@ _FIELD_TYPES = {"kind": str, "n_list": [int], "replicates": int, "seed": int, "q
 
 #: type -> (one value, several values), in the words of a usage error
 _TYPE_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-               str: ("a string", "strings")}
+               str: ("a string", "strings"), bool: ("true or false", "booleans")}
 
 
 def _is_json(value, kind: type) -> bool:
     # JSON true/false are bools, which Python counts as ints
     if isinstance(value, bool):
-        return False
+        return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 
@@ -209,6 +209,10 @@ class ReportRow:
 #: CSV columns of a report, one per :class:`ReportRow` field in field order.
 REPORT_COLUMNS = ("experiment", "n", "param", "threshold", "estimate", "theory",
                   "std_error", "pass")
+
+#: report column -> the JSON type of its cell; a number cell may also be
+#: null, "inf" or "-inf"
+_CELL_TYPES = dict(zip(REPORT_COLUMNS, (str, int, str, float, float, float, float, bool)))
 
 
 @dataclass
@@ -279,21 +283,34 @@ def _require_keys(obj, keys, what: str) -> None:
         raise ValueError(f"{what} has no key {', '.join(map(repr, missing))}")
 
 
+def _cell_value(column: str, value, row: str):
+    """A saved report's cell as :class:`ReportRow` holds it (as ``field_value``
+    reads a config field); a cell of the wrong JSON type is a ``ValueError``
+    that names the row and the column."""
+    kind = _CELL_TYPES[column]
+    if kind is float and (value is None or value in ("inf", "-inf")):
+        return None if value is None else float(value)
+    if _is_json(value, kind):
+        return kind(value)
+    expected = _TYPE_WORDS[kind][0] + (', null, "inf" or "-inf"' if kind is float else "")
+    raise ValueError(f"{row} column {column!r} must be {expected}, got {value!r}")
+
+
 def report_from_json(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON serialization (for format conversion).
 
     JSON that is not such a report is a ``ValueError`` that names the missing
-    or unknown key.
+    or unknown key, or the row and column of a cell of the wrong type.
     """
     payload = json.loads(text)
     _require_keys(payload, ("rows", "config"), "report")
     if not isinstance(payload["rows"], list):
         raise ValueError("report key 'rows' must be a list")
+    rows = []
     for i, row in enumerate(payload["rows"]):
         _require_keys(row, REPORT_COLUMNS, f"report row {i}")
-    undo = {"inf": math.inf, "-inf": -math.inf}
-    rows = [ReportRow(*(undo.get(r[c], r[c]) for c in REPORT_COLUMNS))
-            for r in payload["rows"]]
+        rows.append(ReportRow(*(_cell_value(c, row[c], f"report row {i}")
+                                for c in REPORT_COLUMNS)))
     return ExperimentReport(rows=rows, config=ExperimentConfig.from_dict(payload["config"]))
 
 

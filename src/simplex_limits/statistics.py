@@ -8,6 +8,14 @@ values, so the oracle module can evaluate exact probabilities of the very
 same statistics.  Results carry only what a report reads: a KS distance is
 a float, and a tail estimate is its hit count, normalized log-probability
 and standard error.
+
+scipy is imported on first use, inside the functions that call it
+(``gaussian_cdf`` and ``_expect`` here and ``mu_q``,
+``pgen_two_sided_tail``, ``m_n`` and ``tail_sandwich`` in
+:mod:`simplex_limits.constants`), so ``import simplex_limits`` and the
+``gumbel``, ``ldp``, ``mdp``, ``lp_ldp``, ``lp_gumbel``,
+``equivalence_decay``, ``oracle``, ``sample`` and ``report`` subcommands
+never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtr
 
 
 class DegenerateVarianceError(ValueError):
@@ -36,6 +42,8 @@ def gumbel_cdf(x):
 
 def gaussian_cdf(x):
     """Standard normal CDF; accepts scalars or arrays."""
+    from scipy.special import ndtr
+
     return ndtr(np.asarray(x, dtype=np.float64))
 
 
@@ -164,6 +172,8 @@ SOURCE_DISTRIBUTIONS = {"exponential": ExponentialDist, "uniform01": Uniform01Di
 
 def _expect(dist, f: Callable[[float], float], split: float) -> float:
     # Integrands here have a kink at `split`, so integrate the two pieces.
+    from scipy.integrate import quad
+
     a, b = dist.support
     total = 0.0
     for lo, hi in ((a, split), (split, b)):

@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from simplex_limits.constants import mu_q
 from simplex_limits.sampling import SUM_TOL
 
 # ---------------------------------------------------------------------------
@@ -106,7 +107,26 @@ def general_central_moment_stat(data, q: float, mq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moments and point invariants
+# moments, normalization constants and point invariants
+
+
+def gamma_fn(x: float) -> float:
+    """Gamma function on the positive half-line."""
+    if not x > 0:
+        raise ValueError(f"gamma_fn requires x > 0, got {x}")
+    return math.gamma(x)
+
+
+def moment_derivative(q: float) -> float:
+    """Derivative of t -> E|E - t|**q at t = 1: equals 1 - mu_q."""
+    return 1.0 - mu_q(q)
+
+
+def c_p(p: float) -> float:
+    """Normalization constant of the p-generalized Gaussian density."""
+    if not p >= 1.0:
+        raise ValueError(f"c_p requires p >= 1, got {p}")
+    return 1.0 / (2.0 * p ** (1.0 / p) * math.gamma(1.0 + 1.0 / p))
 
 
 def mu_q_bruteforce(q: float) -> tuple[float, float]:

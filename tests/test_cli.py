@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from simplex_limits import cli, sampling
+from simplex_limits import cli, experiments, sampling
 
 
 def run_cli(args):
@@ -85,6 +85,22 @@ def test_report_conversion_matches_direct_csv(tmp_path):
     assert csv_direct.read_bytes() == csv_converted.read_bytes()
 
 
+def test_report_cells_read_back_with_their_types(tmp_path):
+    # a Gumbel KS row has null cells; an empty ldp tail and a z < 1 row, infinite ones
+    for args, cell in ((["gumbel", "--n", "100", "--oracle-n", "1000"], "null"),
+                       (["ldp", "--n", "100", "--z", "3,0.5", "--oracle-n", "1000"], '"inf"')):
+        json_out, converted = tmp_path / "r.json", tmp_path / "c.json"
+        assert run_cli(args + ["--replicates", "200", "--seed", "5", "--format", "json",
+                               "--out", str(json_out)]) == 0
+        text = json_out.read_text()
+        assert cell in text
+        report = experiments.report_from_json(text)
+        assert all(type(r.n) is int and type(r.passed) is bool for r in report.rows)
+        assert run_cli(["report", "--in", str(json_out), "--format", "json",
+                        "--out", str(converted)]) == 0
+        assert converted.read_bytes() == json_out.read_bytes()
+
+
 def _without(d, *path):
     # d with the key at the end of path deleted
     inner = d
@@ -96,6 +112,11 @@ def _without(d, *path):
 
 def _with_config(report, **values):
     return {**report, "config": {**report["config"], **values}}
+
+
+def _with_row(report, **values):
+    # report with the cells of its first row replaced
+    return {**report, "rows": [{**report["rows"][0], **values}, *report["rows"][1:]]}
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -110,8 +131,17 @@ def _with_config(report, **values):
     (lambda r: _with_config(r, n_list=5), "config field 'n_list' must be a list of integers"),
     (lambda r: _with_config(r, q="2"), "config field 'q' must be a number, got '2'"),
     (lambda r: _with_config(r, seed="x"), "config field 'seed' must be an integer"),
+    (lambda r: _with_row(r, estimate=[1]),
+     "report row 0 column 'estimate' must be a number, null, \"inf\" or \"-inf\", got [1]"),
+    (lambda r: _with_row(r, n="abc", **{"pass": "yes"}),
+     "report row 0 column 'n' must be an integer, got 'abc'"),
+    (lambda r: _with_row(r, **{"pass": "yes"}),
+     "report row 0 column 'pass' must be true or false, got 'yes'"),
+    (lambda r: _with_row(r, experiment=1), "report row 0 column 'experiment' must be a string"),
+    (lambda r: _with_row(r, theory="nan"), "report row 0 column 'theory' must be a number"),
 ], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key",
-        "replicates_string", "workers_null", "n_list_number", "q_string", "seed_string"])
+        "replicates_string", "workers_null", "n_list_number", "q_string", "seed_string",
+        "estimate_list", "n_string", "pass_string", "experiment_number", "theory_nan_string"])
 def test_report_from_malformed_json_is_a_usage_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"
     assert run_cli(["equivalence", "--n", "5", "--replicates", "100", "--format", "json",
