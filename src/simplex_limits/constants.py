@@ -45,8 +45,8 @@ def subfactorial(q: int) -> int:
 
 
 def _check_q(q: float) -> None:
-    if not q >= 1.0:
-        raise ValueError(f"moment order q must satisfy q >= 1, got {q}")
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"moment order q must be finite and >= 1, got {q}")
 
 
 def mu_q(q: float) -> float:

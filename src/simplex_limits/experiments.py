@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
+        if not all(math.isfinite(z) for z in self.thresholds):
+            raise ValueError(f"thresholds must be finite, got {self.thresholds}")
         if self.kind in _N_FROM_2_KINDS and any(n < 2 for n in self.n_list):
             raise ValueError(f"{self.kind} experiments require every n >= 2")
         if any(n < 2 for n in self.oracle_n_list):

@@ -12,15 +12,18 @@ The exponentials and the p-generalized Gaussian magnitudes are drawn a
 cache-sized chunk of rows at a time (:func:`_row_chunks`), each chunk by
 :func:`_guarded_fill`, which draws an exact 0.0 again right after its chunk.
 A built block is that chunk loop writing into the rows of the output.
-:func:`exponential_block` and :func:`lp_ball_block` can instead reduce each
-chunk as they draw it, in one reused buffer, without building the block;
-they draw the same bits.
+:func:`exponential_block` can instead reduce each chunk as it draws it, in
+one reused buffer, without building the block.  :func:`lp_ball_block` has
+one draw loop for every pass: the built block, its ``sup`` reduction and the
+membership redraw all draw into one reused chunk buffer.  Either way the
+reduced values are the built block's, bit for bit.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
-drawn per p: standard exponentials at p=1, the absolute values of standard
-normals at p=2, and the gamma transform (p W)**(1/p), W ~ Gamma(1/p), at
-every other p in [1, 1074/53] (:data:`_P_MAX`).  Each is followed by the
-fair signs, then (lp-ball) the radius factor.
+drawn per p: standard exponentials at p=1 (the exponential samplers' one
+fill), the absolute values of standard normals at p=2, and the gamma
+transform (p W)**(1/p), W ~ Gamma(1/p), at every other p in [1, 1074/53]
+(:data:`_P_MAX`).  Each is followed by the fair signs, then (lp-ball) the
+radius factor.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _exponential_fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    return rng.standard_exponential(out=out)
-
-
 def _chunk_rows(n: int) -> int:
     return max(1, _CHUNK_ELEMS // n)
 
@@ -112,11 +111,11 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     """
     _check_dimension(n)
     rng = stream.generator()
+    fill = functools.partial(_magnitudes_fill, p=1.0)
     if reduce is None:
-        return _built_block(rng, _exponential_fill, rows, n)
+        return _built_block(rng, fill, rows, n)
     buf = np.empty((min(rows, _chunk_rows(n)), n))
-    return reduce_rows(rows, n, lambda k: _guarded_fill(rng, _exponential_fill, buf[:k]),
-                       reduce)
+    return reduce_rows(rows, n, lambda k: _guarded_fill(rng, fill, buf[:k]), reduce)
 
 
 def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
@@ -249,27 +248,66 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     """Matrix of uniform points of the unit lp-ball.
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
-    Gaussians and U an independent uniform radius factor.
+    Gaussians and U an independent uniform radius factor.  The magnitudes |Y|
+    are drawn a chunk of rows at a time into one reused buffer, the generator
+    state saved before each chunk, and each row's power sum is taken there,
+    from magnitudes that are |Y| exactly; then come the fair signs and the
+    radius.
 
-    With ``sup``, the block is never built (see :func:`_ball_sup_rows`) and
-    the result is a ``rows`` x 2 array.  Column 0 holds each point's largest
-    absolute coordinate.  Column 1 holds the point's lp-norm on the rows that
-    can hold the block's largest one, and 0.0 on the others.  The values, and
-    the largest norm, are those of the built block, bit for bit.
+    With ``sup``, the block is never built and the result is a ``rows`` x 2
+    array.  Column 0 holds each point's largest absolute coordinate.  Column
+    1 holds the point's lp-norm on the rows that can hold the block's largest
+    one, and 0.0 on the others.  The values, and the largest norm, are those
+    of the built block, bit for bit: the chunks and their row sums are the
+    built block's, and the signs are skipped (:func:`_skip_fair_signs`), not
+    drawn.  A sign flips a coordinate exactly, and rounding is symmetric, so
+    |sign * y * c| = y * c.  A positive scale c is monotone under rounding,
+    so max(y * c) is max(y) * c.  Row r's lp-norm lies within a factor 1 +- g
+    of its radius U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
+    U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
+    one.  Their chunks are drawn again from the saved states into the same
+    buffer, scaled, and reduced with the built block's elementwise ops and
+    row sums; the root is then taken on the whole vector of rows, as numpy
+    takes it there.  (A Python-scalar root would call libm's power, which can
+    differ from numpy's by an ulp.)
     """
     _check_dimension(n)
     _check_p(p)
-    if sup:
-        return _ball_sup_rows(stream, rows, n, p)
     rng = stream.generator()
-    y = _built_block(rng, functools.partial(_magnitudes_fill, p=p), rows, n)
-    # the norm is taken before the signs, from magnitudes that are |Y| exactly;
-    # the powers a chunk of rows at a time, so the temporary is one chunk
-    power_sums = np.concatenate([(y[c] ** p).sum(axis=1) for c in _row_chunks(rows, n)])
-    _apply_fair_signs(rng, y)
+    fill = functools.partial(_magnitudes_fill, p=p)
+    chunks = _row_chunks(rows, n)
+    # one buffer for every pass: a second one would double the sup kernel's peak
+    buf = np.empty((min(rows, _chunk_rows(n)), n))
+    out = np.empty(rows if sup else (rows, n))  # the row max, or the block
+    states, power_sums = [], np.empty(rows)
+    for chunk in chunks:
+        states.append(rng.bit_generator.state)
+        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        out[chunk] = y.max(axis=1) if sup else y
+        if p != 1.0:
+            y **= p
+        power_sums[chunk] = y.sum(axis=1)
+    if sup:
+        _skip_fair_signs(rng, rows * n)
+    else:
+        _apply_fair_signs(rng, out)
     radius = rng.random(rows) ** (1.0 / n)
-    y *= (radius / power_sums ** (1.0 / p))[:, None]
-    return y
+    scale = radius / power_sums ** (1.0 / p)
+    if not sup:
+        out *= scale[:, None]
+        return out
+
+    g = _norm_rounding_bound(n)
+    candidates = radius >= radius.max() * ((1.0 - g) / (1.0 + g))
+    point_sums = np.zeros(rows)
+    for i in np.unique(np.flatnonzero(candidates) // _chunk_rows(n)):
+        chunk = chunks[i]
+        rng.bit_generator.state = states[i]
+        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        y *= scale[chunk, None]
+        point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
+    point_sums[~candidates] = 0.0
+    return np.column_stack([out * scale, point_sums ** (1.0 / p)])
 
 
 def _norm_rounding_bound(n: int) -> float:
@@ -291,52 +329,3 @@ def _norm_rounding_bound(n: int) -> float:
     """
     return 2.0 * (n + 16) * np.finfo(np.float64).eps
 
-
-def _ball_sup_rows(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
-    """:func:`lp_ball_block` with ``sup``: the magnitudes are drawn a chunk of
-    rows at a time into one reused buffer and each row reduced to its largest
-    magnitude and its power sum; the signs are skipped, not drawn.
-
-    Bit identity with the built block: the chunks are drawn, exact-zero
-    guard included, as the built block's are, and each row's sum is that
-    row's alone.  A sign flips a coordinate exactly, and rounding is
-    symmetric, so |sign * y * c| = y * c.  A positive scale c is monotone
-    under rounding, so max(y * c) is max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
-    U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with U_r**(1/n)
-    >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest one.  Their
-    chunks are drawn again from the saved generator state, scaled, and
-    reduced with the built block's elementwise ops and row sums; the root is
-    then taken on the whole vector of rows, as numpy takes it there.  (A
-    Python-scalar root would call libm's power, which can differ from
-    numpy's by an ulp.)
-    """
-    rng = stream.generator()
-    fill = functools.partial(_magnitudes_fill, p=p)
-    chunks = _row_chunks(rows, n)
-    step = _chunk_rows(n)
-    # one buffer for both passes: a second one would double the peak
-    buf = np.empty((min(rows, step), n))
-    states = []
-    row_max, power_sums = np.empty(rows), np.empty(rows)
-    for chunk in chunks:
-        states.append(rng.bit_generator.state)
-        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
-        row_max[chunk] = y.max(axis=1)
-        if p != 1.0:
-            y **= p  # the built block's powers, in place
-        power_sums[chunk] = y.sum(axis=1)
-    _skip_fair_signs(rng, rows * n)
-    radius = rng.random(rows) ** (1.0 / n)
-    scale = radius / power_sums ** (1.0 / p)
-
-    g = _norm_rounding_bound(n)
-    candidates = radius >= radius.max() * ((1.0 - g) / (1.0 + g))
-    point_sums = np.zeros(rows)
-    for i in np.unique(np.flatnonzero(candidates) // step):
-        chunk = chunks[i]
-        rng.bit_generator.state = states[i]
-        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
-        y *= scale[chunk, None]
-        point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
-    point_sums[~candidates] = 0.0
-    return np.column_stack([row_max * scale, point_sums ** (1.0 / p)])

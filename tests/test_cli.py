@@ -168,6 +168,10 @@ def test_oracle_command(capsys):
     assert run_cli(["oracle", "--op", "max-spacing-cdf", "--n", "2", "--s", "0.6"]) == 0
     out = capsys.readouterr().out
     assert "0.19999999999999996" in out or "0.2" in out
+    # the sup norm is a norm order the oracle takes, unlike a moment order
+    assert run_cli(["oracle", "--op", "small-n-norm-cdf", "--n", "2", "--q", "inf",
+                    "--t", "0.5"]) == 0
+    assert "small-n-norm-cdf,2,inf,0.5,1," in capsys.readouterr().out
 
 
 def test_usage_errors_exit_2(capsys):
@@ -272,6 +276,13 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     (["clt", "--n", "100,0", "--replicates", "10"], "every n in n_list must be >= 1"),
     (["sample", "--kind", "ball", "--n", "3", "--p", "inf"], "ball exponent p"),
     (["sample", "--kind", "pgen", "--n", "3", "--p", "64"], "ball exponent p"),
+    # each would sample first and then fail in the oracle, or write NaN/Infinity
+    (["gumbel", "--n", "10000", "--replicates", "200000", "--z", "nan", "--workers", "1"],
+     "thresholds must be finite"),
+    (["ldp", "--n", "1000", "--replicates", "1000000", "--z", "nan"], "thresholds must be finite"),
+    (["gumbel", "--oracle-n", "", "--z", "nan"], "thresholds must be finite"),
+    (["lpball", "--law", "gumbel", "--p", "1", "--z", "inf"], "thresholds must be finite"),
+    (["constants", "--q", "inf"], "moment order q must be finite"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2

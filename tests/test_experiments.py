@@ -98,6 +98,10 @@ def test_config_validation():
         ex.ExperimentConfig(kind="equivalence_decay", n_list=(500,), replicates=10, seed=0)
     with pytest.raises(ValueError):
         ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=0, s_n_rule="huh")
+    for z in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="thresholds"):
+            ex.ExperimentConfig(kind="ldp", n_list=(300,), replicates=10, seed=0,
+                                thresholds=(1.5, z))
 
 
 def test_config_fields_take_their_json_types():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import kstest, ks_2samp
 
+from simplex_limits import sampling
 from simplex_limits.rng import RandomStream
 from simplex_limits.sampling import (
     _magnitudes_fill,
@@ -18,6 +19,7 @@ from simplex_limits.sampling import (
 )
 
 import reference as ref
+from test_inplace_kernels import _generator_whose_next_raw_draw_is_zero
 
 
 def _uniform_ks(values, lo, hi):
@@ -214,3 +216,19 @@ def test_ball_deterministic():
     a = lp_ball_block(RandomStream(13), 1, 6, 1.5)
     b = lp_ball_block(RandomStream(13), 1, 6, 1.5)
     assert np.array_equal(a, b)
+
+
+def test_ball_sup_membership_pass_redraws_a_real_zero(monkeypatch):
+    # at p=1 the first magnitude of the first chunk is an exact 0.0; with every
+    # row a candidate, the membership pass draws that chunk again from its
+    # saved state, zero and guard included
+    rows, n = 200, 1000  # three 65-row chunks and a partial one
+    assert _generator_whose_next_raw_draw_is_zero().standard_exponential() == 0.0
+    monkeypatch.setattr(RandomStream, "generator",
+                        lambda self: _generator_whose_next_raw_draw_is_zero())
+    monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
+    built = np.abs(lp_ball_block(RandomStream(0), rows, n, 1.0))
+    got = lp_ball_block(RandomStream(0), rows, n, 1.0, sup=True)
+    assert built.min() > 0.0
+    assert np.array_equal(got[:, 0], built.max(axis=1))
+    assert np.array_equal(got[:, 1], built.sum(axis=1))
