@@ -62,11 +62,16 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args()
+    try:
+        configs = battery(args.seed, args.workers, args.quick)
+    except ValueError as exc:  # a bad --seed or --workers: no report is written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     any_failed = False
-    for i, config in enumerate(battery(args.seed, args.workers, args.quick)):
+    for i, config in enumerate(configs):
         report = ex.run(config)
         stem = f"{i:02d}_{config.kind}"
         (outdir / f"{stem}.csv").write_text(report.to_csv())

@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.s_n_rule not in ("sqrt_log", "log_log"):
@@ -222,9 +224,6 @@ class ExperimentReport:
     rows: list[ReportRow]
     config: ExperimentConfig
     wall_time: float = 0.0  # not serialized: replays must be byte-identical
-
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
     def to_csv(self) -> str:
         return self._text("csv")
@@ -460,7 +459,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
 
 def _require(config: ExperimentConfig, field: str) -> float:
     value = getattr(config, field)
-    if value is None or math.isinf(value):
+    if value is None or not math.isfinite(value):
         raise ValueError(f"experiment {config.kind!r} requires a finite {field}")
     return value
 
@@ -688,16 +687,20 @@ SUP_THEOREMS = {
 
 def _run_sup(config: ExperimentConfig) -> ExperimentReport:
     """Run one row of :data:`SUP_THEOREMS`: Monte Carlo rows per dimension,
-    then the theorem's exact oracle rows."""
+    then the theorem's exact oracle rows (computed first, written last)."""
     kind = config.kind
     th = SUP_THEOREMS[kind]
     param = th.param(config)
     thresholds = config.thresholds or th.thresholds
     if th.rate is not None and not thresholds:
         raise ValueError(f"{kind} experiment requires thresholds")
+    # every map, speed and exact row is computed before the first draw, so a
+    # config that one of them rejects fails before any sampling
+    maps = [(n, *th.affine(config, n), th.speed(config, n) if th.rate else None)
+            for n in config.n_list]
+    oracle_rows = th.oracle(config, thresholds, param) if th.oracle is not None else []
     rows: list[ReportRow] = []
-    for n in config.n_list:
-        scale, shift = th.affine(config, n)
+    for n, scale, shift, speed in maps:
         base, max_norm = th.sample(config, n)
         if max_norm is not None:
             rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
@@ -708,7 +711,6 @@ def _run_sup(config: ExperimentConfig) -> ExperimentReport:
             rows.append(ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
                                   d <= TOLERANCES[th.tol]))
             continue
-        speed = th.speed(config, n)
         for z in thresholds:
             theory = rate_function(th.rate, z, p=config.p)
             direction = "above" if math.isfinite(theory) else "below"
@@ -717,9 +719,7 @@ def _run_sup(config: ExperimentConfig) -> ExperimentReport:
                                   dev.std_error,
                                   _deviation_pass(dev.normalized_log_prob, theory,
                                                   TOLERANCES[th.tol])))
-    if th.oracle is not None:
-        rows.extend(th.oracle(config, thresholds, param))
-    return ExperimentReport(rows=rows, config=config)
+    return ExperimentReport(rows=rows + oracle_rows, config=config)
 
 
 def run_equivalence_decay(config: ExperimentConfig) -> ExperimentReport:

@@ -228,9 +228,11 @@ def _skip_fair_signs(rng: np.random.Generator, k: int) -> None:
     ceil(k / 2) 64-bit draws.  All but the last are skipped by ``advance``;
     the last is drawn, with its one or two signs, because ``advance`` clears
     the buffer, which the drawn signs leave full (odd k) or stale (even k).
+    ``k = 0`` signs draw nothing.
     """
-    rng.bit_generator.advance((k - 1) // 2)
-    rng.integers(0, 2, 2 - k % 2)
+    if k > 0:
+        rng.bit_generator.advance((k - 1) // 2)
+        rng.integers(0, 2, 2 - k % 2)
 
 
 def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np.ndarray:
@@ -298,7 +300,9 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         return out
 
     g = _norm_rounding_bound(n)
-    candidates = radius >= radius.max() * ((1.0 - g) / (1.0 + g))
+    # initial=0.0 leaves the max of a nonempty block as it is; a block of no
+    # rows has no candidates and gives a (0, 2) array
+    candidates = radius >= radius.max(initial=0.0) * ((1.0 - g) / (1.0 + g))
     point_sums = np.zeros(rows)
     for i in np.unique(np.flatnonzero(candidates) // _chunk_rows(n)):
         chunk = chunks[i]

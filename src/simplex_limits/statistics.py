@@ -190,13 +190,18 @@ def abs_moment(dist, q: float, t: float) -> float:
     return _expect(dist, lambda x: abs(x - t) ** q, split=t)
 
 
-def general_clt_variance(dist, q: float, fd_step: float = 1e-4) -> float:
+#: Step of the central finite difference in :func:`general_clt_variance`.
+_FD_STEP = 1e-4
+
+
+def general_clt_variance(dist, q: float) -> float:
     """Variance Var(d * X + |X - mu|**q) with d the derivative of
     t -> E|X - t|**q at the mean, taken by central finite difference."""
     if not q >= 1.0:
         raise ValueError(f"moment order must satisfy q >= 1, got {q}")
     mu = dist.mean
-    d = (abs_moment(dist, q, mu + fd_step) - abs_moment(dist, q, mu - fd_step)) / (2.0 * fd_step)
+    d = ((abs_moment(dist, q, mu + _FD_STEP) - abs_moment(dist, q, mu - _FD_STEP))
+         / (2.0 * _FD_STEP))
 
     def g(x: float) -> float:
         return d * x + abs(x - mu) ** q

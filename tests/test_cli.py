@@ -201,13 +201,56 @@ def test_config_yielding_no_rows_is_a_usage_error(capsys):
     assert "no report rows" in capsys.readouterr().err
 
 
-def test_oracle_dimension_below_two_is_a_usage_error_before_sampling(monkeypatch, capsys):
+@pytest.mark.parametrize("args, message", [
+    (["gumbel", "--n", "300", "--replicates", "100", "--oracle-n", "1"], "oracle_n_list"),
+    # each of these used to sample for 10-20 s before its speed or oracle row failed
+    (["mdp", "--n", "10000", "--replicates", "200000", "--oracle-n", "2"], "inadmissible speed"),
+    (["mdp", "--n", "10000,2", "--replicates", "200000"], "inadmissible speed"),
+    (["gumbel", "--n", "10000", "--replicates", "200000", "--oracle-n", "5", "--z", "5"],
+     "threshold must lie in (0, 1)"),
+    (["ldp", "--n", "1000", "--replicates", "1000000", "--oracle-n", "10", "--z", "20"],
+     "threshold must lie in (0, 1)"),
+], ids=["gumbel_oracle_n_1", "mdp_oracle_n_2", "mdp_n_2", "gumbel_oracle_threshold",
+        "ldp_oracle_threshold"])
+def test_config_error_is_a_usage_error_before_sampling(monkeypatch, capsys, args, message):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
-    assert run_cli(["gumbel", "--n", "300", "--replicates", "100", "--oracle-n", "1"]) == 2
-    assert "oracle_n_list" in capsys.readouterr().err
+    assert run_cli(args + ["--workers", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+#: experiment subcommand and --law -> the config it runs with no flags
+_PRESETS = {
+    ("clt",): dict(kind="clt", n_list=[100, 10_000], q=2.0, replicates=10_000),
+    ("berry-esseen",): dict(kind="berry_esseen_sweep", n_list=[100, 1_000, 10_000], q=2.0,
+                            replicates=10_000),
+    ("gumbel",): dict(kind="gumbel", n_list=[10_000], replicates=10_000,
+                      oracle_n_list=[1_000_000]),
+    ("ldp",): dict(kind="ldp", n_list=[1_000], replicates=100_000, thresholds=[1.5],
+                   oracle_n_list=[10_000, 100_000, 1_000_000]),
+    ("mdp",): dict(kind="mdp", n_list=[], replicates=1, thresholds=[1.0],
+                   oracle_n_list=[1_000_000]),
+    ("lpball",): dict(kind="lp_ldp", n_list=[1_000], p=2.0, replicates=100_000,
+                      thresholds=[1.3]),
+    ("lpball", "--law", "gumbel"): dict(kind="lp_gumbel", n_list=[10_000], p=1.0,
+                                        replicates=10_000),
+    ("equivalence",): dict(kind="equivalence_decay", n_list=[5, 10, 20, 50, 100],
+                           replicates=100_000),
+    ("general-clt",): dict(kind="general_clt", n_list=[10_000], q=2.0, replicates=10_000),
+}
+
+
+@pytest.mark.parametrize("command", list(_PRESETS), ids=lambda c: "-".join(c))
+def test_experiment_presets(monkeypatch, tmp_path, command):
+    monkeypatch.setattr(experiments, "run",
+                        lambda config: experiments.ExperimentReport(rows=[], config=config))
+    out = tmp_path / "r.json"
+    assert run_cli([*command, "--format", "json", "--out", str(out)]) == 0
+    base = dict(seed=0, q=None, p=None, thresholds=[], s_n_rule="sqrt_log",
+                source="exponential", oracle_n_list=[])
+    assert json.loads(out.read_text())["config"] == {**base, **_PRESETS[command]}
 
 
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
@@ -283,6 +326,8 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     (["gumbel", "--oracle-n", "", "--z", "nan"], "thresholds must be finite"),
     (["lpball", "--law", "gumbel", "--p", "1", "--z", "inf"], "thresholds must be finite"),
     (["constants", "--q", "inf"], "moment order q must be finite"),
+    # would run a quadrature at q = nan, warning, before it failed
+    (["general-clt", "--q", "nan"], "requires a finite q"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,8 @@ from simplex_limits.rng import RandomStream
 from simplex_limits.sampling import exponential_block, lp_ball_block
 
 import reference as ref
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_blocks_partition_replicates_exactly():
@@ -102,6 +108,24 @@ def test_config_validation():
         with pytest.raises(ValueError, match="thresholds"):
             ex.ExperimentConfig(kind="ldp", n_list=(300,), replicates=10, seed=0,
                                 thresholds=(1.5, z))
+    # RandomStream's range, checked before any row runs
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+            ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=seed)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--workers", "0"], "workers must be >= 1"),
+    (["--seed", "-5"], "seed must be a 64-bit unsigned integer, got -5"),
+])
+def test_battery_script_rejects_a_bad_flag_before_writing(tmp_path, flags, message):
+    outdir = tmp_path / "reports"
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_all_experiments.py"),
+                           "--quick", "--outdir", str(outdir), *flags], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert not outdir.exists()
 
 
 def test_config_fields_take_their_json_types():

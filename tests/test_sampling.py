@@ -232,3 +232,14 @@ def test_ball_sup_membership_pass_redraws_a_real_zero(monkeypatch):
     assert built.min() > 0.0
     assert np.array_equal(got[:, 0], built.max(axis=1))
     assert np.array_equal(got[:, 1], built.sum(axis=1))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 1.5])
+def test_ball_block_of_no_rows(p):
+    # skipping no signs leaves the generator where drawing none does
+    drawn, skipped = np.random.default_rng(4), np.random.default_rng(4)
+    sampling._apply_fair_signs(drawn, np.empty((0, 3)))
+    sampling._skip_fair_signs(skipped, 0)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert lp_ball_block(RandomStream(5), 0, 3, p).shape == (0, 3)
+    assert lp_ball_block(RandomStream(5), 0, 3, p, sup=True).shape == (0, 2)
