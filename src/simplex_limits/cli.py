@@ -6,7 +6,9 @@ validated, and an experiment's dimension maps, speeds and exact oracle rows
 computed, before any sampling starts; a run with a fixed (seed, config)
 writes byte-identical output regardless of ``--workers``.
 
-Exit codes: 0 success, 1 numerical/runtime failure, 2 usage error.
+Exit codes: 0 success, 1 numerical/runtime failure (a failed ``--out``
+write among them), 2 usage error (an input file that cannot be read among
+them).
 """
 
 from __future__ import annotations
@@ -121,12 +123,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path: str, flag: str) -> str:
+    """The text of the input file ``flag`` names; one that cannot be read is a
+    usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror or exc}") from exc
+
+
 def _experiment_config(kind: str, defaults: dict,
                        args: argparse.Namespace) -> experiments.ExperimentConfig:
     file_values = {}
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        file_values = json.loads(_read_input(args.config, "--config"))
         if not isinstance(file_values, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = sorted(set(file_values) - set(_FLAGS))
@@ -197,8 +208,8 @@ def _report_text(report: experiments.ExperimentReport, fmt: str) -> str:
 
 
 def _cmd_report(args: argparse.Namespace) -> tuple[str, str | None]:
-    with open(args.infile, encoding="utf-8") as fh:
-        return _report_text(experiments.report_from_json(fh.read()), args.format), None
+    report = experiments.report_from_json(_read_input(args.infile, "--in"))
+    return _report_text(report, args.format), None
 
 
 def _cmd_experiment(args: argparse.Namespace) -> tuple[str, str | None]:

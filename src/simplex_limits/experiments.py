@@ -10,8 +10,16 @@ Memory model: no kernel holds a block.  Each draws it a chunk of rows at a
 time (``sampling._CHUNK_ELEMS``, 512 KiB, or one row of 8n bytes when
 n > 2^16) into a reused buffer and reduces each chunk to its per-replicate
 values, so a sample function holds about one chunk per worker plus a few
-values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  The
-lp-ball kernel keeps no sign: it reduces each row to its largest magnitude
+values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  A row
+longer than a chunk is walked in leaves of at most a chunk
+(``sampling.RowReduction``), which are the nodes of numpy's pairwise
+row-sum tree.  Each leaf of an exponential row is drawn into the row and
+its sum, min and max are taken while it is in L2 (a general-CLT source
+draws its row whole first); the CLT kernels then centre each leaf into one
+leaf-sized scratch buffer for the power sum, so their ``d*d`` is one leaf,
+not one row.  The leaf sums are added as numpy adds its nodes, so the
+values are those of whole-row reductions, bit for bit.  The lp-ball
+kernel keeps no sign: it reduces each row to its largest magnitude
 and power sum, then draws again only the chunks that hold a row which can
 have the block's largest norm (usually one).  A chunk that draws an exact
 0.0 (about 2^-53 per exponential or gamma variate, 2^-52 per normal) draws
@@ -373,14 +381,12 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
     sigma = math.sqrt(mc.sigma_q_sq)
     sqrt_n = math.sqrt(n)
 
-    def reduce(e: np.ndarray) -> np.ndarray:
-        mean = e.mean(axis=1)
-        e -= mean[:, None]
-        power_sum = sampling.pow_in_place(np.abs(e, out=e), q).sum(axis=1)
-        scaled = (power_sum * (inv_mu / n)) ** (1.0 / q) / mean
+    def finish(s: sampling.RowStats) -> np.ndarray:
+        scaled = (s.power * (inv_mu / n)) ** (1.0 / q) / (s.total / n)
         return sqrt_n * (scaled - 1.0) / sigma
 
-    values = _collect_exponential(seed, n, reduce, replicates, workers)
+    values = _collect_exponential(seed, n, sampling.RowReduction(finish, q=q), replicates,
+                                  workers)
     return EmpiricalSample.from_values(values)
 
 
@@ -391,12 +397,11 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
     this one value, so one sample serves all three.
     """
 
-    def reduce(e: np.ndarray) -> np.ndarray:
-        total = e.sum(axis=1)
-        return np.maximum(n * e.max(axis=1) / total - 1.0,
-                          1.0 - n * e.min(axis=1) / total)
+    def finish(s: sampling.RowStats) -> np.ndarray:
+        return np.maximum(n * s.high / s.total - 1.0, 1.0 - n * s.low / s.total)
 
-    values = _collect_exponential(seed, n, reduce, replicates, workers)
+    values = _collect_exponential(seed, n, sampling.RowReduction(finish, extremes=True),
+                                  replicates, workers)
     return EmpiricalSample.from_values(values)
 
 
@@ -421,15 +426,14 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
                           workers: int = 1) -> tuple[float, float]:
     """Frequency of ||Z_n||_inf != T_n with its binomial standard error."""
 
-    def reduce(e: np.ndarray) -> np.ndarray:
+    def finish(s: sampling.RowStats) -> np.ndarray:
         # the norms differ exactly when the most negative centered coordinate
         # beats the most positive one in absolute value, i.e. when
         # 2 * mean > max + min; a tie counts as equal, and at n = 2, where
         # the two sides are equal by construction, this form is exact
-        lhs = 2.0 * e.sum(axis=1) / n
-        rhs = e.max(axis=1) + e.min(axis=1)
-        return lhs > rhs
+        return 2.0 * s.total / n > s.high + s.low
 
+    reduce = sampling.RowReduction(finish, extremes=True)
     hits = float(_collect_exponential(seed, n, reduce, replicates, workers).sum())
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
@@ -441,9 +445,10 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
     dist = SOURCE_DISTRIBUTIONS[source]
     sqrt_n = math.sqrt(n)
 
-    def reduce(x: np.ndarray) -> np.ndarray:
-        x -= x.mean(axis=1)[:, None]
-        return sqrt_n * (sampling.pow_in_place(np.abs(x, out=x), q).mean(axis=1) - mq)
+    def finish(s: sampling.RowStats) -> np.ndarray:
+        return sqrt_n * (s.power / n - mq)
+
+    reduce = sampling.RowReduction(finish, q=q)
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
         rng = bstream.generator()

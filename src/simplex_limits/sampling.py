@@ -13,10 +13,16 @@ cache-sized chunk of rows at a time (:func:`_row_chunks`), each chunk by
 :func:`_guarded_fill`, which draws an exact 0.0 again right after its chunk.
 A built block is that chunk loop writing into the rows of the output.
 :func:`exponential_block` can instead reduce each chunk as it draws it, in
-one reused buffer, without building the block.  :func:`lp_ball_block` has
-one draw loop for every pass: the built block, its ``sup`` reduction and the
-membership redraw all draw into one reused chunk buffer.  Either way the
-reduced values are the built block's, bit for bit.
+one reused buffer, without building the block.  A row longer than a chunk
+is reduced in cache-sized leaves (:class:`RowReduction`), the nodes of at
+most :data:`_CHUNK_ELEMS` elements of numpy's pairwise row-sum tree
+(:func:`_tree_sum`): each leaf is drawn and reduced while it is in L2 and
+the leaf sums are added as numpy adds them, so the row is read back from
+memory once for the centred power sum, not once per reduction.
+:func:`lp_ball_block` has one draw loop for every pass: the built block,
+its ``sup`` reduction and the membership redraw all draw into one reused
+chunk buffer.  Either way the reduced values are the built block's, bit
+for bit.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -29,6 +35,7 @@ radius factor.
 from __future__ import annotations
 
 import functools
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +80,11 @@ def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray
     chunk-sized mask.
     """
     fill(rng, out)
+    return _redraw_zeros(rng, fill, out)
+
+
+def _redraw_zeros(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray:
+    """The guard of :func:`_guarded_fill`, on the drawn ``out``."""
     while not out.min() > 0.0:
         zeros = out == 0.0
         out[zeros] = fill(rng, np.empty(int(zeros.sum())))
@@ -106,8 +118,10 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     one value per row), the block is never built: it is drawn a chunk of rows
     at a time into one reused buffer and each chunk is reduced while it is
     still in cache (see :func:`reduce_rows`); the result is the vector of the
-    ``rows`` values.  The chunks are drawn as the built block's are, so the
-    values are ``reduce`` of the built block, bit for bit.
+    ``rows`` values.  A :class:`RowReduction` draws each leaf of the chunk
+    itself and takes its row reductions there, so a row longer than a chunk
+    is reduced in cache too.  The chunks are drawn as the built block's are,
+    so the values are ``reduce`` of the built block, bit for bit.
     """
     _check_dimension(n)
     rng = stream.generator()
@@ -115,6 +129,9 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     if reduce is None:
         return _built_block(rng, fill, rows, n)
     buf = np.empty((min(rows, _chunk_rows(n)), n))
+    if isinstance(reduce, RowReduction):
+        return reduce_rows(rows, n, lambda k: buf[:k],
+                           functools.partial(reduce, rng=rng, fill=fill))
     return reduce_rows(rows, n, lambda k: _guarded_fill(rng, fill, buf[:k]), reduce)
 
 
@@ -122,13 +139,106 @@ def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
     """Per-row values of a ``rows`` x ``n`` block that is drawn and reduced a
     chunk of rows (:func:`_row_chunks`) at a time.
 
-    ``draw(k)`` returns the next ``k`` rows, in the block's draw order;
-    ``reduce`` maps them to their ``k`` values.
+    ``draw(k)`` returns the next ``k`` rows, in the block's draw order (or
+    the buffer for them, when ``reduce`` draws them itself, as
+    :func:`exponential_block` has a :class:`RowReduction` do); ``reduce``
+    maps them to their ``k`` values.
     """
     values = np.empty(rows)
     for chunk in _row_chunks(rows, n):
         values[chunk] = reduce(draw(chunk.stop - chunk.start))
     return values
+
+
+def _tree_sum(n: int, leaf, start: int = 0):
+    """``leaf(cols)`` of each leaf of numpy's pairwise-sum tree of a row of
+    ``n`` elements, in order, added as numpy adds the tree's nodes.
+
+    numpy sums a node of m > 128 elements as the sum of its first
+    m//2 - (m//2) % 8 elements plus the sum of the rest.  The leaves here are
+    the nodes of at most :data:`_CHUNK_ELEMS` elements (the whole row when n
+    is no larger), so if ``leaf`` returns the sums of its columns, the result
+    has the bits of the row sum.
+    """
+    if n <= _CHUNK_ELEMS:
+        return leaf(slice(start, start + n))
+    half = n // 2 - (n // 2) % 8
+    return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
+
+
+class RowStats(NamedTuple):
+    """The row reductions of a chunk, one value per row, each with the bits
+    of numpy's reduction along the whole row: the sum, the min and max (or
+    None), and the sum of |x - sum / n|**q (or None)."""
+
+    total: np.ndarray
+    low: np.ndarray | None
+    high: np.ndarray | None
+    power: np.ndarray | None
+
+
+class RowReduction(NamedTuple):
+    """A per-row statistic, stated once as the row reductions it reads: the
+    sum, the min and max when ``extremes``, and the centred power sum when
+    ``q`` is set; ``finish`` maps a :class:`RowStats` to the rows' values.
+
+    Called on a chunk of rows, it walks each row by the leaves of
+    :func:`_tree_sum`, so a row longer than :data:`_CHUNK_ELEMS` is reduced
+    a cache-sized leaf at a time; a shorter row is one leaf, reduced as one.
+    Pass 1 takes each leaf's sum (and min and max) right after
+    ``fill(rng, leaf)`` draws it, when ``fill`` is given; the zero guard of
+    :func:`_guarded_fill` then acts on the whole chunk, whose leaf sums are
+    taken again if it drew a 0.0.  Pass 2 centres each leaf on the row mean
+    into one leaf-sized scratch buffer (the chunk itself when it is one
+    leaf), then takes the abs, the power and the sum.  Every value has the
+    bits of the same reduction of whole rows.
+    """
+
+    finish: Callable[[RowStats], np.ndarray]
+    extremes: bool = False
+    q: float | None = None
+
+    def __call__(self, x: np.ndarray, rng: np.random.Generator | None = None,
+                 fill=None) -> np.ndarray:
+        n = x.shape[1]
+        total, low, high = self._first_pass(x, rng, fill)
+        if fill is not None and not low.min() > 0.0:
+            _redraw_zeros(rng, fill, x)
+            total, low, high = self._first_pass(x, None, None)
+        power = None
+        if self.q is not None:
+            centre = (total / n)[:, None]
+            scratch = x if n <= _CHUNK_ELEMS else np.empty((len(x), _CHUNK_ELEMS))
+
+            def leaf_power(cols: slice) -> np.ndarray:
+                d = np.subtract(x[:, cols], centre, out=scratch[:, :cols.stop - cols.start])
+                return pow_in_place(np.abs(d, out=d), self.q).sum(axis=1)
+
+            power = _tree_sum(n, leaf_power)
+        return self.finish(RowStats(total, low if self.extremes else None, high, power))
+
+    def _first_pass(self, x, rng, fill):
+        """Draw each leaf of ``x`` if ``fill`` is given; return the rows'
+        sums; their mins when ``extremes``, else the chunk's min when drawn,
+        else None; and their maxes when ``extremes``, else None."""
+        lows, highs = [], []
+
+        def leaf_sum(cols: slice) -> np.ndarray:
+            y = x[:, cols]
+            if fill is not None:
+                fill(rng, y)
+            if self.extremes:
+                lows.append(y.min(axis=1))
+                highs.append(y.max(axis=1))
+            elif fill is not None:
+                # the guard reads only the chunk's min, which on short rows
+                # costs a fraction of the rows' mins
+                lows.append(y.min())
+            return y.sum(axis=1)
+
+        total = _tree_sum(x.shape[1], leaf_sum)
+        return (total, functools.reduce(np.minimum, lows) if lows else None,
+                functools.reduce(np.maximum, highs) if highs else None)
 
 
 def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:

@@ -182,6 +182,24 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["ldp", "--n", "1", "--z", "1.5", "--replicates", "10"]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["report", "--in", "{missing}"], "--in {missing}: No such file or directory"),
+    (["clt", "--config", "{missing}"], "--config {missing}: No such file or directory"),
+    (["report", "--in", "{dir}"], "--in {dir}: Is a directory"),
+], ids=["report_missing", "config_missing", "report_directory"])
+def test_unreadable_input_file_is_a_usage_error(tmp_path, capsys, args, message):
+    paths = {"missing": tmp_path / "nope.json", "dir": tmp_path}
+    assert run_cli([a.format(**paths) for a in args]) == 2
+    assert message.format(**paths) in capsys.readouterr().err
+
+
+def test_failed_output_write_exits_1(tmp_path, capsys):
+    args = ["equivalence", "--n", "5", "--replicates", "100"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 1
+    assert run_cli(args + ["--out", str(tmp_path / "no_dir" / "r.csv")]) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_numerical_errors_exit_1():
     # deep lower tail: the alternating series aborts with a diagnostic
     assert run_cli(["oracle", "--op", "max-spacing-cdf", "--n", "10000",

@@ -182,9 +182,11 @@ _CHUNK = sampling._CHUNK_ELEMS
 
 # (n, replicates): n=1000 spans a full block of 2097 rows and a partial one of
 # 403, neither a whole number of 65-row chunks; n=2 draws 32768-row chunks;
-# from n = _CHUNK - 1 on, a chunk is one row
+# from n = _CHUNK - 1 on, a chunk is one row, and from n = _CHUNK + 1 on a
+# row is reduced in leaves; 3 * _CHUNK + 5 has four, of 49152 elements and
+# one of 49157
 _FUSED_SHAPES = [(2, 5000), (1000, 2500), (_CHUNK - 1, 3), (_CHUNK, 2), (_CHUNK + 1, 3),
-                 (100_003, 2)]
+                 (100_003, 2), (3 * _CHUNK + 5, 2)]
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0])
@@ -192,6 +194,19 @@ _FUSED_SHAPES = [(2, 5000), (1000, 2500), (_CHUNK - 1, 3), (_CHUNK, 2), (_CHUNK 
 def test_fused_clt_matches_whole_block_reference(q, n, reps):
     got = ex.clt_sample(51, n, q, reps).values
     assert np.array_equal(got, _ref_clt_values(51, n, q, reps))
+
+
+@pytest.mark.parametrize("n", [_CHUNK, _CHUNK + 1, 2**17 + 3, 3_000_001])
+def test_leaf_walk_has_the_bits_of_the_whole_row_reduction(n):
+    # data spanning 16 decades, so that a sum added in another order than
+    # numpy's pairwise tree would differ in its last bits
+    rng = np.random.default_rng(n)
+    x = rng.random((1, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
+    stats = sampling.RowReduction(lambda s: s, extremes=True, q=3.0)(x.copy())
+    assert np.array_equal(stats.total, x.sum(axis=1))
+    assert stats.low == x.min() and stats.high == x.max()
+    ref_power = _ref_abs_pow(np.abs(x - x.mean(axis=1)[:, None]), 3.0).sum(axis=1)
+    assert np.array_equal(stats.power, ref_power)
 
 
 @pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
@@ -323,7 +338,7 @@ def _peak_traced_bytes(call) -> int:
         tracemalloc.stop()
 
 
-_MC2 = moment_constants(2.0)
+_MC2, _MC3 = moment_constants(2.0), moment_constants(3.0)
 
 
 @pytest.mark.parametrize("name, call, block_bytes", [
@@ -332,6 +347,10 @@ _MC2 = moment_constants(2.0)
      lambda: ex.general_clt_sample(2, _HUGE, 2.0, "exponential", 1.0, 1), 8 * _HUGE),
     ("general_clt_uniform01",
      lambda: ex.general_clt_sample(3, _HUGE, 1.0, "uniform01", 0.25, 1), 8 * _HUGE),
+    # the q=3 temporary d*d is one leaf, not one row
+    ("clt_q3", lambda: ex.clt_sample(12, _HUGE, 3.0, 1, mc=_MC3), 8 * _HUGE),
+    ("general_clt_q3",
+     lambda: ex.general_clt_sample(13, _HUGE, 3.0, "exponential", 2.0, 1), 8 * _HUGE),
     ("ball_sup_p1", lambda: ex.ball_sup_sample(4, _HUGE, 1.0, 1), 8 * _HUGE),
     # a full block of 2097 rows at n=1000: the p=2 norm is summed by row chunks
     ("ball_sup_p2", lambda: ex.ball_sup_sample(5, 1000, 2.0, 2097), 8 * 1000 * 2097),
@@ -465,6 +484,20 @@ def test_clt_zero_in_second_chunk_matches_the_whole_block_reference(monkeypatch)
     _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
     got = ex.clt_sample(60, 1000, 2.0, 200).values
     assert np.array_equal(got, _ref_clt_values(60, 1000, 2.0, 200))
+    assert not np.array_equal(got, clean)
+
+
+# n = 2**17 + 3 is reduced in three leaves, [0, 65536), [65536, 98304) and
+# [98304, n); this position lies in the second leaf of the second row
+_LONG_N = 2**17 + 3
+_SECOND_LEAF_AT = _LONG_N + 65_536 + 1234
+
+
+def test_clt_zero_in_a_long_rows_second_leaf_matches_the_whole_block_reference(monkeypatch):
+    clean = ex.clt_sample(71, _LONG_N, 3.0, 3).values
+    _inject_zero(monkeypatch, "standard_exponential", _SECOND_LEAF_AT)
+    got = ex.clt_sample(71, _LONG_N, 3.0, 3).values
+    assert np.array_equal(got, _ref_clt_values(71, _LONG_N, 3.0, 3))
     assert not np.array_equal(got, clean)
 
 
