@@ -12,7 +12,10 @@ The result goes to ``BENCH_<label>.json`` at the root of this checkout (or
 ``--out``): every run's end-to-end metrics, ``correct`` flag and digest
 check (``digests_match``, false if a report digest differed from the pinned
 one), per seed each side's median and interquartile range and the change's
-wins on ``--metric``, and perfbench's environment line.
+wins on ``--metric``, and perfbench's environment line.  A run that exits
+non-zero is recorded with its exit code and the tail of its stderr, as
+``correct: false`` and without metrics; the file is still written, and the
+script then exits 1.
 """
 
 from __future__ import annotations
@@ -26,14 +29,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: Lines of a failed run's stderr kept in the BENCH file.
+STDERR_TAIL = 20
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``--trace 0`` run: its end-to-end metrics, ``correct``, whether every
-    report digest matched the pinned one, and the env line."""
+    report digest matched the pinned one, and the env line; or, if it exits
+    non-zero, its exit code and the tail of its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"correct": False, "exit_code": proc.returncode,
+                "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
@@ -42,9 +52,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}, "env": env}
 
 
-def spread(values: list[float]) -> dict:
+def spread(values: list[float]) -> dict | None:
+    """Median and IQR, or None when fewer than two runs finished."""
+    if len(values) < 2:
+        return None
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "iqr": q3 - q1}
+
+
+def show(result: dict, metric: str) -> str:
+    if "exit_code" in result:
+        return f"failed (exit {result['exit_code']})"
+    return f"{result['metrics'][metric]:.4g}"
 
 
 def git_describe(checkout: Path) -> str | None:
@@ -91,11 +110,11 @@ def main() -> int:
             pair = {"seed": seed, "pair": i, "first": order[0]}
             for side in order:
                 result = run_once(sides[side], args.workload, seed, args.seconds)
-                env = result.pop("env")
+                env = result.pop("env", env)
                 pair[side] = result
-            print(f"seed {seed} pair {i}: {args.metric} parent "
-                  f"{pair['parent']['metrics'][args.metric]:.4g}, change "
-                  f"{pair['change']['metrics'][args.metric]:.4g}", flush=True)
+            print(f"seed {seed} pair {i}: {args.metric} "
+                  + ", ".join(f"{side} {show(pair[side], args.metric)}" for side in sides),
+                  flush=True)
             runs.append(pair)
 
     sign = 1.0 if better[args.metric] == "lower" else -1.0
@@ -105,9 +124,11 @@ def main() -> int:
         summary[str(seed)] = {
             "pairs": len(mine),
             "wins": sum(sign * (r["change"]["metrics"][args.metric]
-                                - r["parent"]["metrics"][args.metric]) < 0 for r in mine),
+                                - r["parent"]["metrics"][args.metric]) < 0
+                        for r in mine if all("metrics" in r[s] for s in sides)),
             "all_correct": all(r[s]["correct"] for r in mine for s in sides),
-            **{metric: {side: spread([r[side]["metrics"][metric] for r in mine])
+            **{metric: {side: spread([r[side]["metrics"][metric] for r in mine
+                                      if "metrics" in r[side]])
                         for side in sides}
                for metric in better},
         }
@@ -124,6 +145,11 @@ def main() -> int:
         "runs": runs,
     }, indent=1) + "\n")
     print(f"written to {out}")
+    failed = sum("exit_code" in r[s] for r in runs for s in sides)
+    if failed:
+        print(f"error: {failed} perfbench run(s) failed; see exit_code and stderr_tail in {out}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

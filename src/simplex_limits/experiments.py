@@ -13,18 +13,18 @@ values, so a sample function holds about one chunk per worker plus a few
 values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  A row
 longer than a chunk is walked in leaves of at most a chunk
 (``sampling.RowReduction``), which are the nodes of numpy's pairwise
-row-sum tree.  Each leaf of an exponential row is drawn into the row and
-its sum, min and max are taken while it is in L2 (a general-CLT source
-draws its row whole first); the CLT kernels then centre each leaf into one
-leaf-sized scratch buffer for the power sum, so their ``d*d`` is one leaf,
-not one row.  The leaf sums are added as numpy adds its nodes, so the
-values are those of whole-row reductions, bit for bit.  The lp-ball
-kernel keeps no sign: it reduces each row to its largest magnitude
-and power sum, then draws again only the chunks that hold a row which can
-have the block's largest norm (usually one).  A chunk that draws an exact
-0.0 (about 2^-53 per exponential or gamma variate, 2^-52 per normal) draws
-it again right after the chunk, on the built and the reducing path alike,
-so neither ever needs the whole block.
+row-sum tree.  Each leaf is drawn into the row (an exponential leaf by the
+samplers' one guarded fill, a general-CLT source leaf by the source's own
+draw) and its sum, min and max are taken while it is in L2; the CLT kernels
+then centre each leaf into one leaf-sized scratch buffer for the power sum,
+so their ``d*d`` is one leaf, not one row.  The leaf sums are added as
+numpy adds its nodes, so the values are those of whole-row reductions, bit
+for bit.  The lp-ball kernel keeps no sign: it reduces each row to its
+largest magnitude and power sum, then draws again only the chunks that hold
+a row which can have the block's largest norm (usually one).  A sampler
+leaf that draws an exact 0.0 (about 2^-53 per exponential or gamma
+variate, 2^-52 per normal) draws it again right after the leaf, on the
+built and the reducing path alike, so neither ever needs the whole block.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -139,8 +139,14 @@ class ExperimentConfig:
             raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
         if not all(math.isfinite(z) for z in self.thresholds):
             raise ValueError(f"thresholds must be finite, got {self.thresholds}")
-        if self.kind in _N_FROM_2_KINDS and any(n < 2 for n in self.n_list):
+        # log n > 0, two coordinates to compare and a nonconstant statistic
+        if any(n < 2 for n in self.n_list):
             raise ValueError(f"{self.kind} experiments require every n >= 2")
+        for name in ("n_list", "oracle_n_list"):
+            ns = getattr(self, name)
+            if len(set(ns)) < len(ns):
+                raise ValueError(f"{name} repeats a dimension, got {ns}: each n is one "
+                                 f"substream, so a repeat would only copy its rows")
         if any(n < 2 for n in self.oracle_n_list):
             raise ValueError(f"the max-spacing oracle requires every n >= 2 in oracle_n_list, "
                              f"got {self.oracle_n_list}")
@@ -452,7 +458,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
 
     def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
         rng = bstream.generator()
-        return sampling.reduce_rows(rows, n, lambda k: dist.sample(rng, (k, n)), reduce)
+        return reduce(lambda leaf: dist.sample(rng, leaf.shape, out=leaf), rows, n)
 
     values = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
     return EmpiricalSample.from_values(values)
@@ -777,8 +783,6 @@ _RUNNERS = {
     "general_clt": run_general_clt,
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
-# every n must be >= 2 for these (log n > 0, two coordinates to compare)
-_N_FROM_2_KINDS = {*SUP_THEOREMS, "equivalence_decay", "berry_esseen_sweep"}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:

@@ -8,21 +8,23 @@ replicates, one per row, from a single stream and is the unit of work for the
 parallel experiment engine: the per-replicate draw order inside a block is
 fixed, so the output never depends on worker scheduling.
 
-The exponentials and the p-generalized Gaussian magnitudes are drawn a
-cache-sized chunk of rows at a time (:func:`_row_chunks`), each chunk by
-:func:`_guarded_fill`, which draws an exact 0.0 again right after its chunk.
-A built block is that chunk loop writing into the rows of the output.
-:func:`exponential_block` can instead reduce each chunk as it draws it, in
-one reused buffer, without building the block.  A row longer than a chunk
-is reduced in cache-sized leaves (:class:`RowReduction`), the nodes of at
-most :data:`_CHUNK_ELEMS` elements of numpy's pairwise row-sum tree
-(:func:`_tree_sum`): each leaf is drawn and reduced while it is in L2 and
-the leaf sums are added as numpy adds them, so the row is read back from
-memory once for the centred power sum, not once per reduction.
-:func:`lp_ball_block` has one draw loop for every pass: the built block,
-its ``sup`` reduction and the membership redraw all draw into one reused
-chunk buffer.  Either way the reduced values are the built block's, bit
-for bit.
+Every sampler has one draw rule.  A block is drawn a cache-sized chunk of
+rows at a time (:func:`_row_chunks`), and each chunk a *leaf* at a time:
+the leaves are the nodes of at most :data:`_CHUNK_ELEMS` elements of
+numpy's pairwise row-sum tree (:func:`_tree_sum`), so for n <= 2**16 the
+leaf is the whole chunk and for longer rows it is a cache-sized piece of
+one row.  Each leaf is drawn by :func:`_guarded_fill`, which draws an exact
+0.0 again right after its leaf.  A built block is that chunk loop writing
+into the rows of the output (:func:`_built_block`).  A
+:class:`RowReduction` owns the one reducing loop instead: it draws each
+chunk into one reused buffer, leaf by leaf, takes each leaf's sums while it
+is in L2 and adds them as numpy adds the tree's nodes, so the row is read
+back from memory once for the centred power sum, not once per reduction.
+:func:`exponential_block` hands it the guarded exponential fill; the
+general-CLT sources hand it their own fill, unguarded.  :func:`lp_ball_block` has one draw
+loop for every pass: the built block, its ``sup`` reduction and the
+membership redraw all draw into one reused chunk buffer.  Either way the
+reduced values are the built block's, bit for bit.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -72,19 +74,16 @@ def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray
     """``fill(rng, out)``, then draw each exact 0.0 of ``out`` again, before
     anything else is drawn, until none is left; return ``out``.
 
-    A coordinate of exactly 0.0 would break the strict positivity the
+    This is the one draw rule of the samplers: ``out`` is one leaf of a row
+    chunk (:func:`_draw_chunk`), so a 0.0 is drawn again right after its
+    leaf.  A coordinate of exactly 0.0 would break the strict positivity the
     normalizing sums rely on.  It is rare: an exponential or gamma variate
     is 0.0 when its raw 64-bit draw is below 2**11 (about 2**-53 per
     variate), a normal when 52 of its bits are zero (about 2**-52); the guard
     makes it impossible.  Testing the minimum first spares the usual call a
-    chunk-sized mask.
+    leaf-sized mask.
     """
     fill(rng, out)
-    return _redraw_zeros(rng, fill, out)
-
-
-def _redraw_zeros(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray:
-    """The guard of :func:`_guarded_fill`, on the drawn ``out``."""
     while not out.min() > 0.0:
         zeros = out == 0.0
         out[zeros] = fill(rng, np.empty(int(zeros.sum())))
@@ -100,54 +99,6 @@ def _row_chunks(rows: int, n: int) -> list[slice]:
     :data:`_CHUNK_ELEMS` elements each, one row when n is larger."""
     step = _chunk_rows(n)
     return [slice(start, min(start + step, rows)) for start in range(0, rows, step)]
-
-
-def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
-    """A ``rows`` x ``n`` block drawn by :func:`_guarded_fill`, a row chunk at
-    a time, into its own rows."""
-    out = np.empty((rows, n))
-    for chunk in _row_chunks(rows, n):
-        _guarded_fill(rng, fill, out[chunk])
-    return out
-
-
-def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> np.ndarray:
-    """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``.
-
-    Given a per-row ``reduce`` (a chunk of rows, which it may overwrite ->
-    one value per row), the block is never built: it is drawn a chunk of rows
-    at a time into one reused buffer and each chunk is reduced while it is
-    still in cache (see :func:`reduce_rows`); the result is the vector of the
-    ``rows`` values.  A :class:`RowReduction` draws each leaf of the chunk
-    itself and takes its row reductions there, so a row longer than a chunk
-    is reduced in cache too.  The chunks are drawn as the built block's are,
-    so the values are ``reduce`` of the built block, bit for bit.
-    """
-    _check_dimension(n)
-    rng = stream.generator()
-    fill = functools.partial(_magnitudes_fill, p=1.0)
-    if reduce is None:
-        return _built_block(rng, fill, rows, n)
-    buf = np.empty((min(rows, _chunk_rows(n)), n))
-    if isinstance(reduce, RowReduction):
-        return reduce_rows(rows, n, lambda k: buf[:k],
-                           functools.partial(reduce, rng=rng, fill=fill))
-    return reduce_rows(rows, n, lambda k: _guarded_fill(rng, fill, buf[:k]), reduce)
-
-
-def reduce_rows(rows: int, n: int, draw, reduce) -> np.ndarray:
-    """Per-row values of a ``rows`` x ``n`` block that is drawn and reduced a
-    chunk of rows (:func:`_row_chunks`) at a time.
-
-    ``draw(k)`` returns the next ``k`` rows, in the block's draw order (or
-    the buffer for them, when ``reduce`` draws them itself, as
-    :func:`exponential_block` has a :class:`RowReduction` do); ``reduce``
-    maps them to their ``k`` values.
-    """
-    values = np.empty(rows)
-    for chunk in _row_chunks(rows, n):
-        values[chunk] = reduce(draw(chunk.stop - chunk.start))
-    return values
 
 
 def _tree_sum(n: int, leaf, start: int = 0):
@@ -166,6 +117,39 @@ def _tree_sum(n: int, leaf, start: int = 0):
     return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
 
 
+def _draw_chunk(rng: np.random.Generator, fill, y: np.ndarray) -> np.ndarray:
+    """Draw the row chunk ``y`` in place, a leaf of :func:`_tree_sum` at a
+    time, each by :func:`_guarded_fill`; return ``y``."""
+    # the leaf sizes are added only to walk the tree
+    _tree_sum(y.shape[1], lambda cols: _guarded_fill(rng, fill, y[:, cols]).size)
+    return y
+
+
+def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
+    """A ``rows`` x ``n`` block drawn by :func:`_draw_chunk`, a row chunk at a
+    time, into its own rows."""
+    out = np.empty((rows, n))
+    for chunk in _row_chunks(rows, n):
+        _draw_chunk(rng, fill, out[chunk])
+    return out
+
+
+def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> np.ndarray:
+    """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``.
+
+    Given a :class:`RowReduction` ``reduce``, the block is never built: the
+    result is the vector of its ``rows`` values, each leaf drawn by
+    :func:`_guarded_fill` as the built block's is, so the values are those
+    of the built block, bit for bit.
+    """
+    _check_dimension(n)
+    rng = stream.generator()
+    fill = functools.partial(_magnitudes_fill, p=1.0)
+    if reduce is None:
+        return _built_block(rng, fill, rows, n)
+    return reduce(functools.partial(_guarded_fill, rng, fill), rows, n)
+
+
 class RowStats(NamedTuple):
     """The row reductions of a chunk, one value per row, each with the bits
     of numpy's reduction along the whole row: the sum, the min and max (or
@@ -182,63 +166,53 @@ class RowReduction(NamedTuple):
     sum, the min and max when ``extremes``, and the centred power sum when
     ``q`` is set; ``finish`` maps a :class:`RowStats` to the rows' values.
 
-    Called on a chunk of rows, it walks each row by the leaves of
-    :func:`_tree_sum`, so a row longer than :data:`_CHUNK_ELEMS` is reduced
-    a cache-sized leaf at a time; a shorter row is one leaf, reduced as one.
-    Pass 1 takes each leaf's sum (and min and max) right after
-    ``fill(rng, leaf)`` draws it, when ``fill`` is given; the zero guard of
-    :func:`_guarded_fill` then acts on the whole chunk, whose leaf sums are
-    taken again if it drew a 0.0.  Pass 2 centres each leaf on the row mean
-    into one leaf-sized scratch buffer (the chunk itself when it is one
-    leaf), then takes the abs, the power and the sum.  Every value has the
-    bits of the same reduction of whole rows.
+    Called as ``reduction(draw, rows, n)``, it gives the values of a
+    ``rows`` x ``n`` block that is never built.  The block is drawn a row
+    chunk (:func:`_row_chunks`) at a time into one reused buffer, each row by
+    the leaves of :func:`_tree_sum`, so a row longer than
+    :data:`_CHUNK_ELEMS` is reduced a cache-sized leaf at a time; a shorter
+    row is one leaf, reduced as one.  Pass 1 has ``draw(leaf)`` fill each
+    leaf in place, in the block's draw order, and takes its sum (and min and
+    max) right after.  Pass 2 centres each leaf on the row mean into one
+    leaf-sized scratch buffer (the chunk itself when it is one leaf), then
+    takes the abs, the power and the sum.  Every value has the bits of the
+    same reduction of whole rows.
     """
 
     finish: Callable[[RowStats], np.ndarray]
     extremes: bool = False
     q: float | None = None
 
-    def __call__(self, x: np.ndarray, rng: np.random.Generator | None = None,
-                 fill=None) -> np.ndarray:
-        n = x.shape[1]
-        total, low, high = self._first_pass(x, rng, fill)
-        if fill is not None and not low.min() > 0.0:
-            _redraw_zeros(rng, fill, x)
-            total, low, high = self._first_pass(x, None, None)
-        power = None
-        if self.q is not None:
-            centre = (total / n)[:, None]
-            scratch = x if n <= _CHUNK_ELEMS else np.empty((len(x), _CHUNK_ELEMS))
+    def __call__(self, draw, rows: int, n: int) -> np.ndarray:
+        buf = np.empty((min(rows, _chunk_rows(n)), n))
+        values = np.empty(rows)
+        for chunk in _row_chunks(rows, n):
+            x = buf[:chunk.stop - chunk.start]
+            lows, highs = [], []
 
-            def leaf_power(cols: slice) -> np.ndarray:
-                d = np.subtract(x[:, cols], centre, out=scratch[:, :cols.stop - cols.start])
-                return pow_in_place(np.abs(d, out=d), self.q).sum(axis=1)
+            def leaf_sum(cols: slice) -> np.ndarray:
+                y = x[:, cols]
+                draw(y)
+                if self.extremes:
+                    lows.append(y.min(axis=1))
+                    highs.append(y.max(axis=1))
+                return y.sum(axis=1)
 
-            power = _tree_sum(n, leaf_power)
-        return self.finish(RowStats(total, low if self.extremes else None, high, power))
+            total = _tree_sum(n, leaf_sum)
+            power = None
+            if self.q is not None:
+                centre = (total / n)[:, None]
+                scratch = x if n <= _CHUNK_ELEMS else np.empty((len(x), _CHUNK_ELEMS))
 
-    def _first_pass(self, x, rng, fill):
-        """Draw each leaf of ``x`` if ``fill`` is given; return the rows'
-        sums; their mins when ``extremes``, else the chunk's min when drawn,
-        else None; and their maxes when ``extremes``, else None."""
-        lows, highs = [], []
+                def leaf_power(cols: slice) -> np.ndarray:
+                    d = np.subtract(x[:, cols], centre, out=scratch[:, :cols.stop - cols.start])
+                    return pow_in_place(np.abs(d, out=d), self.q).sum(axis=1)
 
-        def leaf_sum(cols: slice) -> np.ndarray:
-            y = x[:, cols]
-            if fill is not None:
-                fill(rng, y)
-            if self.extremes:
-                lows.append(y.min(axis=1))
-                highs.append(y.max(axis=1))
-            elif fill is not None:
-                # the guard reads only the chunk's min, which on short rows
-                # costs a fraction of the rows' mins
-                lows.append(y.min())
-            return y.sum(axis=1)
-
-        total = _tree_sum(x.shape[1], leaf_sum)
-        return (total, functools.reduce(np.minimum, lows) if lows else None,
-                functools.reduce(np.maximum, highs) if highs else None)
+                power = _tree_sum(n, leaf_power)
+            low = functools.reduce(np.minimum, lows) if lows else None
+            high = functools.reduce(np.maximum, highs) if highs else None
+            values[chunk] = self.finish(RowStats(total, low, high, power))
+        return values
 
 
 def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
@@ -394,7 +368,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     states, power_sums = [], np.empty(rows)
     for chunk in chunks:
         states.append(rng.bit_generator.state)
-        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        y = _draw_chunk(rng, fill, buf[:chunk.stop - chunk.start])
         out[chunk] = y.max(axis=1) if sup else y
         if p != 1.0:
             y **= p
@@ -417,7 +391,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     for i in np.unique(np.flatnonzero(candidates) // _chunk_rows(n)):
         chunk = chunks[i]
         rng.bit_generator.state = states[i]
-        y = _guarded_fill(rng, fill, buf[:chunk.stop - chunk.start])
+        y = _draw_chunk(rng, fill, buf[:chunk.stop - chunk.start])
         y *= scale[chunk, None]
         point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
     point_sums[~candidates] = 0.0

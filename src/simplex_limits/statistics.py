@@ -141,8 +141,8 @@ class ExponentialDist:
     mean = 1.0
 
     @staticmethod
-    def sample(rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.standard_exponential(shape)
+    def sample(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+        return rng.standard_exponential(shape, out=out)
 
     @staticmethod
     def _pdf(x: float) -> float:
@@ -157,8 +157,8 @@ class Uniform01Dist:
     mean = 0.5
 
     @staticmethod
-    def sample(rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.random(shape)
+    def sample(rng: np.random.Generator, shape, out=None) -> np.ndarray:
+        return rng.random(shape, out=out)
 
     @staticmethod
     def _pdf(x: float) -> float:

@@ -1,0 +1,56 @@
+"""``scripts/bench_pairs.py`` keeps every finished pair when a perfbench run
+fails: the failed run is recorded, the BENCH file is still written, and the
+script exits non-zero."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_METRICS = ("setup_s", "wall_s", "variates_per_s", "cpu_s", "peak_rss_mb")
+
+# a perfbench run that finishes: the env line, then the result as the last line
+_RUN_OK = f"""
+import json
+print("env " + json.dumps({{"host": "stub"}}))
+print(json.dumps({{"correct": True, "failed": 0,
+                   "metrics": {{k: {{"value": 1.0}} for k in {_METRICS!r}}}}}))
+"""
+
+_RUN_FAILS = """
+import sys
+print("Traceback (most recent call last):", file=sys.stderr)
+print("RuntimeError: the workload broke", file=sys.stderr)
+sys.exit(3)
+"""
+
+
+def _checkout(path: Path, run_py: str) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(run_py)
+    return path
+
+
+def test_a_failed_run_is_recorded_and_the_file_still_written(tmp_path):
+    parent = _checkout(tmp_path / "parent", _RUN_OK)
+    change = _checkout(tmp_path / "change", _RUN_FAILS)
+    out = tmp_path / "BENCH_stub.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(parent),
+         "--change", str(change), "--label", "stub", "--workload", "huge_n",
+         "--metric", "wall_s", "--seed-pairs", "1:2", "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    bench = json.loads(out.read_text())
+    assert len(bench["runs"]) == 2
+    for pair in bench["runs"]:
+        assert pair["parent"]["correct"] and pair["parent"]["metrics"]["wall_s"] == 1.0
+        assert pair["change"] == {"correct": False, "exit_code": 3, "stderr_tail": [
+            "Traceback (most recent call last):", "RuntimeError: the workload broke"]}
+    summary = bench["summary"]["1"]
+    assert summary["pairs"] == 2 and summary["wins"] == 0 and not summary["all_correct"]
+    assert summary["wall_s"] == {"parent": {"median": 1.0, "iqr": 0.0}, "change": None}
+    assert bench["env"] == {"host": "stub"}

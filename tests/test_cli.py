@@ -346,7 +346,27 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     (["constants", "--q", "inf"], "moment order q must be finite"),
     # would run a quadrature at q = nan, warning, before it failed
     (["general-clt", "--q", "nan"], "requires a finite q"),
+    # at n=1 the statistic is a constant, whose rows would pass at -1 +- 0
+    (["clt", "--n", "1", "--q", "2", "--replicates", "100"], "every n >= 2"),
+    (["general-clt", "--n", "1", "--replicates", "100"], "every n >= 2"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, field", [
+    # three copies of one substream would meet the sweep's "at least 3
+    # dimensions" and pass it
+    (["berry-esseen", "--n", "10,10,10", "--replicates", "100"], "n_list"),
+    (["gumbel", "--n", "100,100", "--replicates", "100", "--oracle-n", ""], "n_list"),
+    (["gumbel", "--n", "100", "--replicates", "100", "--oracle-n", "1000,1000"],
+     "oracle_n_list"),
+], ids=["sweep_n", "gumbel_n", "gumbel_oracle_n"])
+def test_repeated_dimension_is_a_usage_error(monkeypatch, capsys, args, field):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the config was checked")
+
+    monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
+    assert run_cli(args + ["--workers", "1"]) == 2
+    assert f"error: {field} repeats a dimension" in capsys.readouterr().err

@@ -5,7 +5,7 @@ Each kernel must give exactly the bits of the allocating whole-block
 expression it replaced, which is kept here as the reference; each sample
 function must peak at about one block of memory, or one chunk when it reduces
 by chunks; and the exact-zero guard of the samplers must replace an
-underflowed draw right after its row chunk, on every path alike.
+underflowed draw right after its leaf, on every path alike.
 """
 
 import math
@@ -47,17 +47,28 @@ def _ref_magnitudes(rng, size, p):
     return (p * rng.standard_gamma(1.0 / p, size)) ** (1.0 / p)
 
 
+def _ref_leaves(n, start=0):
+    # the nodes of at most _CHUNK_ELEMS elements of numpy's pairwise-sum tree
+    # of a row of n elements, in order; a node of m > 128 elements is split
+    # after its first m//2 - (m//2) % 8
+    if n <= sampling._CHUNK_ELEMS:
+        return [slice(start, start + n)]
+    half = n // 2 - (n // 2) % 8
+    return _ref_leaves(half, start) + _ref_leaves(n - half, start + half)
+
+
 def _ref_pgen(rng, rows, n, p):
     # the magnitudes by row chunks of _CHUNK_ELEMS elements (one row when n is
-    # larger); each exact 0.0 is drawn again right after its chunk
+    # larger), each chunk by the leaves of its rows (the whole chunk when n is
+    # no larger); each exact 0.0 is drawn again right after its leaf
     step = max(1, sampling._CHUNK_ELEMS // n)
-    chunks = []
+    y = np.empty((rows, n))
     for start in range(0, rows, step):
-        y = _ref_magnitudes(rng, (min(step, rows - start), n), p)
-        while (y == 0.0).any():
-            y[y == 0.0] = _ref_magnitudes(rng, int((y == 0.0).sum()), p)
-        chunks.append(y)
-    y = np.vstack(chunks)
+        for cols in _ref_leaves(n):
+            leaf = _ref_magnitudes(rng, (min(step, rows - start), cols.stop - cols.start), p)
+            while (leaf == 0.0).any():
+                leaf[leaf == 0.0] = _ref_magnitudes(rng, int((leaf == 0.0).sum()), p)
+            y[start:start + step, cols] = leaf
     signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
     return signs * y
 
@@ -196,13 +207,28 @@ def test_fused_clt_matches_whole_block_reference(q, n, reps):
     assert np.array_equal(got, _ref_clt_values(51, n, q, reps))
 
 
+def _copy_leaves(x):
+    # a draw that fills each leaf with the next columns of the one row x
+    taken = 0
+
+    def draw(leaf):
+        nonlocal taken
+        leaf[:] = x[:, taken:taken + leaf.shape[1]]
+        taken += leaf.shape[1]
+
+    return draw
+
+
 @pytest.mark.parametrize("n", [_CHUNK, _CHUNK + 1, 2**17 + 3, 3_000_001])
 def test_leaf_walk_has_the_bits_of_the_whole_row_reduction(n):
     # data spanning 16 decades, so that a sum added in another order than
     # numpy's pairwise tree would differ in its last bits
     rng = np.random.default_rng(n)
     x = rng.random((1, n)) * 10.0 ** rng.integers(-8, 8, (1, n))
-    stats = sampling.RowReduction(lambda s: s, extremes=True, q=3.0)(x.copy())
+    kept = []
+    sampling.RowReduction(lambda s: kept.append(s) or s.total, extremes=True, q=3.0)(
+        _copy_leaves(x), 1, n)
+    (stats,) = kept
     assert np.array_equal(stats.total, x.sum(axis=1))
     assert stats.low == x.min() and stats.high == x.max()
     ref_power = _ref_abs_pow(np.abs(x - x.mean(axis=1)[:, None]), 3.0).sum(axis=1)
@@ -452,9 +478,7 @@ _SECOND_CHUNK_AT = 65 * 1000 + 1234
 
 
 def test_zero_in_second_chunk_gives_the_same_bits_on_built_and_reducing_paths(monkeypatch):
-    def row_sums(e):
-        return e.sum(axis=1)
-
+    row_sums = sampling.RowReduction(lambda s: s.total)
     clean = sampling.exponential_block(RandomStream(59), 200, 1000)
     _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
     built = sampling.exponential_block(RandomStream(59), 200, 1000)
@@ -515,6 +539,48 @@ def test_ball_sup_zero_in_second_chunk_matches_the_whole_block_path(monkeypatch,
     assert not np.array_equal(got.values, clean.values)
 
 
+_SECOND_LEAF_END = _LONG_N + 98_304
+
+# every built sampler, by the magnitude draw it makes; a zero in a long row's
+# second leaf
+_LONG_ROW_BLOCKS = [
+    pytest.param("standard_exponential", lambda s: sampling.exponential_block(s, 3, _LONG_N),
+                 id="exponential"),
+    *[pytest.param(_MAGNITUDE_DRAW[p],
+                   lambda s, p=p: sampling.pgen_gaussian_block(s, 3, _LONG_N, p),
+                   id=f"pgen_p{p}") for p in _MAGNITUDE_DRAW],
+]
+
+
+@pytest.mark.parametrize("method, block", _LONG_ROW_BLOCKS)
+def test_zero_in_a_long_rows_second_leaf_is_drawn_again_after_its_leaf(monkeypatch, method,
+                                                                        block):
+    clean = np.abs(block(RandomStream(72))).ravel()
+    _inject_zero(monkeypatch, method, _SECOND_LEAF_AT)
+    got = np.abs(block(RandomStream(72))).ravel()
+    assert got.min() > 0.0
+    # the zero takes the draw right after its leaf, not after its row, and
+    # every later magnitude moves up by one draw
+    assert got[_SECOND_LEAF_AT] == clean[_SECOND_LEAF_END]
+    changed = np.flatnonzero(got[:_SECOND_LEAF_END] != clean[:_SECOND_LEAF_END])
+    assert changed.tolist() == [_SECOND_LEAF_AT]
+    assert np.array_equal(got[_SECOND_LEAF_END:-1], clean[_SECOND_LEAF_END + 1:])
+
+
+@pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
+def test_pgen_and_ball_zero_in_a_long_rows_second_leaf_match_the_references(monkeypatch, p):
+    _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_LEAF_AT)
+    got = sampling.pgen_gaussian_block(RandomStream(73), 3, _LONG_N, p)
+    assert np.array_equal(got, _ref_pgen(RandomStream(73).generator(), 3, _LONG_N, p))
+    got = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p)
+    ref = _ref_lp_ball_block(RandomStream(74), 3, _LONG_N, p)
+    assert np.array_equal(got, ref)
+    # the sup pass draws the same leaves (the membership redraw rewinds the
+    # generator, which the injected zero, counted by stream position, misses)
+    sup = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p, sup=True)
+    assert np.array_equal(sup[:, 0], _ref_sup_columns(ref, p)[:, 0])
+
+
 # numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then
 # outputs the XSL-RR hash of the new state, which is 0 for the state 0
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
@@ -541,5 +607,6 @@ def test_exponential_block_redraws_a_real_zero_draw(monkeypatch):
     assert x.min() > 0.0
     assert x.flat[0] == draws[12]
     assert np.array_equal(x.ravel()[1:], draws[1:12])
-    row_sums = sampling.exponential_block(RandomStream(70), 3, 4, lambda e: e.sum(axis=1))
+    row_sums = sampling.exponential_block(RandomStream(70), 3, 4,
+                                          sampling.RowReduction(lambda s: s.total))
     assert np.array_equal(row_sums, x.sum(axis=1))
