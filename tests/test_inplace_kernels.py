@@ -286,9 +286,12 @@ def test_lp_ball_sup_columns_hold_the_built_block_values(p, rows, n):
     assert np.all((got[:, 1] == ref[:, 1]) | (got[:, 1] == 0.0))
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-def test_lp_ball_sup_with_every_row_a_candidate_measures_every_norm(monkeypatch, p):
-    rows, n = 200, 1000  # four 65-row chunks and a partial one
+# three 65-row chunks and a partial one; two rows of four leaves each
+@pytest.mark.parametrize("p, rows, n", [
+    *[pytest.param(p, 200, 1000, id=str(p)) for p in (1.0, 1.5, 2.0, 3.0)],
+    *[pytest.param(p, 2, 3 * _CHUNK + 5, id=f"long-{p}") for p in (1.0, 1.5, 2.0, 3.0)],
+])
+def test_lp_ball_sup_with_every_row_a_candidate_measures_every_norm(monkeypatch, p, rows, n):
     usual_max = sampling.lp_ball_block(RandomStream(63), rows, n, p, sup=True)[:, 1].max()
     monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     got = sampling.lp_ball_block(RandomStream(63), rows, n, p, sup=True)
@@ -378,6 +381,8 @@ _MC2, _MC3 = moment_constants(2.0), moment_constants(3.0)
     ("general_clt_q3",
      lambda: ex.general_clt_sample(13, _HUGE, 3.0, "exponential", 2.0, 1), 8 * _HUGE),
     ("ball_sup_p1", lambda: ex.ball_sup_sample(4, _HUGE, 1.0, 1), 8 * _HUGE),
+    # the long row's power is taken in place, leaf by leaf
+    ("ball_sup_p1.5", lambda: ex.ball_sup_sample(14, _HUGE, 1.5, 1), 8 * _HUGE),
     # a full block of 2097 rows at n=1000: the p=2 norm is summed by row chunks
     ("ball_sup_p2", lambda: ex.ball_sup_sample(5, 1000, 2.0, 2097), 8 * 1000 * 2097),
 ])
@@ -422,13 +427,20 @@ _ZERO_AT = 5  # flat index of the injected 0.0 in a (3, 4) block
 
 class _ZeroAt:
     """Generator proxy whose ``method`` draws, counted as one stream across
-    calls, have an exact 0.0 at stream position ``at``; all else is real."""
+    calls, have an exact 0.0 at stream position ``at``; all else is real.
+
+    The generator state before the call that holds position ``at`` is kept,
+    and any later call that starts from that state (a redraw from a saved
+    state) gets the same 0.0 at the same offset.  ``injected`` counts the
+    zeros put in."""
 
     def __init__(self, rng, method, at):
         self._rng = rng
         self._method = method
         self._at = at
         self._drawn = 0
+        self._key = None  # (state before the call holding `at`, offset in it)
+        self.injected = 0
 
     def __getattr__(self, name):
         real = getattr(self._rng, name)
@@ -436,9 +448,13 @@ class _ZeroAt:
             return real
 
         def draw(*args, **kwargs):
+            state = self._rng.bit_generator.state
             x = real(*args, **kwargs)
             if 0 <= self._at - self._drawn < x.size:
-                x.flat[self._at - self._drawn] = 0.0
+                self._key = (state, self._at - self._drawn)
+            if self._key is not None and self._key[0] == state and self._key[1] < x.size:
+                x.flat[self._key[1]] = 0.0
+                self.injected += 1
             self._drawn += x.size
             return x
 
@@ -446,9 +462,17 @@ class _ZeroAt:
 
 
 def _inject_zero(monkeypatch, method, at=_ZERO_AT):
+    """Give every generator made from a :class:`RandomStream` a 0.0 at
+    ``at`` (:class:`_ZeroAt`); return the list of the proxies made."""
+    made = []
     real_generator = RandomStream.generator
-    monkeypatch.setattr(RandomStream, "generator",
-                        lambda self: _ZeroAt(real_generator(self), method, at))
+
+    def generator(self):
+        made.append(_ZeroAt(real_generator(self), method, at))
+        return made[-1]
+
+    monkeypatch.setattr(RandomStream, "generator", generator)
+    return made
 
 
 def test_exponential_block_redraws_an_exact_zero(monkeypatch):
@@ -569,16 +593,18 @@ def test_zero_in_a_long_rows_second_leaf_is_drawn_again_after_its_leaf(monkeypat
 
 @pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
 def test_pgen_and_ball_zero_in_a_long_rows_second_leaf_match_the_references(monkeypatch, p):
-    _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_LEAF_AT)
+    made = _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_LEAF_AT)
     got = sampling.pgen_gaussian_block(RandomStream(73), 3, _LONG_N, p)
     assert np.array_equal(got, _ref_pgen(RandomStream(73).generator(), 3, _LONG_N, p))
     got = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p)
     ref = _ref_lp_ball_block(RandomStream(74), 3, _LONG_N, p)
     assert np.array_equal(got, ref)
-    # the sup pass draws the same leaves (the membership redraw rewinds the
-    # generator, which the injected zero, counted by stream position, misses)
+    # with every row a candidate, the membership redraw rewinds the generator
+    # to the zero's row and must draw and guard its leaves as the first pass did
+    monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     sup = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p, sup=True)
-    assert np.array_equal(sup[:, 0], _ref_sup_columns(ref, p)[:, 0])
+    assert np.array_equal(sup, _ref_sup_columns(ref, p))
+    assert made[-1].injected == 2
 
 
 # numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then
