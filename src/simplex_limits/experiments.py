@@ -15,13 +15,16 @@ longer than a chunk is walked in leaves of at most a chunk
 (``sampling.RowReduction``), which are the nodes of numpy's pairwise
 row-sum tree.  Each leaf is drawn into the row (an exponential leaf by the
 samplers' one guarded fill, a general-CLT source leaf by the source's own
-draw) and its sum, min and max are taken while it is in L2; the CLT kernels
+draw, an lp-ball leaf by the guarded magnitude fill, which keeps the leaf's
+row max and raises it to the p-th power in place) and its sum, min and max
+are taken while it is in L2; the CLT kernels
 then centre each leaf into one leaf-sized scratch buffer for the power sum,
 so their ``d*d`` is one leaf, not one row.  The leaf sums are added as
 numpy adds its nodes, so the values are those of whole-row reductions, bit
-for bit.  The lp-ball kernel keeps no sign: it reduces each row to its
-largest magnitude and power sum, then draws again only the chunks that hold
-a row which can have the block's largest norm (usually one).  A sampler
+for bit.  The lp-ball kernel keeps no sign: it reduces each row, leaf by
+leaf, to its largest magnitude and power sum, then draws again only the
+chunks that hold a row which can have the block's largest norm (usually
+one), each after the reducing buffer is freed.  A sampler
 leaf that draws an exact 0.0 (about 2^-53 per exponential or gamma
 variate, 2^-52 per normal) draws it again right after the leaf, on the
 built and the reducing path alike, so neither ever needs the whole block.

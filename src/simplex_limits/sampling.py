@@ -14,17 +14,18 @@ the leaves are the nodes of at most :data:`_CHUNK_ELEMS` elements of
 numpy's pairwise row-sum tree (:func:`_tree_sum`), so for n <= 2**16 the
 leaf is the whole chunk and for longer rows it is a cache-sized piece of
 one row.  Each leaf is drawn by :func:`_guarded_fill`, which draws an exact
-0.0 again right after its leaf.  A built block is that chunk loop writing
-into the rows of the output (:func:`_built_block`).  A
-:class:`RowReduction` owns the one reducing loop instead: it draws each
-chunk into one reused buffer, leaf by leaf, takes each leaf's sums while it
-is in L2 and adds them as numpy adds the tree's nodes, so the row is read
-back from memory once for the centred power sum, not once per reduction.
-:func:`exponential_block` hands it the guarded exponential fill; the
-general-CLT sources hand it their own fill, unguarded.  :func:`lp_ball_block` has one draw
-loop for every pass: the built block, its ``sup`` reduction and the
-membership redraw all draw into one reused chunk buffer.  Either way the
-reduced values are the built block's, bit for bit.
+0.0 again right after its leaf.  There are two loops over the chunks.  A
+built block is drawn chunk by chunk into the rows of the output
+(:func:`_built_block`).  A :class:`RowReduction` owns the one reducing loop:
+it draws each chunk into one reused buffer, leaf by leaf, takes each leaf's
+sums while it is in L2 and adds them as numpy adds the tree's nodes, so the
+row is read back from memory once for the centred power sum, not once per
+reduction.  :func:`exponential_block` hands it the guarded exponential fill;
+the general-CLT sources hand it their own fill, unguarded; the ``sup`` pass
+of :func:`lp_ball_block` hands it a guarded magnitude fill that keeps each
+leaf's row max and leaves the leaf's p-th powers to be summed (its
+membership redraw is a built chunk).  Either way the reduced values are the
+built block's, bit for bit.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -75,8 +76,8 @@ def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray
     anything else is drawn, until none is left; return ``out``.
 
     This is the one draw rule of the samplers: ``out`` is one leaf of a row
-    chunk (:func:`_draw_chunk`), so a 0.0 is drawn again right after its
-    leaf.  A coordinate of exactly 0.0 would break the strict positivity the
+    chunk (:func:`_built_block`, :class:`RowReduction`), so a 0.0 is drawn
+    again right after its leaf.  A coordinate of exactly 0.0 would break the strict positivity the
     normalizing sums rely on.  It is rare: an exponential or gamma variate
     is 0.0 when its raw 64-bit draw is below 2**11 (about 2**-53 per
     variate), a normal when 52 of its bits are zero (about 2**-52); the guard
@@ -117,20 +118,14 @@ def _tree_sum(n: int, leaf, start: int = 0):
     return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
 
 
-def _draw_chunk(rng: np.random.Generator, fill, y: np.ndarray) -> np.ndarray:
-    """Draw the row chunk ``y`` in place, a leaf of :func:`_tree_sum` at a
-    time, each by :func:`_guarded_fill`; return ``y``."""
-    # the leaf sizes are added only to walk the tree
-    _tree_sum(y.shape[1], lambda cols: _guarded_fill(rng, fill, y[:, cols]).size)
-    return y
-
-
 def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
-    """A ``rows`` x ``n`` block drawn by :func:`_draw_chunk`, a row chunk at a
-    time, into its own rows."""
+    """A ``rows`` x ``n`` block drawn a row chunk at a time into its own
+    rows, each chunk a leaf of :func:`_tree_sum` at a time by
+    :func:`_guarded_fill`."""
     out = np.empty((rows, n))
     for chunk in _row_chunks(rows, n):
-        _draw_chunk(rng, fill, out[chunk])
+        # the leaf sizes are added only to walk the tree
+        _tree_sum(n, lambda cols: _guarded_fill(rng, fill, out[chunk, cols]).size)
     return out
 
 
@@ -173,7 +168,9 @@ class RowReduction(NamedTuple):
     :data:`_CHUNK_ELEMS` is reduced a cache-sized leaf at a time; a shorter
     row is one leaf, reduced as one.  Pass 1 has ``draw(leaf)`` fill each
     leaf in place, in the block's draw order, and takes its sum (and min and
-    max) right after.  Pass 2 centres each leaf on the row mean into one
+    max) right after.  The reduction reads whatever ``draw`` leaves in the
+    leaf, so a draw may also transform its values in place (the lp-ball
+    ``sup`` pass leaves their p-th powers); pass 2 reads them too.  Pass 2 centres each leaf on the row mean into one
     leaf-sized scratch buffer (the chunk itself when it is one leaf), then
     takes the abs, the power and the sum.  Every value has the bits of the
     same reduction of whole rows.
@@ -335,25 +332,28 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
     Gaussians and U an independent uniform radius factor.  The magnitudes |Y|
-    are drawn a chunk of rows at a time into one reused buffer, the generator
-    state saved before each chunk, and each row's power sum is taken there,
-    from magnitudes that are |Y| exactly; then come the fair signs and the
-    radius.
+    are drawn as a built block (:func:`_built_block`) and each row's power
+    sum is taken a row chunk at a time, from magnitudes that are |Y|
+    exactly; then come the fair signs and the radius.
 
     With ``sup``, the block is never built and the result is a ``rows`` x 2
     array.  Column 0 holds each point's largest absolute coordinate.  Column
     1 holds the point's lp-norm on the rows that can hold the block's largest
-    one, and 0.0 on the others.  The values, and the largest norm, are those
-    of the built block, bit for bit: the chunks and their row sums are the
-    built block's, and the signs are skipped (:func:`_skip_fair_signs`), not
-    drawn.  A sign flips a coordinate exactly, and rounding is symmetric, so
+    one, and 0.0 on the others.  The magnitudes are drawn and reduced by a
+    :class:`RowReduction`, leaf by leaf: each leaf's row max is kept, the
+    generator state saved before it, and its p-th powers are summed as the
+    row sums.  The values, and the largest norm, are those of the built
+    block, bit for bit: the leaves and their row sums are the built block's,
+    a row's max is the max of its leaves' maxes, and the signs are skipped
+    (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate exactly, and rounding is symmetric, so
     |sign * y * c| = y * c.  A positive scale c is monotone under rounding,
     so max(y * c) is max(y) * c.  Row r's lp-norm lies within a factor 1 +- g
     of its radius U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
     U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
-    one.  Their chunks are drawn again from the saved states into the same
-    buffer, scaled, and reduced with the built block's elementwise ops and
-    row sums; the root is then taken on the whole vector of rows, as numpy
+    one.  Their chunks are drawn again, each from the state saved before its
+    first leaf, by :func:`_built_block` once the reduction's buffer is
+    freed, so the peak stays at one chunk; then they are scaled and reduced
+    with the built block's elementwise ops and row sums; the root is then taken on the whole vector of rows, as numpy
     takes it there.  (A Python-scalar root would call libm's power, which can
     differ from numpy's by an ulp.)
     """
@@ -361,41 +361,48 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     _check_p(p)
     rng = stream.generator()
     fill = functools.partial(_magnitudes_fill, p=p)
-    chunks = _row_chunks(rows, n)
-    # one buffer for every pass: a second one would double the sup kernel's peak
-    buf = np.empty((min(rows, _chunk_rows(n)), n))
-    out = np.empty(rows if sup else (rows, n))  # the row max, or the block
-    states, power_sums = [], np.empty(rows)
-    for chunk in chunks:
+    # The normalizing sums take ``**`` and the membership norm pow_in_place
+    # because the references pin both: at p = 3 the two differ on about a
+    # quarter of inputs, so one op for both would change the p = 3 sample.
+    if not sup:
+        y = _built_block(rng, fill, rows, n)
+        power_sums = np.empty(rows)
+        for chunk in _row_chunks(rows, n):
+            power_sums[chunk] = (y[chunk] ** p).sum(axis=1)
+        _apply_fair_signs(rng, y)
+        y *= (rng.random(rows) ** (1.0 / n) / power_sums ** (1.0 / p))[:, None]
+        return y
+
+    states, highs = [], [np.empty(0)]  # the empty head lets no rows concatenate
+
+    def draw(leaf: np.ndarray) -> None:
         states.append(rng.bit_generator.state)
-        y = _draw_chunk(rng, fill, buf[:chunk.stop - chunk.start])
-        out[chunk] = y.max(axis=1) if sup else y
+        highs.append(_guarded_fill(rng, fill, leaf).max(axis=1))
         if p != 1.0:
-            y **= p
-        power_sums[chunk] = y.sum(axis=1)
-    if sup:
-        _skip_fair_signs(rng, rows * n)
-    else:
-        _apply_fair_signs(rng, out)
+            leaf **= p
+
+    power_sums = RowReduction(lambda s: s.total)(draw, rows, n)
+    _skip_fair_signs(rng, rows * n)
     radius = rng.random(rows) ** (1.0 / n)
     scale = radius / power_sums ** (1.0 / p)
-    if not sup:
-        out *= scale[:, None]
-        return out
+    # the leaf maxes fill a rows x leaves matrix in C order: a row chunk is
+    # one leaf, or one row of leaves
+    leaves = _tree_sum(n, lambda cols: 1)
+    high = np.concatenate(highs).reshape(rows, leaves).max(axis=1)
 
     g = _norm_rounding_bound(n)
     # initial=0.0 leaves the max of a nonempty block as it is; a block of no
     # rows has no candidates and gives a (0, 2) array
     candidates = radius >= radius.max(initial=0.0) * ((1.0 - g) / (1.0 + g))
     point_sums = np.zeros(rows)
-    for i in np.unique(np.flatnonzero(candidates) // _chunk_rows(n)):
-        chunk = chunks[i]
-        rng.bit_generator.state = states[i]
-        y = _draw_chunk(rng, fill, buf[:chunk.stop - chunk.start])
-        y *= scale[chunk, None]
-        point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
+    for i, chunk in enumerate(_row_chunks(rows, n)):
+        if candidates[chunk].any():
+            rng.bit_generator.state = states[i * leaves]
+            y = _built_block(rng, fill, chunk.stop - chunk.start, n)
+            y *= scale[chunk, None]
+            point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
     point_sums[~candidates] = 0.0
-    return np.column_stack([out * scale, point_sums ** (1.0 / p)])
+    return np.column_stack([high * scale, point_sums ** (1.0 / p)])
 
 
 def _norm_rounding_bound(n: int) -> float:
