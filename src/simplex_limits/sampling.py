@@ -77,12 +77,12 @@ def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray
 
     This is the one draw rule of the samplers: ``out`` is one leaf of a row
     chunk (:func:`_built_block`, :class:`RowReduction`), so a 0.0 is drawn
-    again right after its leaf.  A coordinate of exactly 0.0 would break the strict positivity the
-    normalizing sums rely on.  It is rare: an exponential or gamma variate
-    is 0.0 when its raw 64-bit draw is below 2**11 (about 2**-53 per
-    variate), a normal when 52 of its bits are zero (about 2**-52); the guard
-    makes it impossible.  Testing the minimum first spares the usual call a
-    leaf-sized mask.
+    again right after its leaf.  A coordinate of exactly 0.0 would break the
+    strict positivity the normalizing sums rely on.  It is rare: an
+    exponential or gamma variate is 0.0 when its raw 64-bit draw is below
+    2**11 (about 2**-53 per variate), a normal when 52 of its bits are zero
+    (about 2**-52); the guard makes it impossible.  Testing the minimum
+    first spares the usual call a leaf-sized mask.
     """
     fill(rng, out)
     while not out.min() > 0.0:
@@ -168,12 +168,13 @@ class RowReduction(NamedTuple):
     :data:`_CHUNK_ELEMS` is reduced a cache-sized leaf at a time; a shorter
     row is one leaf, reduced as one.  Pass 1 has ``draw(leaf)`` fill each
     leaf in place, in the block's draw order, and takes its sum (and min and
-    max) right after.  The reduction reads whatever ``draw`` leaves in the
-    leaf, so a draw may also transform its values in place (the lp-ball
-    ``sup`` pass leaves their p-th powers); pass 2 reads them too.  Pass 2 centres each leaf on the row mean into one
-    leaf-sized scratch buffer (the chunk itself when it is one leaf), then
-    takes the abs, the power and the sum.  Every value has the bits of the
-    same reduction of whole rows.
+    max) right after.  The reductions read whatever ``draw`` leaves in the
+    leaf, so a draw may also transform the values it drew, in place (the
+    lp-ball ``sup`` pass leaves their p-th powers).  Pass 2 centres each
+    leaf, as the draw left it, on the row mean into one leaf-sized scratch
+    buffer (the chunk itself when it is one leaf), then takes the abs, the
+    power and the sum.  Every value has the bits of the same reduction of
+    whole rows.
     """
 
     finish: Callable[[RowStats], np.ndarray]
@@ -345,17 +346,19 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     row sums.  The values, and the largest norm, are those of the built
     block, bit for bit: the leaves and their row sums are the built block's,
     a row's max is the max of its leaves' maxes, and the signs are skipped
-    (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate exactly, and rounding is symmetric, so
-    |sign * y * c| = y * c.  A positive scale c is monotone under rounding,
-    so max(y * c) is max(y) * c.  Row r's lp-norm lies within a factor 1 +- g
-    of its radius U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
+    (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate
+    exactly, and rounding is symmetric, so |sign * y * c| = y * c.  A
+    positive scale c is monotone under rounding, so max(y * c) is
+    max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
+    U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
     U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
     one.  Their chunks are drawn again, each from the state saved before its
     first leaf, by :func:`_built_block` once the reduction's buffer is
     freed, so the peak stays at one chunk; then they are scaled and reduced
-    with the built block's elementwise ops and row sums; the root is then taken on the whole vector of rows, as numpy
-    takes it there.  (A Python-scalar root would call libm's power, which can
-    differ from numpy's by an ulp.)
+    with the built block's elementwise ops and row sums.  The root is then
+    taken on the whole vector of rows, as numpy takes it there.  (A
+    Python-scalar root would call libm's power, which can differ from
+    numpy's by an ulp.)
     """
     _check_dimension(n)
     _check_p(p)
@@ -373,7 +376,8 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         y *= (rng.random(rows) ** (1.0 / n) / power_sums ** (1.0 / p))[:, None]
         return y
 
-    states, highs = [], [np.empty(0)]  # the empty head lets no rows concatenate
+    # the empty head lets a block of no rows concatenate its maxes
+    states, highs = [], [np.empty(0)]
 
     def draw(leaf: np.ndarray) -> None:
         states.append(rng.bit_generator.state)
