@@ -12,10 +12,15 @@ The result goes to ``BENCH_<label>.json`` at the root of this checkout (or
 ``--out``): every run's end-to-end metrics, ``correct`` flag and digest
 check (``digests_match``, false if a report digest differed from the pinned
 one), per seed each side's median and interquartile range and the change's
-wins on ``--metric``, and perfbench's environment line.  A run that exits
-non-zero is recorded with its exit code and the tail of its stderr, as
-``correct: false`` and without metrics; the file is still written, and the
-script then exits 1.
+wins on ``--metric``, and perfbench's environment line.  Each seed also
+gets a no-regression ``verdict`` per end-to-end metric, printed at the end,
+with the metric's ``BENCHMARK.json`` ``bound`` read as a fraction of the
+parent's median: ``worse`` if the change's median is worse by more than the
+bound; ``unresolved`` if the parent's IQR exceeds the bound and not every
+change run beats every parent run; ``ok`` otherwise; null when either side
+has fewer than two finished runs.  A run that exits non-zero is recorded
+with its exit code and the tail of its stderr, as ``correct: false`` and
+without metrics; the file is still written, and the script then exits 1.
 """
 
 from __future__ import annotations
@@ -60,6 +65,20 @@ def spread(values: list[float]) -> dict | None:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str | None:
+    """The no-regression verdict on one metric (see the module docstring)."""
+    a, b = spread(parent), spread(change)
+    if a is None or b is None:
+        return None
+    sign = 1.0 if better == "lower" else -1.0
+    margin = bound * abs(a["median"])
+    if sign * (b["median"] - a["median"]) > margin:
+        return "worse"
+    if a["iqr"] > margin and max(sign * x for x in change) >= min(sign * x for x in parent):
+        return "unresolved"
+    return "ok"
+
+
 def show(result: dict, metric: str) -> str:
     if "exit_code" in result:
         return f"failed (exit {result['exit_code']})"
@@ -98,6 +117,7 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     if args.metric not in better:
         parser.error(f"--metric must be one of {sorted(better)}")
     plan = args.seed_pairs
@@ -121,16 +141,20 @@ def main() -> int:
     summary = {}
     for seed, _ in plan:
         mine = [r for r in runs if r["seed"] == seed]
+        values = {metric: {side: [r[side]["metrics"][metric] for r in mine
+                                  if "metrics" in r[side]] for side in sides}
+                  for metric in better}
         summary[str(seed)] = {
             "pairs": len(mine),
             "wins": sum(sign * (r["change"]["metrics"][args.metric]
                                 - r["parent"]["metrics"][args.metric]) < 0
                         for r in mine if all("metrics" in r[s] for s in sides)),
             "all_correct": all(r[s]["correct"] for r in mine for s in sides),
-            **{metric: {side: spread([r[side]["metrics"][metric] for r in mine
-                                      if "metrics" in r[side]])
-                        for side in sides}
-               for metric in better},
+            **{metric: {side: spread(v) for side, v in by_side.items()}
+               for metric, by_side in values.items()},
+            "verdict": {metric: verdict(by_side["parent"], by_side["change"], better[metric],
+                                        bound[metric])
+                        for metric, by_side in values.items()},
         }
     out = args.out or ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
@@ -145,6 +169,9 @@ def main() -> int:
         "runs": runs,
     }, indent=1) + "\n")
     print(f"written to {out}")
+    for seed, s in summary.items():
+        print(f"seed {seed} verdicts: "
+              + ", ".join(f"{metric} {v}" for metric, v in s["verdict"].items()))
     failed = sum("exit_code" in r[s] for r in runs for s in sides)
     if failed:
         print(f"error: {failed} perfbench run(s) failed; see exit_code and stderr_tail in {out}",

@@ -42,12 +42,12 @@ _float_list = _comma_list(float, "numbers")
 _FLAGS = {
     "n": ("n_list", dict(type=_int_list, help="comma list of dimensions")),
     "q": ("q", dict(type=float, help="norm / moment order q >= 1")),
-    "p": ("p", dict(type=float, help="ball exponent 1 <= p <= 20.26")),
+    "p": ("p", dict(type=float, help=f"ball exponent 1 <= p <= {sampling._P_MAX:.2f}")),
     "replicates": ("replicates", dict(type=int)),
     "seed": ("seed", dict(type=int)),
     "workers": ("workers", dict(type=int)),
     "z": ("thresholds", dict(type=_float_list, help="comma list of thresholds")),
-    "sn": ("s_n_rule", dict(choices=("sqrt_log", "log_log"),
+    "sn": ("s_n_rule", dict(choices=tuple(experiments.S_N_RULES),
                             help="moderate-deviation speed rule")),
     "oracle_n": ("oracle_n_list", dict(type=_int_list, help="dimensions for exact oracle rows")),
     "source": ("source", dict(choices=sorted(experiments.SOURCE_DISTRIBUTIONS),

@@ -107,6 +107,11 @@ TOLERANCES = {
 }
 
 
+#: moderate-deviation speed rule -> s_n as a function of the dimension n
+S_N_RULES = {"sqrt_log": lambda n: math.sqrt(math.log(n)),
+             "log_log": lambda n: math.log(math.log(n))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -118,7 +123,7 @@ class ExperimentConfig:
     q: float | None = None
     p: float | None = None
     thresholds: tuple[float, ...] = ()
-    s_n_rule: str = "sqrt_log"  # sqrt_log | log_log
+    s_n_rule: str = "sqrt_log"  # a key of S_N_RULES
     source: str = "exponential"
     oracle_n_list: tuple[int, ...] = ()
     workers: int = 1
@@ -136,7 +141,7 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.s_n_rule not in ("sqrt_log", "log_log"):
+        if self.s_n_rule not in S_N_RULES:
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
@@ -157,7 +162,7 @@ class ExperimentConfig:
             raise ValueError("equivalence_decay expects n in [2, 200]")
 
     def s_n(self, n: int) -> float:
-        value = math.sqrt(math.log(n)) if self.s_n_rule == "sqrt_log" else math.log(math.log(n))
+        value = S_N_RULES[self.s_n_rule](n)
         if not 1.0 < value < math.log(n):
             raise ValueError(f"s_n rule {self.s_n_rule} gives inadmissible speed {value} at n={n}")
         return value
@@ -336,50 +341,21 @@ def report_from_json(text: str) -> ExperimentReport:
 # replicate-block engine
 
 
-def _blocks(replicates: int, n: int) -> list[tuple[int, int]]:
-    rows = max(1, _BLOCK_ELEMS // max(n, 1))
-    out = []
-    start = 0
-    index = 0
-    while start < replicates:
-        take = min(rows, replicates - start)
-        out.append((index, take))
-        start += take
-        index += 1
-    return out
+def _collect(seed: int, n: int, replicates: int, workers: int, kernel) -> np.ndarray:
+    """Per-replicate values of an experiment at dimension ``n``: ``kernel(stream,
+    rows)`` of each block, concatenated in block order.
 
-
-def _collect(stream: RandomStream, kernel, replicates: int, n: int, workers: int) -> np.ndarray:
-    """Run ``kernel(block_stream, rows)`` over all blocks and merge in block order."""
-    blocks = _blocks(replicates, n)
-    results: list[np.ndarray | None] = [None] * len(blocks)
-    if workers <= 1 or len(blocks) == 1:
-        for index, rows in blocks:
-            results[index] = kernel(stream.substream(index), rows)
-    else:
-        def work(block):
-            index, rows = block
-            return index, kernel(stream.substream(index), rows)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for index, arr in pool.map(work, blocks):
-                results[index] = arr
-    return np.concatenate(results, axis=0)
-
-
-def _experiment_stream(seed: int, n: int) -> RandomStream:
-    # substream id is the dimension itself, so n_list order is irrelevant
-    return RandomStream(seed).substream(n)
-
-
-def _collect_exponential(seed: int, n: int, reduce, replicates: int,
-                         workers: int) -> np.ndarray:
-    """Per-replicate values ``reduce`` gives the exponential rows of each block."""
-
-    def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
-        return sampling.exponential_block(bstream, rows, n, reduce)
-
-    return _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
+    Block ``i`` holds ``max(1, _BLOCK_ELEMS // n)`` rows (the last one holds what
+    is left) and draws from ``RandomStream(seed).substream(n).substream(i)``; the
+    substream id is the dimension itself, so n_list order is irrelevant.
+    """
+    step = max(1, _BLOCK_ELEMS // n)
+    rows = [min(step, replicates - start) for start in range(0, replicates, step)]
+    streams = map(RandomStream(seed).substream(n).substream, range(len(rows)))
+    if workers <= 1 or len(rows) == 1:
+        return np.concatenate(list(map(kernel, streams, rows)), axis=0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(kernel, streams, rows)), axis=0)
 
 
 def clt_sample(seed: int, n: int, q: float, replicates: int,
@@ -394,8 +370,9 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
         scaled = (s.power * (inv_mu / n)) ** (1.0 / q) / (s.total / n)
         return sqrt_n * (scaled - 1.0) / sigma
 
-    values = _collect_exponential(seed, n, sampling.RowReduction(finish, q=q), replicates,
-                                  workers)
+    reduce = sampling.RowReduction(finish, q=q)
+    values = _collect(seed, n, replicates, workers,
+                      lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
     return EmpiricalSample.from_values(values)
 
 
@@ -409,8 +386,9 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
     def finish(s: sampling.RowStats) -> np.ndarray:
         return np.maximum(n * s.high / s.total - 1.0, 1.0 - n * s.low / s.total)
 
-    values = _collect_exponential(seed, n, sampling.RowReduction(finish, extremes=True),
-                                  replicates, workers)
+    reduce = sampling.RowReduction(finish, extremes=True)
+    values = _collect(seed, n, replicates, workers,
+                      lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
     return EmpiricalSample.from_values(values)
 
 
@@ -423,11 +401,8 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
                     workers: int = 1) -> tuple[EmpiricalSample, float]:
     """Replicated sup-coordinates of uniform lp-ball points, plus the largest
     lp-norm seen (for the membership check)."""
-
-    def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
-        return sampling.lp_ball_block(bstream, rows, n, p, sup=True)
-
-    both = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
+    both = _collect(seed, n, replicates, workers,
+                    lambda bstream, rows: sampling.lp_ball_block(bstream, rows, n, p, sup=True))
     return EmpiricalSample.from_values(both[:, 0]), float(both[:, 1].max())
 
 
@@ -443,7 +418,8 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
         return 2.0 * s.total / n > s.high + s.low
 
     reduce = sampling.RowReduction(finish, extremes=True)
-    hits = float(_collect_exponential(seed, n, reduce, replicates, workers).sum())
+    hits = float(_collect(seed, n, replicates, workers, lambda bstream, rows:
+                          sampling.exponential_block(bstream, rows, n, reduce)).sum())
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 
@@ -463,7 +439,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
         rng = bstream.generator()
         return reduce(lambda leaf: dist.sample(rng, leaf.shape, out=leaf), rows, n)
 
-    values = _collect(_experiment_stream(seed, n), kernel, replicates, n, workers)
+    values = _collect(seed, n, replicates, workers, kernel)
     return EmpiricalSample.from_values(values)
 
 

@@ -11,13 +11,19 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _METRICS = ("setup_s", "wall_s", "variates_per_s", "cpu_s", "peak_rss_mb")
 
-# a perfbench run that finishes: the env line, then the result as the last line
-_RUN_OK = f"""
+
+def _run_ok(**values) -> str:
+    """A perfbench run that finishes: the env line, then the result as the last
+    line, every metric 1.0 unless ``values`` names it."""
+    metrics = {k: {"value": values.get(k, 1.0)} for k in _METRICS}
+    return f"""
 import json
 print("env " + json.dumps({{"host": "stub"}}))
-print(json.dumps({{"correct": True, "failed": 0,
-                   "metrics": {{k: {{"value": 1.0}} for k in {_METRICS!r}}}}}))
+print(json.dumps({{"correct": True, "failed": 0, "metrics": {metrics!r}}}))
 """
+
+
+_RUN_OK = _run_ok()
 
 _RUN_FAILS = """
 import sys
@@ -33,15 +39,20 @@ def _checkout(path: Path, run_py: str) -> Path:
     return path
 
 
-def test_a_failed_run_is_recorded_and_the_file_still_written(tmp_path):
-    parent = _checkout(tmp_path / "parent", _RUN_OK)
-    change = _checkout(tmp_path / "change", _RUN_FAILS)
-    out = tmp_path / "BENCH_stub.json"
-    proc = subprocess.run(
+def _bench_pairs(parent: Path, change: Path, out: Path) -> subprocess.CompletedProcess:
+    # two pairs of one seed, with wins counted on wall_s
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_pairs.py"), "--parent", str(parent),
          "--change", str(change), "--label", "stub", "--workload", "huge_n",
          "--metric", "wall_s", "--seed-pairs", "1:2", "--out", str(out)],
         capture_output=True, text=True)
+
+
+def test_a_failed_run_is_recorded_and_the_file_still_written(tmp_path):
+    parent = _checkout(tmp_path / "parent", _RUN_OK)
+    change = _checkout(tmp_path / "change", _RUN_FAILS)
+    out = tmp_path / "BENCH_stub.json"
+    proc = _bench_pairs(parent, change, out)
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     bench = json.loads(out.read_text())
@@ -53,4 +64,17 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(tmp_path):
     summary = bench["summary"]["1"]
     assert summary["pairs"] == 2 and summary["wins"] == 0 and not summary["all_correct"]
     assert summary["wall_s"] == {"parent": {"median": 1.0, "iqr": 0.0}, "change": None}
+    assert summary["verdict"]["wall_s"] is None
     assert bench["env"] == {"host": "stub"}
+
+
+def test_a_median_worse_by_more_than_its_bound_is_worse(tmp_path):
+    parent = _checkout(tmp_path / "parent", _RUN_OK)
+    change = _checkout(tmp_path / "change", _run_ok(wall_s=1.3))
+    out = tmp_path / "BENCH_stub.json"
+    proc = _bench_pairs(parent, change, out)
+    assert proc.returncode == 0, proc.stderr
+    verdicts = json.loads(out.read_text())["summary"]["1"]["verdict"]
+    assert verdicts == {k: "worse" if k == "wall_s" else "ok" for k in _METRICS}
+    assert proc.stdout.splitlines()[-1] == "seed 1 verdicts: " + ", ".join(
+        f"{k} {verdicts[k]}" for k in _METRICS)

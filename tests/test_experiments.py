@@ -21,15 +21,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def test_blocks_partition_replicates_exactly():
     for reps, n in ((1, 5), (100, 5), (10_000, 3000), (12_345, 1_000_000)):
-        blocks = ex._blocks(reps, n)
-        assert sum(rows for _, rows in blocks) == reps
-        assert [i for i, _ in blocks] == list(range(len(blocks)))
+        # block i is substream i, in order, and every block but the last is full
+        expected = np.arange(reps) // (ex._BLOCK_ELEMS // n)
+        for workers in (1, 2):
+            ids = ex._collect(9, n, reps, workers, lambda s, rows: np.full(rows, s.stream_id))
+            assert np.array_equal(ids, expected)
 
 
 def test_collect_is_worker_count_invariant():
+    # blocks of 2097, 2097 and 806 rows; 7 workers are more than the blocks
+    a = ex.clt_sample(seed=5, n=1000, q=2.0, replicates=5000, workers=1)
     for workers in (2, 3, 7):
-        a = ex.clt_sample(seed=5, n=40, q=2.0, replicates=4000, workers=1)
-        b = ex.clt_sample(seed=5, n=40, q=2.0, replicates=4000, workers=workers)
+        b = ex.clt_sample(seed=5, n=1000, q=2.0, replicates=5000, workers=workers)
         assert np.array_equal(a.values, b.values)
 
 

@@ -82,7 +82,7 @@ def _ref_lp_ball_block(stream, rows, n, p):
 
 
 def _ref_collect(seed, n, reps, kernel):
-    return np.sort(ex._collect(ex._experiment_stream(seed, n), kernel, reps, n, 1), axis=0)
+    return np.sort(ex._collect(seed, n, reps, 1, kernel), axis=0)
 
 
 def _ref_clt_values(seed, n, q, reps):
@@ -113,7 +113,7 @@ def _ref_equivalence_hits(seed, n, reps):
         e = sampling.exponential_block(bstream, rows, n)
         return (2.0 * e.sum(axis=1) / n > e.max(axis=1) + e.min(axis=1)).astype(np.float64)
 
-    return float(ex._collect(ex._experiment_stream(seed, n), kernel, reps, n, 1).sum())
+    return float(ex._collect(seed, n, reps, 1, kernel).sum())
 
 
 def _ref_general_clt_values(seed, n, q, source, mq, reps):
@@ -136,7 +136,7 @@ def _ref_ball_sup(seed, n, p, reps):
     def kernel(bstream, rows):
         return _ref_sup_columns(_ref_lp_ball_block(bstream, rows, n, p), p)
 
-    both = ex._collect(ex._experiment_stream(seed, n), kernel, reps, n, 1)
+    both = ex._collect(seed, n, reps, 1, kernel)
     return np.sort(both[:, 0]), float(both[:, 1].max())
 
 
@@ -557,7 +557,7 @@ def test_ball_sup_zero_in_second_chunk_matches_the_whole_block_path(monkeypatch,
     clean, _ = ex.ball_sup_sample(67, 1000, p, 200)
     _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_CHUNK_AT)
     got, max_norm = ex.ball_sup_sample(67, 1000, p, 200)
-    ref = ex._collect(ex._experiment_stream(67, 1000), whole_block_kernel, 200, 1000, 1)
+    ref = ex._collect(67, 1000, 200, 1, whole_block_kernel)
     assert np.array_equal(got.values, np.sort(ref[:, 0]))
     assert max_norm == ref[:, 1].max()
     assert not np.array_equal(got.values, clean.values)
