@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -181,3 +182,61 @@ def test_cov_bruteforce_error_scaling():
 def test_cov_bruteforce_rejects_tiny_budgets():
     with pytest.raises(ValueError):
         oracle.cov_bruteforce(1.0, 100, RandomStream(0))
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the max-spacing series
+
+_GRID_N = (2, 5, 10, 100, 1000, 10**4, 10**6)
+
+#: scaling -> (n, s) points: the Gumbel, LDP and MDP (speed sqrt(log n))
+#: thresholds of the experiments over _GRID_N, and the two cancelling points
+#: of test_cancellation_raises_with_diagnostic
+_GRIDS = {
+    "gumbel": tuple((n, (x + math.log(n)) / n) for n in _GRID_N for x in (-1.0, 0.0, 1.0, 2.0)),
+    "ldp": tuple((n, (1.0 + z * math.log(n)) / n) for n in _GRID_N for z in (0.5, 1.5, 3.0)),
+    "mdp": tuple((n, (1.0 + math.log(n) + math.sqrt(math.log(n)) * x) / n)
+                 for n in _GRID_N for x in (-1.0, 1.0)),
+    "cancelling": tuple((n, (1.0 + 0.5 * math.log(n)) / n) for n in (10**4, 10**6)),
+}
+
+#: SHA-256 of each function's records over one scaling's grid
+_PINNED_SERIES = {
+    ("max_spacing_cdf", "cancelling"):
+        "0c11e8e27791d4d0ebc1705beb2d4d94a654f9429e762acd3e121aeb4b9c230e",
+    ("max_spacing_cdf", "gumbel"):
+        "7f576d9648801a663536b5b4d207ff874ec462660674bfb6f6728d3fa03179c0",
+    ("max_spacing_cdf", "ldp"):
+        "dc0124764b760a709d42fc5efef9386ce3a609415e918fc2fd24fde27d94aaa6",
+    ("max_spacing_cdf", "mdp"):
+        "6f5756abd6ec9d8ff57d67595edb5ae126fce488ee74e090a150d529f210763d",
+    ("max_spacing_sf", "cancelling"):
+        "bb06b513d9b61f1da802ca8f2ea33d5a1df5bb99b37e62a4c0e2e36140b3f1cf",
+    ("max_spacing_sf", "gumbel"):
+        "de9b647ea88fbb435f3542363a8b21fe6cd5efbd7f6cf3b96379e9aab56a0fae",
+    ("max_spacing_sf", "ldp"):
+        "7102d1799bbe051df8e5837375a6d659b58bb0701aff9bf5e71657941476ba0d",
+    ("max_spacing_sf", "mdp"):
+        "87926ebc6201584738a1af562075f80668820cf88b910894d63f9eb8ba0af77b",
+}
+
+
+def _series_records(fn, points) -> str:
+    """One line per point: the result's value, error bound and method bits, or
+    the exception's type and message."""
+    lines = []
+    for n, s in points:
+        try:
+            res = fn(n, s)
+            out = f"{res.value.hex()} {res.error_bound.hex()} {res.method}"
+        except (ValueError, oracle.CancellationError) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        lines.append(f"{fn.__name__}({n}, {s.hex()}) -> {out}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("name,scaling", sorted(_PINNED_SERIES))
+def test_max_spacing_series_bits_are_pinned(name, scaling):
+    records = _series_records(getattr(oracle, name), _GRIDS[scaling])
+    digest = hashlib.sha256(records.encode()).hexdigest()
+    assert digest == _PINNED_SERIES[name, scaling], records
