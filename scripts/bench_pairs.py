@@ -20,7 +20,10 @@ bound; ``unresolved`` if the parent's IQR exceeds the bound and not every
 change run beats every parent run; ``ok`` otherwise; null when either side
 has fewer than two finished runs.  A run that exits non-zero is recorded
 with its exit code and the tail of its stderr, as ``correct: false`` and
-without metrics; the file is still written, and the script then exits 1.
+without metrics.  The file is always written; the script then exits 1 if
+any run failed or finished with ``correct: false``, naming each such run's
+seed, pair and side on stderr.  A ``worse`` verdict does not change the exit
+code.
 """
 
 from __future__ import annotations
@@ -172,12 +175,13 @@ def main() -> int:
     for seed, s in summary.items():
         print(f"seed {seed} verdicts: "
               + ", ".join(f"{metric} {v}" for metric, v in s["verdict"].items()))
-    failed = sum("exit_code" in r[s] for r in runs for s in sides)
-    if failed:
-        print(f"error: {failed} perfbench run(s) failed; see exit_code and stderr_tail in {out}",
-              file=sys.stderr)
-        return 1
-    return 0
+    bad = [(r, side) for r in runs for side in sides if not r[side]["correct"]]
+    for r, side in bad:
+        why = (f"exited {r[side]['exit_code']}" if "exit_code" in r[side]
+               else "finished with correct: false")
+        print(f"error: seed {r['seed']} pair {r['pair']} {side}: the perfbench run {why}; "
+              f"see {out}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

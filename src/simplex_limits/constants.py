@@ -10,12 +10,8 @@ for a standard exponential E; the infinite part is folded into the Gamma
 term so only a finite integral is ever quadratured.  For integer q the same
 moment has an exact subfactorial form used as a cross-check.
 
-scipy is imported on first use, inside the functions that call it
-(``mu_q``, ``pgen_two_sided_tail``, ``m_n``, ``tail_sandwich`` here and
-``gaussian_cdf`` and ``_expect`` in :mod:`simplex_limits.statistics`), so
-``import simplex_limits`` and the ``gumbel``, ``ldp``, ``mdp``, ``lp_ldp``,
-``lp_gumbel``, ``equivalence_decay``, ``oracle``, ``sample`` and ``report``
-subcommands never load it.
+scipy is imported on first use, inside the functions that call it; the
+README's Install section lists them and the subcommands that never load it.
 """
 
 from __future__ import annotations
@@ -65,33 +61,13 @@ def mu_q_integer(q: int) -> float:
     """Closed form of mu_q for integer q via the subfactorial."""
     if q < 1 or q != int(q):
         raise ValueError(f"integer moment order >= 1 required, got {q}")
+    if q >= 171:  # mu_q > q!/e and 171!/e > 1.8e308: fail before building !q
+        raise OverflowError(f"mu_q at integer q={q:g} exceeds the float range (q >= 171)")
     q = int(q)
     signed = float(subfactorial(q))  # E(E-1)**q
     if q % 2 == 0:
         return signed
     return 2.0 * math.factorial(q) / math.e - signed
-
-
-def _sigma_sq(q: float, m: float, m2: float) -> float:
-    # limit variance from m = mu_q and m2 = mu_2q
-    return (m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
-
-
-def _cov(q: float, m: float) -> float:
-    # Cov(E, |E - 1|**q) from m = mu_q
-    return (q + 1.0) * m - 1.0
-
-
-def sigma_q_sq(q: float) -> float:
-    """Limit variance of the scaled lq-norm statistic."""
-    _check_q(q)
-    return _sigma_sq(q, mu_q(q), mu_q(2.0 * q))
-
-
-def cov_e_absq(q: float) -> float:
-    """Covariance of E and |E - 1|**q: (q + 1) * mu_q - 1."""
-    _check_q(q)
-    return _cov(q, mu_q(q))
 
 
 @dataclass(frozen=True)
@@ -115,8 +91,21 @@ def moment_constants(q: float) -> MomentConstants:
     else:
         m, m2 = mu_q(q), mu_q(2.0 * q)
         method = "quadrature"
-    return MomentConstants(q=float(q), mu_q=m, mu_2q=m2, sigma_q_sq=_sigma_sq(q, m, m2),
-                           cov_e_absq=_cov(q, m), method=method)
+    # the limit variance and Cov(E, |E - 1|**q), from m = mu_q and m2 = mu_2q
+    sigma_sq = ((m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0)
+                / (q * q * m * m))
+    return MomentConstants(q=float(q), mu_q=m, mu_2q=m2, sigma_q_sq=sigma_sq,
+                           cov_e_absq=(q + 1.0) * m - 1.0, method=method)
+
+
+def sigma_q_sq(q: float) -> float:
+    """Limit variance of the scaled lq-norm statistic."""
+    return moment_constants(q).sigma_q_sq
+
+
+def cov_e_absq(q: float) -> float:
+    """Covariance of E and |E - 1|**q: (q + 1) * mu_q - 1."""
+    return moment_constants(q).cov_e_absq
 
 
 def m1(q: float) -> float:

@@ -143,6 +143,8 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if self.s_n_rule not in S_N_RULES:
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
+        if self.source not in SOURCE_DISTRIBUTIONS:
+            raise ValueError(f"unknown source distribution {self.source!r}")
         if any(n < 1 for n in self.n_list):
             raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
         if not all(math.isfinite(z) for z in self.thresholds):
@@ -734,8 +736,6 @@ def run_equivalence_decay(config: ExperimentConfig) -> ExperimentReport:
 def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
     """Central-moment CLT for a named source distribution."""
     q = _require(config, "q")
-    if config.source not in SOURCE_DISTRIBUTIONS:
-        raise ValueError(f"unknown source distribution {config.source!r}")
     dist = SOURCE_DISTRIBUTIONS[config.source]
     param = f"source={config.source};q={q:g}"
     mq = abs_moment(dist, q, dist.mean)

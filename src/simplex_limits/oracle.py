@@ -6,9 +6,10 @@ The central oracle is the exact distribution of the maximum uniform spacing,
     P[max_i G_{n,i} <= s] = sum_{k=0}^{floor(1/s)} (-1)^k C(n,k) (1 - k s)^{n-1},
 
 an alternating series whose terms can dwarf the result.  Terms are computed
-in log-space with sign tracking, summed in descending magnitude with exact
-compensated accumulation, and a cancellation monitor aborts with a diagnostic
-rather than returning garbage once the floating-point budget is spent.
+in log-space and summed by ``math.fsum``, which rounds their exact sum once,
+so the order of the terms does not matter; a cancellation monitor aborts with
+a diagnostic rather than returning garbage once the floating-point budget is
+spent.
 """
 
 from __future__ import annotations
@@ -53,26 +54,22 @@ def _check_spacing_args(n: int, s: float) -> None:
         raise ValueError(f"threshold must lie in (0, 1), got {s}")
 
 
-def _signed_log_terms(n: int, s: float, k_min: int):
-    """Signs, log-magnitudes, and error estimates of the series terms from k_min up.
+def _series(n: int, s: float, k_min: int) -> tuple[float, float]:
+    """The series summed from k = k_min up, with the term at k_min counted
+    positive, and its error bound.
 
     The log-binomial is accumulated incrementally (log C(n,k) = log C(n,k-1)
     + log(n-k+1) - log k), which stays accurate for the small k that matter;
     the lgamma difference form loses ~1e-9 absolute at n = 1e6.  The
     magnitude sequence is unimodal in k, so the loop stops once terms have
     dropped _DECAY_MARGIN below the running peak; the first omitted term
-    bounds the truncation error.  Returns (signs, logmags, term_rel_errs,
-    truncation_bound).
+    bounds the truncation error.
     """
-    signs: list[float] = []
-    logmags: list[float] = []
-    rel_errs: list[float] = []
-    peak = -math.inf
-    log_binom = 0.0
+    terms: list[tuple[float, float]] = []  # (log-magnitude, relative error)
+    peak, log_binom, trunc = -math.inf, 0.0, 0.0
     for k in range(n + 1):
-        u = 1.0 - k * s
-        if u <= 0.0:
-            return signs, logmags, rel_errs, 0.0
+        if 1.0 - k * s <= 0.0:
+            break
         if k > 0:
             log_binom += math.log(n - k + 1.0) - math.log(k)
         power = (n - 1) * math.log1p(-k * s)
@@ -84,28 +81,14 @@ def _signed_log_terms(n: int, s: float, k_min: int):
                 f"inclusion-exclusion term magnitude exp({lm:.1f}) at k={k} overflows "
                 f"for n={n}, s={s}; the series cancels beyond double precision")
         if lm < peak - _DECAY_MARGIN:
-            return signs, logmags, rel_errs, math.exp(lm)
+            trunc = math.exp(lm)
+            break
         peak = max(peak, lm)
-        signs.append(-1.0 if k % 2 else 1.0)
-        logmags.append(lm)
         # a term's relative error grows with the magnitude of its log parts
-        rel_errs.append(_TERM_EPS * (1.0 + abs(log_binom) + abs(power)))
-    return signs, logmags, rel_errs, 0.0
-
-
-def _alternating_sum(n: int, s: float, k_min: int, flip: bool) -> tuple[float, float]:
-    """Compensated evaluation of the (possibly sign-flipped) series tail from k_min."""
-    signs, logmags, rel_errs, trunc = _signed_log_terms(n, s, k_min)
-    if not logmags:
-        return 0.0, trunc
-    peak = max(logmags)
-    scaled = [sg * math.exp(lm - peak) for sg, lm in zip(signs, logmags)]
-    if flip:
-        scaled = [-t for t in scaled]
-    round_err = math.fsum(abs(t) * e for t, e in zip(scaled, rel_errs)) * math.exp(peak)
-    scaled.sort(key=abs, reverse=True)
-    total_scaled = math.fsum(scaled)
-    value = total_scaled * math.exp(peak)
+        terms.append((lm, _TERM_EPS * (1.0 + abs(log_binom) + abs(power))))
+    scaled = [(-1.0) ** i * math.exp(lm - peak) for i, (lm, _) in enumerate(terms)]
+    round_err = math.fsum(abs(t) * e for t, (_, e) in zip(scaled, terms)) * math.exp(peak)
+    value = math.fsum(scaled) * math.exp(peak)
     if value <= 0.0 or round_err > _CANCEL_REL * value:
         raise CancellationError(
             f"inclusion-exclusion cancellation for n={n}, s={s}: peak term "
@@ -114,16 +97,23 @@ def _alternating_sum(n: int, s: float, k_min: int, flip: bool) -> tuple[float, f
     return value, trunc + round_err
 
 
-def max_spacing_cdf(n: int, s: float) -> OracleResult:
-    """Exact P[max_i G_{n,i} <= s] for the spacings of n-1 uniforms."""
+def _max_spacing(name: str, n: int, s: float, k_min: int) -> OracleResult:
+    """The series from k_min as the public function ``name``: the CDF from
+    k = 0, the survival function from k = 1 (1 minus the CDF, term by term)."""
     _check_spacing_args(n, s)
     if s <= 1.0 / n:
-        # pigeonhole: the maximum of n spacings summing to 1 is at least 1/n
-        return OracleResult(value=0.0, method="closed_form", error_bound=0.0)
-    value, err = _alternating_sum(n, s, k_min=0, flip=False)
+        # pigeonhole: the maximum of n spacings summing to 1 is at least 1/n,
+        # so the CDF is 0 and the survival function 1
+        return OracleResult(value=float(k_min), method="closed_form", error_bound=0.0)
+    value, err = _series(n, s, k_min)
     if value > 1.0 + err:
-        raise CancellationError(f"max_spacing_cdf({n}, {s}) = {value} exceeds 1 beyond its error bound")
+        raise CancellationError(f"{name}({n}, {s}) = {value} exceeds 1 beyond its error bound")
     return OracleResult(value=min(value, 1.0), method="inclusion_exclusion", error_bound=err)
+
+
+def max_spacing_cdf(n: int, s: float) -> OracleResult:
+    """Exact P[max_i G_{n,i} <= s] for the spacings of n-1 uniforms."""
+    return _max_spacing("max_spacing_cdf", n, s, k_min=0)
 
 
 def max_spacing_sf(n: int, s: float) -> OracleResult:
@@ -132,13 +122,7 @@ def max_spacing_sf(n: int, s: float) -> OracleResult:
     Preferred over 1 - cdf for far-right tails, where the cdf is within
     rounding of 1 but the survival probability itself is well resolved.
     """
-    _check_spacing_args(n, s)
-    if s <= 1.0 / n:
-        return OracleResult(value=1.0, method="closed_form", error_bound=0.0)
-    value, err = _alternating_sum(n, s, k_min=1, flip=True)
-    if value > 1.0 + err:
-        raise CancellationError(f"max_spacing_sf({n}, {s}) = {value} exceeds 1 beyond its error bound")
-    return OracleResult(value=min(value, 1.0), method="inclusion_exclusion", error_bound=err)
+    return _max_spacing("max_spacing_sf", n, s, k_min=1)
 
 
 def max_spacing_cdf_upper(n: int, s: float) -> OracleResult:

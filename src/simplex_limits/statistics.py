@@ -9,13 +9,8 @@ same statistics.  Results carry only what a report reads: a KS distance is
 a float, and a tail estimate is its hit count, normalized log-probability
 and standard error.
 
-scipy is imported on first use, inside the functions that call it
-(``gaussian_cdf`` and ``_expect`` here and ``mu_q``,
-``pgen_two_sided_tail``, ``m_n`` and ``tail_sandwich`` in
-:mod:`simplex_limits.constants`), so ``import simplex_limits`` and the
-``gumbel``, ``ldp``, ``mdp``, ``lp_ldp``, ``lp_gumbel``,
-``equivalence_decay``, ``oracle``, ``sample`` and ``report`` subcommands
-never load it.
+scipy is imported on first use, inside the functions that call it; the
+README's Install section lists them and the subcommands that never load it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """``scripts/bench_pairs.py`` keeps every finished pair when a perfbench run
 fails: the failed run is recorded, the BENCH file is still written, and the
-script exits non-zero."""
+script exits non-zero, as it does when a run finishes with incorrect outputs."""
 
 import json
 import subprocess
@@ -12,14 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 _METRICS = ("setup_s", "wall_s", "variates_per_s", "cpu_s", "peak_rss_mb")
 
 
-def _run_ok(**values) -> str:
+def _run_ok(correct: bool = True, **values) -> str:
     """A perfbench run that finishes: the env line, then the result as the last
-    line, every metric 1.0 unless ``values`` names it."""
+    line, ``correct`` as given and every metric 1.0 unless ``values`` names it."""
     metrics = {k: {"value": values.get(k, 1.0)} for k in _METRICS}
     return f"""
 import json
 print("env " + json.dumps({{"host": "stub"}}))
-print(json.dumps({{"correct": True, "failed": 0, "metrics": {metrics!r}}}))
+print(json.dumps({{"correct": {correct!r}, "failed": 0, "metrics": {metrics!r}}}))
 """
 
 
@@ -78,3 +78,17 @@ def test_a_median_worse_by_more_than_its_bound_is_worse(tmp_path):
     assert verdicts == {k: "worse" if k == "wall_s" else "ok" for k in _METRICS}
     assert proc.stdout.splitlines()[-1] == "seed 1 verdicts: " + ", ".join(
         f"{k} {verdicts[k]}" for k in _METRICS)
+
+
+def test_a_run_with_incorrect_outputs_exits_1(tmp_path):
+    parent = _checkout(tmp_path / "parent", _RUN_OK)
+    change = _checkout(tmp_path / "change", _run_ok(correct=False))
+    out = tmp_path / "BENCH_stub.json"
+    proc = _bench_pairs(parent, change, out)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"error: seed 1 pair {i} change: the perfbench run finished with correct: false; "
+        f"see {out}" for i in (0, 1)]
+    bench = json.loads(out.read_text())
+    assert not bench["summary"]["1"]["all_correct"]
+    assert [pair["change"]["correct"] for pair in bench["runs"]] == [False, False]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,6 +210,17 @@ def test_numerical_errors_exit_1():
                     "--s", "0.00056"]) == 1
 
 
+def test_huge_integer_q_fails_at_once():
+    # mu_q overflows a float from q = 171; the timeout turns a hang into a failure
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "simplex_limits.cli", "constants", "--q",
+                           "1000000"], capture_output=True, text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert "q=1e+06 exceeds the float range" in proc.stderr
+    assert run_cli(["constants", "--q", "85"]) == 0  # mu_170, the largest in range
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
@@ -302,6 +317,13 @@ def test_config_file_value_of_wrong_type_is_a_usage_error(tmp_path, capsys, valu
     cfg.write_text(json.dumps(values))
     assert run_cli(["clt", "--config", str(cfg), "--oracle-n", ""]) == 2
     assert f"key {key!r}" in capsys.readouterr().err
+
+
+def test_config_file_unknown_source_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": [300], "source": "foo"}))
+    assert run_cli(["clt", "--config", str(cfg)]) == 2
+    assert "unknown source distribution 'foo'" in capsys.readouterr().err
 
 
 def test_sample_count_below_one_is_a_usage_error(capsys):

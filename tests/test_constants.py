@@ -189,3 +189,11 @@ def test_constants_table_columns():
     assert [r["q"] for r in rows] == [1.0, 2.5]
     assert set(rows[0]) == {"q", "mu_q", "sigma_q_sq", "cov_e_absq", "m1", "c1_qq", "method"}
     assert rows[0]["m1"] == 1.0
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+def test_sigma_and_covariance_are_the_moment_bundle(q):
+    # one definition: the integer-q closed form reaches both functions too
+    bundle = constants.moment_constants(q)
+    assert constants.sigma_q_sq(q) == bundle.sigma_q_sq
+    assert constants.cov_e_absq(q) == bundle.cov_e_absq
