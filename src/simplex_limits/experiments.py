@@ -10,8 +10,17 @@ Memory model: no kernel holds a block.  Each draws it a chunk of rows at a
 time (``sampling._CHUNK_ELEMS``, 512 KiB, or one row of 8n bytes when
 n > 2^16) into a reused buffer and reduces each chunk to its per-replicate
 values, so a sample function holds about one chunk per worker plus a few
-values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  A row
-longer than a chunk is walked in leaves of at most a chunk
+values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  Each
+worker keeps its reducing buffer (and a long row's scratch leaf) for the
+whole sample, not one block: the CLT, sup-norm, equivalence and general-CLT
+sample functions each build one ``sampling.RowReduction``, which keeps them
+per thread, so a sample of one-row blocks allocates its row once per worker.
+The peak is unchanged: a sorted sample drops its reduction, and so the
+buffers, before the sort, which is its peak once it holds many values, and
+the equivalence frequency counts each block's hits as the block ends.
+(The lp-ball kernel builds its reduction per block, so that its buffer is
+freed before the block's membership redraw.)
+A row longer than a chunk is walked in leaves of at most a chunk
 (``sampling.RowReduction``), which are the nodes of numpy's pairwise
 row-sum tree.  Each leaf is drawn into the row (an exponential leaf by the
 samplers' one guarded fill, a general-CLT source leaf by the source's own
@@ -137,6 +146,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        # one value is at KS distance >= 1/2 from any continuous law and has
+        # a standard error of 0, so its Gaussian rows would show nothing
+        if self.kind in ("clt", "general_clt", "berry_esseen_sweep") and self.replicates < 2:
+            raise ValueError(f"{self.kind} experiments require replicates >= 2, "
+                             f"got {self.replicates}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers < 1:
@@ -375,6 +389,7 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
     reduce = sampling.RowReduction(finish, q=q)
     values = _collect(seed, n, replicates, workers,
                       lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
+    del reduce  # and the buffers it keeps, before the sort
     return EmpiricalSample.from_values(values)
 
 
@@ -391,6 +406,7 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
     reduce = sampling.RowReduction(finish, extremes=True)
     values = _collect(seed, n, replicates, workers,
                       lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
+    del reduce  # and the buffers it keeps, before the sort
     return EmpiricalSample.from_values(values)
 
 
@@ -420,8 +436,11 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
         return 2.0 * s.total / n > s.high + s.low
 
     reduce = sampling.RowReduction(finish, extremes=True)
+    # each block's hits are counted as it ends (a sum of 0.0s and 1.0s is
+    # exact in any order), so the kept buffer never meets a merge of rows
     hits = float(_collect(seed, n, replicates, workers, lambda bstream, rows:
-                          sampling.exponential_block(bstream, rows, n, reduce)).sum())
+                          sampling.exponential_block(bstream, rows, n, reduce)
+                          .sum(keepdims=True)).sum())
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 
@@ -442,6 +461,7 @@ def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
         return reduce(lambda leaf: dist.sample(rng, leaf.shape, out=leaf), rows, n)
 
     values = _collect(seed, n, replicates, workers, kernel)
+    del reduce  # and the buffers it keeps, before the sort
     return EmpiricalSample.from_values(values)
 
 

@@ -20,8 +20,11 @@ built block is drawn chunk by chunk into the rows of the output
 it draws each chunk into one reused buffer, leaf by leaf, takes each leaf's
 sums while it is in L2 and adds them as numpy adds the tree's nodes, so the
 row is read back from memory once for the centred power sum, not once per
-reduction.  :func:`exponential_block` hands it the guarded exponential fill;
-the general-CLT sources hand it their own fill, unguarded; the ``sup`` pass
+reduction.  Each worker thread keeps that buffer for the whole sample (the
+reduction's lifetime), so a sample of one-row blocks maps its row once per
+worker, not once per block; the peak is unchanged.
+:func:`exponential_block` hands it the guarded exponential fill; the
+general-CLT sources hand it their own fill, unguarded; the ``sup`` pass
 of :func:`lp_ball_block` hands it a guarded magnitude fill that keeps each
 leaf's row max and leaves the leaf's p-th powers to be summed (its
 membership redraw is a built chunk).  Either way the reduced values are the
@@ -38,6 +41,8 @@ radius factor.
 from __future__ import annotations
 
 import functools
+import threading
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -156,7 +161,23 @@ class RowStats(NamedTuple):
     power: np.ndarray | None
 
 
-class RowReduction(NamedTuple):
+class _Kept(threading.local):
+    """The buffers one thread keeps between the calls of one
+    :class:`RowReduction`; a thread that has none reads these empty ones."""
+
+    chunk = np.empty(0)
+    leaf = np.empty(0)
+
+    def take(self, name: str, rows: int, n: int) -> np.ndarray:
+        """A ``rows`` x ``n`` view of this thread's buffer ``name``, which is
+        allocated anew only when it is smaller than that."""
+        if getattr(self, name).size < rows * n:
+            setattr(self, name, np.empty(rows * n))
+        return getattr(self, name)[:rows * n].reshape(rows, n)
+
+
+@dataclass(frozen=True, eq=False)
+class RowReduction:
     """A per-row statistic, stated once as the row reductions it reads: the
     sum, the min and max when ``extremes``, and the centred power sum when
     ``q`` is set; ``finish`` maps a :class:`RowStats` to the rows' values.
@@ -175,14 +196,24 @@ class RowReduction(NamedTuple):
     buffer (the chunk itself when it is one leaf), then takes the abs, the
     power and the sum.  Every value has the bits of the same reduction of
     whole rows.
+
+    Each thread that calls a reduction keeps its chunk buffer and its
+    scratch leaf for the reduction's lifetime, and allocates one only when
+    it has none large enough; a block of fewer rows takes a view.  The
+    reducing sample functions build one reduction per call, so each worker
+    allocates its buffers once per sample, not once per block (which for
+    n > 2**21 is one fresh row per replicate), and the peak stays at one
+    chunk per worker.  The buffers go with the reduction (a sample function
+    drops it before it sorts its values), or with the thread.
     """
 
     finish: Callable[[RowStats], np.ndarray]
     extremes: bool = False
     q: float | None = None
+    _kept: _Kept = field(default_factory=_Kept, init=False, repr=False)
 
     def __call__(self, draw, rows: int, n: int) -> np.ndarray:
-        buf = np.empty((min(rows, _chunk_rows(n)), n))
+        buf = self._kept.take("chunk", min(rows, _chunk_rows(n)), n)
         values = np.empty(rows)
         for chunk in _row_chunks(rows, n):
             x = buf[:chunk.stop - chunk.start]
@@ -200,11 +231,16 @@ class RowReduction(NamedTuple):
             power = None
             if self.q is not None:
                 centre = (total / n)[:, None]
-                scratch = x if n <= _CHUNK_ELEMS else np.empty((len(x), _CHUNK_ELEMS))
+                scratch = (x if n <= _CHUNK_ELEMS
+                           else self._kept.take("leaf", len(x), _CHUNK_ELEMS))
 
                 def leaf_power(cols: slice) -> np.ndarray:
                     d = np.subtract(x[:, cols], centre, out=scratch[:, :cols.stop - cols.start])
-                    return pow_in_place(np.abs(d, out=d), self.q).sum(axis=1)
+                    # IEEE multiplication sets the sign apart from the
+                    # magnitude, so d * d is |d| * |d|, bit for bit
+                    if self.q != 2.0:
+                        np.abs(d, out=d)
+                    return pow_in_place(d, self.q).sum(axis=1)
 
                 power = _tree_sum(n, leaf_power)
             low = functools.reduce(np.minimum, lows) if lows else None

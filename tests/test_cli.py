@@ -371,6 +371,16 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     # at n=1 the statistic is a constant, whose rows would pass at -1 +- 0
     (["clt", "--n", "1", "--q", "2", "--replicates", "100"], "every n >= 2"),
     (["general-clt", "--n", "1", "--replicates", "100"], "every n >= 2"),
+    # one value has a standard error of 0: the sweep printed "6/6 rows
+    # passed" at KS 0.95, and the CLT mean row passed on its bias allowance
+    pytest.param(["berry-esseen", "--n", "10,20,30", "--replicates", "1"],
+                 "berry_esseen_sweep experiments require replicates >= 2",
+                 id="berry_esseen_one_replicate"),
+    pytest.param(["clt", "--n", "10", "--replicates", "1"],
+                 "clt experiments require replicates >= 2", id="clt_one_replicate"),
+    pytest.param(["general-clt", "--n", "10", "--replicates", "1"],
+                 "general_clt experiments require replicates >= 2",
+                 id="general_clt_one_replicate"),
 ])
 def test_value_out_of_domain_is_a_usage_error(capsys, args, message):
     assert run_cli(args) == 2

@@ -158,7 +158,7 @@ def test_clt_kernel_matches_allocating_reference(q):
 
 
 @pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 1.0),
-                                       ("exponential", 2.5)])
+                                       ("exponential", 2.5), ("exponential", 3.0)])
 def test_general_clt_kernel_matches_allocating_reference(source, q):
     got = ex.general_clt_sample(42, _N, q, source, 0.5, _REPS).values
     assert np.array_equal(got, _ref_general_clt_values(42, _N, q, source, 0.5, _REPS))
@@ -405,6 +405,56 @@ def test_row_reducing_sample_function_peaks_under_one_mib(name, call):
     # a 16 MiB block, drawn and reduced 6 rows (480 KB) at a time
     peak = _peak_traced_bytes(call)
     assert peak < 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
+
+
+# (n, replicates): three blocks of 16, 16 and 8 one-row chunks; four blocks
+# of one row each
+@pytest.mark.parametrize("n, reps", [(2**17, 40), (_HUGE + 8, 4)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypatch, n, reps,
+                                                                        workers):
+    real_empty = np.empty
+    sizes = []
+
+    def empty(shape, *args, **kwargs):
+        out = real_empty(shape, *args, **kwargs)
+        if out.size >= _CHUNK:
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(sampling.np, "empty", empty)
+    ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers)
+    # one chunk buffer, which is one row, and one scratch leaf per worker,
+    # whatever the number of blocks and chunks
+    rows, leaves = sizes.count(n), sizes.count(_CHUNK)
+    assert rows + leaves == len(sizes)
+    assert 1 <= rows <= workers and 1 <= leaves <= workers
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: ex.clt_sample(76, 1000, 2.0, 3000, mc=_MC2),
+    lambda: ex.sup_norm_sample(77, 1000, 3000),
+    lambda: ex.general_clt_sample(78, 1000, 2.0, "exponential", 1.0, 3000),
+], ids=["clt", "sup_norm", "general_clt"])
+def test_sample_function_frees_its_reducing_buffer_before_the_sort(monkeypatch, sample):
+    # the sort is a sample's peak once it holds many values, so a 520 KB
+    # chunk buffer kept through it would raise that peak
+    held = []
+    from_values = ex.EmpiricalSample.from_values
+
+    def traced_from_values(values):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return from_values(values)
+
+    monkeypatch.setattr(ex.EmpiricalSample, "from_values", staticmethod(traced_from_values))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample()
+    finally:
+        tracemalloc.stop()
+    (at_sort,) = held
+    assert at_sort - base < 2**17  # the 24 KB of values, and no chunk
 
 
 @pytest.mark.parametrize("name, call", [
