@@ -6,37 +6,17 @@ so the merged sample is a pure function of the config and never depends on
 worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
-Memory model: no kernel holds a block.  Each draws it a chunk of rows at a
-time (``sampling._CHUNK_ELEMS``, 512 KiB, or one row of 8n bytes when
-n > 2^16) into a reused buffer and reduces each chunk to its per-replicate
-values, so a sample function holds about one chunk per worker plus a few
-values per replicate; CLT at q=3 keeps one more chunk, its ``d*d``.  Each
-worker keeps its reducing buffer (and a long row's scratch leaf) for the
-whole sample, not one block: the CLT, sup-norm, equivalence and general-CLT
-sample functions each build one ``sampling.RowReduction``, which keeps them
-per thread, so a sample of one-row blocks allocates its row once per worker.
-The peak is unchanged: a sorted sample drops its reduction, and so the
-buffers, before the sort, which is its peak once it holds many values, and
-the equivalence frequency counts each block's hits as the block ends.
-(The lp-ball kernel builds its reduction per block, so that its buffer is
-freed before the block's membership redraw.)
-A row longer than a chunk is walked in leaves of at most a chunk
-(``sampling.RowReduction``), which are the nodes of numpy's pairwise
-row-sum tree.  Each leaf is drawn into the row (an exponential leaf by the
-samplers' one guarded fill, a general-CLT source leaf by the source's own
-draw, an lp-ball leaf by the guarded magnitude fill, which keeps the leaf's
-row max and raises it to the p-th power in place) and its sum, min and max
-are taken while it is in L2; the CLT kernels
-then centre each leaf into one leaf-sized scratch buffer for the power sum,
-so their ``d*d`` is one leaf, not one row.  The leaf sums are added as
-numpy adds its nodes, so the values are those of whole-row reductions, bit
-for bit.  The lp-ball kernel keeps no sign: it reduces each row, leaf by
-leaf, to its largest magnitude and power sum, then draws again only the
-chunks that hold a row which can have the block's largest norm (usually
-one), each after the reducing buffer is freed.  A sampler
-leaf that draws an exact 0.0 (about 2^-53 per exponential or gamma
-variate, 2^-52 per normal) draws it again right after the leaf, on the
-built and the reducing path alike, so neither ever needs the whole block.
+Memory model: no kernel holds a block.  Each reduces its block by
+``sampling.RowReduction``; the ``sampling`` docstring states what a worker
+holds: one row chunk, kept for the reduction's lifetime.  The CLT,
+sup-norm, equivalence and general-CLT sample functions each build one
+reduction per sample, so a worker allocates its chunk once per sample, not
+once per block, and a sample of one-row blocks (n > 2^21) maps its row once
+per worker.  They drop the reduction, and so its buffer, before the sort,
+which is a sorted sample's peak once it holds many values; the equivalence
+frequency counts each block's hits as the block ends.  The lp-ball kernel
+builds its reduction per block, so that its buffer is freed before the
+block's membership redraw.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -490,7 +470,7 @@ def _gaussian_rows(experiment: str, n: int, param: str, studentized: EmpiricalSa
     mean = float(studentized.values.mean())
     mean_se = float(studentized.values.std()) / math.sqrt(m)
     var = float(studentized.values.var()) * var_display
-    var_se = var * math.sqrt(2.0 / (m - 1)) if m > 1 else math.inf
+    var_se = var * math.sqrt(2.0 / (m - 1))
     mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] * mean_se
                 + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))
     return [

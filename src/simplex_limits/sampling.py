@@ -20,15 +20,25 @@ built block is drawn chunk by chunk into the rows of the output
 it draws each chunk into one reused buffer, leaf by leaf, takes each leaf's
 sums while it is in L2 and adds them as numpy adds the tree's nodes, so the
 row is read back from memory once for the centred power sum, not once per
-reduction.  Each worker thread keeps that buffer for the whole sample (the
-reduction's lifetime), so a sample of one-row blocks maps its row once per
-worker, not once per block; the peak is unchanged.
-:func:`exponential_block` hands it the guarded exponential fill; the
-general-CLT sources hand it their own fill, unguarded; the ``sup`` pass
-of :func:`lp_ball_block` hands it a guarded magnitude fill that keeps each
-leaf's row max and leaves the leaf's p-th powers to be summed (its
-membership redraw is a built chunk).  Either way the reduced values are the
-built block's, bit for bit.
+reduction.  :func:`exponential_block` hands it the guarded exponential
+fill; the general-CLT sources hand it their own fill, unguarded; the
+``sup`` pass of :func:`lp_ball_block` hands it a guarded magnitude fill
+that keeps each leaf's row max and leaves the leaf's p-th powers to be
+summed (its membership redraw is a built chunk).  Either way the reduced
+values are the built block's, bit for bit.
+
+Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
+builds one: each worker thread holds one row chunk, about 512 KiB, or one
+row of 8n bytes when n > 2**16, for the reduction's whole lifetime, and its
+second pass centres, powers and sums each leaf in place in that chunk.  Its
+other arrays last one leaf and are at most one leaf: the q = 3 ``d*d``
+temporary (:func:`pow_in_place`) and the zero guard's mask.  So a worker's
+reducing memory is one row chunk, whatever the number of blocks, plus a
+few values per row.  The reducing sample functions build one reduction per
+sample and drop it, and so every worker's buffer, before they sort their
+values.  The lp-ball ``sup`` pass builds one per block and frees it before
+its membership redraw, which draws, powers and sums one built chunk at a
+time (at p = 3 with one chunk-sized ``d*d``).
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -162,18 +172,17 @@ class RowStats(NamedTuple):
 
 
 class _Kept(threading.local):
-    """The buffers one thread keeps between the calls of one
-    :class:`RowReduction`; a thread that has none reads these empty ones."""
+    """The chunk buffer one thread keeps between the calls of one
+    :class:`RowReduction`; a thread that has none reads this empty one."""
 
-    chunk = np.empty(0)
-    leaf = np.empty(0)
+    buf = np.empty(0)
 
-    def take(self, name: str, rows: int, n: int) -> np.ndarray:
-        """A ``rows`` x ``n`` view of this thread's buffer ``name``, which is
-        allocated anew only when it is smaller than that."""
-        if getattr(self, name).size < rows * n:
-            setattr(self, name, np.empty(rows * n))
-        return getattr(self, name)[:rows * n].reshape(rows, n)
+    def take(self, rows: int, n: int) -> np.ndarray:
+        """A ``rows`` x ``n`` view of this thread's buffer, which is allocated
+        anew only when it is smaller than that."""
+        if self.buf.size < rows * n:
+            self.buf = np.empty(rows * n)
+        return self.buf[:rows * n].reshape(rows, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,20 +200,18 @@ class RowReduction:
     leaf in place, in the block's draw order, and takes its sum (and min and
     max) right after.  The reductions read whatever ``draw`` leaves in the
     leaf, so a draw may also transform the values it drew, in place (the
-    lp-ball ``sup`` pass leaves their p-th powers).  Pass 2 centres each
-    leaf, as the draw left it, on the row mean into one leaf-sized scratch
-    buffer (the chunk itself when it is one leaf), then takes the abs, the
-    power and the sum.  Every value has the bits of the same reduction of
-    whole rows.
+    lp-ball ``sup`` pass leaves their p-th powers).  Pass 2 overwrites each
+    leaf, as the draw left it, with its distance from the row mean (the abs
+    skipped at q = 2), raises it to the power q in place and takes its sum;
+    nothing reads the stored row after that.  Every value has the bits of
+    the same reduction of whole rows.
 
-    Each thread that calls a reduction keeps its chunk buffer and its
-    scratch leaf for the reduction's lifetime, and allocates one only when
-    it has none large enough; a block of fewer rows takes a view.  The
-    reducing sample functions build one reduction per call, so each worker
-    allocates its buffers once per sample, not once per block (which for
-    n > 2**21 is one fresh row per replicate), and the peak stays at one
-    chunk per worker.  The buffers go with the reduction (a sample function
-    drops it before it sorts its values), or with the thread.
+    Each thread that calls a reduction keeps its chunk buffer (:class:`_Kept`)
+    for the reduction's lifetime and allocates one only when it has none
+    large enough; a block of fewer rows takes a view.  So each worker
+    allocates its buffer once per sample, not once per block (which for
+    n > 2**21 is one fresh row per replicate).  The buffer goes with the
+    reduction or with the thread (see the module docstring's memory model).
     """
 
     finish: Callable[[RowStats], np.ndarray]
@@ -213,7 +220,7 @@ class RowReduction:
     _kept: _Kept = field(default_factory=_Kept, init=False, repr=False)
 
     def __call__(self, draw, rows: int, n: int) -> np.ndarray:
-        buf = self._kept.take("chunk", min(rows, _chunk_rows(n)), n)
+        buf = self._kept.take(min(rows, _chunk_rows(n)), n)
         values = np.empty(rows)
         for chunk in _row_chunks(rows, n):
             x = buf[:chunk.stop - chunk.start]
@@ -231,11 +238,9 @@ class RowReduction:
             power = None
             if self.q is not None:
                 centre = (total / n)[:, None]
-                scratch = (x if n <= _CHUNK_ELEMS
-                           else self._kept.take("leaf", len(x), _CHUNK_ELEMS))
 
                 def leaf_power(cols: slice) -> np.ndarray:
-                    d = np.subtract(x[:, cols], centre, out=scratch[:, :cols.stop - cols.start])
+                    d = np.subtract(x[:, cols], centre, out=x[:, cols])
                     # IEEE multiplication sets the sign apart from the
                     # magnitude, so d * d is |d| * |d|, bit for bit
                     if self.q != 2.0:
@@ -287,13 +292,13 @@ def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True
 def pow_in_place(d: np.ndarray, q: float) -> np.ndarray:
     """Raise the nonnegative ``d``, which the caller owns, to the power ``q``
     in place and return it."""
-    # integer fast paths: generic float powers dominate the runtime otherwise
+    # d *= d is twice as fast as d **= 2.0, and (d*d)*d is the q = 3 rule
+    # the references pin (d **= 3.0 differs from it in the last bit on about
+    # a quarter of inputs); every other q is numpy's power
     if q == 2.0:
         d *= d
     elif q == 3.0:
-        np.multiply(d * d, d, out=d)  # one temporary keeps the (d*d)*d bits
-    elif float(q).is_integer():
-        d **= int(q)
+        np.multiply(d * d, d, out=d)  # one leaf-sized temporary
     elif q != 1.0:
         d **= q
     return d

@@ -53,7 +53,7 @@ class EmpiricalSample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.values) < 0):
+        if np.any(self.values[1:] < self.values[:-1]):
             raise ValueError("values must be sorted nondecreasing")
 
     @property

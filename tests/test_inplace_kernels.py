@@ -200,7 +200,7 @@ _FUSED_SHAPES = [(2, 5000), (1000, 2500), (_CHUNK - 1, 3), (_CHUNK, 2), (_CHUNK 
                  (100_003, 2), (3 * _CHUNK + 5, 2)]
 
 
-@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0])
 @pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
 def test_fused_clt_matches_whole_block_reference(q, n, reps):
     got = ex.clt_sample(51, n, q, reps).values
@@ -288,8 +288,8 @@ def test_lp_ball_sup_columns_hold_the_built_block_values(p, rows, n):
 
 # three 65-row chunks and a partial one; two rows of four leaves each
 @pytest.mark.parametrize("p, rows, n", [
-    *[pytest.param(p, 200, 1000, id=str(p)) for p in (1.0, 1.5, 2.0, 3.0)],
-    *[pytest.param(p, 2, 3 * _CHUNK + 5, id=f"long-{p}") for p in (1.0, 1.5, 2.0, 3.0)],
+    *[pytest.param(p, 200, 1000, id=str(p)) for p in (1.0, 1.5, 2.0, 3.0, 4.0)],
+    *[pytest.param(p, 2, 3 * _CHUNK + 5, id=f"long-{p}") for p in (1.0, 1.5, 2.0, 3.0, 4.0)],
 ])
 def test_lp_ball_sup_with_every_row_a_candidate_measures_every_norm(monkeypatch, p, rows, n):
     usual_max = sampling.lp_ball_block(RandomStream(63), rows, n, p, sup=True)[:, 1].max()
@@ -424,11 +424,11 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
 
     monkeypatch.setattr(sampling.np, "empty", empty)
     ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers)
-    # one chunk buffer, which is one row, and one scratch leaf per worker,
-    # whatever the number of blocks and chunks
-    rows, leaves = sizes.count(n), sizes.count(_CHUNK)
-    assert rows + leaves == len(sizes)
-    assert 1 <= rows <= workers and 1 <= leaves <= workers
+    # one chunk buffer, which is one row, per worker, whatever the number of
+    # blocks and chunks; pass 2 works in the chunk, so no leaf-sized buffer
+    rows = sizes.count(n)
+    assert sizes.count(_CHUNK) == 0 and rows == len(sizes)
+    assert 1 <= rows <= workers
 
 
 @pytest.mark.parametrize("sample", [

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,20 @@ def test_empirical_sample_sorts_and_validates():
     assert s.values.tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
         stats.EmpiricalSample(np.array([2.0, 1.0]))
+
+
+def test_from_values_peaks_at_its_sorted_copy_and_a_mask():
+    # the sort check compares neighbours in place: no difference array of
+    # the sample's length on top of the sorted copy
+    values = np.random.default_rng(0).random(1_000_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stats.EmpiricalSample.from_values(values)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the values"
 
 
 # ---------------------------------------------------------------------------
