@@ -117,6 +117,28 @@ def test_config_validation():
             ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=seed)
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param(dict(kind="clt", n_list=(10,)), id="clt-without-q"),
+    pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20, 40)), id="sweep-without-q"),
+    pytest.param(dict(kind="general_clt", n_list=(10,)), id="general_clt-without-q"),
+    pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20), q=2.0), id="sweep-of-two"),
+    pytest.param(dict(kind="ldp", n_list=(10,)), id="ldp-without-thresholds"),
+    pytest.param(dict(kind="lp_ldp", n_list=(10,), p=2.0), id="lp_ldp-without-thresholds"),
+    pytest.param(dict(kind="lp_gumbel", n_list=(10,), p=2.0), id="lp_gumbel-at-p2"),
+    # s_n = log log 10 = 0.83 is not in (1, log n)
+    pytest.param(dict(kind="mdp", n_list=(10,), s_n_rule="log_log"), id="mdp-log_log-at-n10"),
+])
+def test_a_rejected_config_fails_before_any_draw(monkeypatch, config):
+    def draw(*args, **kwargs):
+        raise AssertionError("a rejected config drew a sample")
+
+    monkeypatch.setattr(ex.sampling, "exponential_block", draw)
+    monkeypatch.setattr(ex.sampling, "lp_ball_block", draw)
+    monkeypatch.setattr(ex.sampling.RowReduction, "__call__", draw)
+    with pytest.raises(ValueError):
+        ex.run(ex.ExperimentConfig(replicates=10, seed=0, **config))
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--workers", "0"], "workers must be >= 1"),
     (["--seed", "-5"], "seed must be a 64-bit unsigned integer, got -5"),

@@ -1,4 +1,11 @@
-"""Pinned report bytes: one small config per experiment kind.
+"""Pinned report bytes: one small config per experiment kind, plus configs
+whose ``n_list`` is out of order or empty.
+
+A report lists its dimensions in config order, except for
+``berry_esseen_sweep`` and ``equivalence_decay``, which sort them because
+their cross-n rows compare each n with the next smaller one.  The unsorted
+configs pin that order; the oracle-only ``mdp`` config pins a report with
+exact rows and no draw.
 
 Each digest is the SHA-256 of ``to_csv() + to_json()`` of the report, so any
 change to a sample, a row's arithmetic, the row order or the number format
@@ -31,6 +38,19 @@ CONFIGS = {
                            seed=8),
     "general_clt": C(kind="general_clt", n_list=(100,), q=1.5, replicates=2000, seed=9,
                      source="uniform01"),
+    "clt_n_in_config_order": C(kind="clt", n_list=(80, 40), q=3.0, replicates=1000, seed=21),
+    "berry_esseen_sweep_n_sorted": C(kind="berry_esseen_sweep", n_list=(80, 20, 40), q=1.5,
+                                     replicates=1000, seed=22),
+    # n = 100 reaches the final-frequency rule
+    "equivalence_decay_n_sorted": C(kind="equivalence_decay", n_list=(100, 5, 20),
+                                    replicates=20_000, seed=23),
+    "mdp_oracle_only": C(kind="mdp", n_list=(), replicates=1, seed=24,
+                         thresholds=(1.0, -1.0), oracle_n_list=(10**6,)),
+    "gumbel_n_in_config_order": C(kind="gumbel", n_list=(200, 50), replicates=1000, seed=25),
+    "lp_ldp_n_in_config_order": C(kind="lp_ldp", n_list=(100, 50), p=2.0, replicates=1000,
+                                  seed=26, thresholds=(1.3,)),
+    "general_clt_n_in_config_order": C(kind="general_clt", n_list=(60, 30), q=3.0,
+                                       replicates=1000, seed=27),
 }
 
 PINNED_DIGESTS = {
@@ -52,11 +72,26 @@ PINNED_DIGESTS = {
         "d9509c4bb87fb23663e1508bdd39cc6b3bc04258295b33c7a5117830451e0208",
     "general_clt":
         "668b36b784d28f100a39a56d306f435fa39c6e4afa2d7714e613262384e8c51a",
+    "clt_n_in_config_order":
+        "b672285a2552c171be29aeff16a2ee1e5b8dfed5fb3c32fe44b9015a6ac89881",
+    "berry_esseen_sweep_n_sorted":
+        "589d03b98887f65bf3bb50d0b1da4c682a59388ef721e760928e09fde762330e",
+    "equivalence_decay_n_sorted":
+        "81d5bd439643a89e51b8197fabeae54ca6552c46613bc77f7ab61e3b068ccc9c",
+    "mdp_oracle_only":
+        "0b8c4c263d83f2a4e196f7c4bcde373bea9af792ba0e17d3f7abbab58074494c",
+    "gumbel_n_in_config_order":
+        "816e6edd575f9b11a53bf194a4630b1e3fae4439d2fa85723d8359ccf4a45b93",
+    "lp_ldp_n_in_config_order":
+        "13df1dc2ac1a6ae8c3b6e18c4d48dab5928225b2314e3929d38f030fc2bc86d8",
+    "general_clt_n_in_config_order":
+        "7386eaddbd7ccce596c14af726f9c52dba8628ce4c5a356d0e842af958bef023",
 }
 
 
 def test_every_kind_is_pinned():
-    assert set(CONFIGS) == set(ex.EXPERIMENT_KINDS) == set(PINNED_DIGESTS)
+    assert {c.kind for c in CONFIGS.values()} == set(ex.EXPERIMENT_KINDS)
+    assert set(CONFIGS) == set(PINNED_DIGESTS)
 
 
 @pytest.mark.parametrize("kind", sorted(CONFIGS))
