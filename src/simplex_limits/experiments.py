@@ -1,5 +1,11 @@
 """Declarative experiment orchestration.
 
+Each experiment kind is one entry of :data:`THEOREMS`, which maps a config
+to its :class:`Plan`: the dimensions in run order, a per-n function that
+draws that n's sample and returns its rows, and a finish function for the
+rows that span n and the exact oracle rows.  A plan is built, and the config
+checked, before the first draw; :func:`run` is the one runner.
+
 Replicates are drawn in fixed-size blocks; block ``i`` of an experiment at
 dimension ``n`` always comes from ``RandomStream(seed).substream(n).substream(i)``,
 so the merged sample is a pure function of the config and never depends on
@@ -12,11 +18,15 @@ holds: one row chunk, kept for the reduction's lifetime.  The CLT,
 sup-norm, equivalence and general-CLT sample functions each build one
 reduction per sample, so a worker allocates its chunk once per sample, not
 once per block, and a sample of one-row blocks (n > 2^21) maps its row once
-per worker.  They drop the reduction, and so its buffer, before the sort,
-which is a sorted sample's peak once it holds many values; the equivalence
-frequency counts each block's hits as the block ends.  The lp-ball kernel
-builds its reduction per block, so that its buffer is freed before the
-block's membership redraw.
+per worker.  A sorted sample peaks in ``_collect``'s merge, where the
+blocks, the merged copy and the kept chunk are alive together: 2.41 MiB
+traced for ``sup_norm_sample`` at n = 1000 and 125,000 replicates (0.95 MiB
+of values).  Its sort peaks at 2.03 MiB, so the sample functions drop the
+reduction, and so its 0.5 MiB chunk, before the sort, which would otherwise
+pass the merge.  A whole run peaks later, in ``ks_distance``: 5.73 MiB for
+a ``gumbel`` run of that size.  The equivalence frequency counts each
+block's hits as the block ends.  The lp-ball kernel builds its reduction per
+block, so that its buffer is freed before the block's membership redraw.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -31,7 +41,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -354,6 +364,24 @@ def _collect(seed: int, n: int, replicates: int, workers: int, kernel) -> np.nda
         return np.concatenate(list(pool.map(kernel, streams, rows)), axis=0)
 
 
+def _sorted_values(seed: int, n: int, replicates: int, workers: int, finish,
+                   source=None, **reductions) -> EmpiricalSample:
+    """Sorted values of ``RowReduction(finish, **reductions)`` over the
+    experiment's blocks, drawn from the exponential sampler or, when given,
+    the ``source`` distribution."""
+    reduce = sampling.RowReduction(finish, **reductions)
+
+    def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
+        if source is None:
+            return sampling.exponential_block(bstream, rows, n, reduce)
+        rng = bstream.generator()
+        return reduce(lambda leaf: source.sample(rng, leaf.shape, out=leaf), rows, n)
+
+    values = _collect(seed, n, replicates, workers, kernel)
+    del reduce  # and the buffers it keeps, before the sort
+    return EmpiricalSample.from_values(values)
+
+
 def clt_sample(seed: int, n: int, q: float, replicates: int,
                mc: MomentConstants | None = None, workers: int = 1) -> EmpiricalSample:
     """Replicated values of the studentized scaled lq-norm statistic."""
@@ -366,11 +394,7 @@ def clt_sample(seed: int, n: int, q: float, replicates: int,
         scaled = (s.power * (inv_mu / n)) ** (1.0 / q) / (s.total / n)
         return sqrt_n * (scaled - 1.0) / sigma
 
-    reduce = sampling.RowReduction(finish, q=q)
-    values = _collect(seed, n, replicates, workers,
-                      lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
-    del reduce  # and the buffers it keeps, before the sort
-    return EmpiricalSample.from_values(values)
+    return _sorted_values(seed, n, replicates, workers, finish, q=q)
 
 
 def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> EmpiricalSample:
@@ -383,11 +407,7 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
     def finish(s: sampling.RowStats) -> np.ndarray:
         return np.maximum(n * s.high / s.total - 1.0, 1.0 - n * s.low / s.total)
 
-    reduce = sampling.RowReduction(finish, extremes=True)
-    values = _collect(seed, n, replicates, workers,
-                      lambda bstream, rows: sampling.exponential_block(bstream, rows, n, reduce))
-    del reduce  # and the buffers it keeps, before the sort
-    return EmpiricalSample.from_values(values)
+    return _sorted_values(seed, n, replicates, workers, finish, extremes=True)
 
 
 def _affine_sample(base: EmpiricalSample, scale: float, shift: float) -> EmpiricalSample:
@@ -428,25 +448,34 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
 def general_clt_sample(seed: int, n: int, q: float, source: str, mq: float,
                        replicates: int, workers: int = 1) -> EmpiricalSample:
     """Replicated values of sqrt(n) * (mean |X - Xbar|**q - mq)."""
-    dist = SOURCE_DISTRIBUTIONS[source]
     sqrt_n = math.sqrt(n)
 
     def finish(s: sampling.RowStats) -> np.ndarray:
         return sqrt_n * (s.power / n - mq)
 
-    reduce = sampling.RowReduction(finish, q=q)
-
-    def kernel(bstream: RandomStream, rows: int) -> np.ndarray:
-        rng = bstream.generator()
-        return reduce(lambda leaf: dist.sample(rng, leaf.shape, out=leaf), rows, n)
-
-    values = _collect(seed, n, replicates, workers, kernel)
-    del reduce  # and the buffers it keeps, before the sort
-    return EmpiricalSample.from_values(values)
+    return _sorted_values(seed, n, replicates, workers, finish,
+                          source=SOURCE_DISTRIBUTIONS[source], q=q)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# the theorem table: each kind builds a plan, and one runner runs every plan
+
+
+class Plan(NamedTuple):
+    """How one config runs, fixed before the first draw.
+
+    :func:`run` calls ``rows_at(n)`` for each dimension of ``n_list`` in
+    order; each call draws that n's sample and returns its rows.  ``finish``
+    then maps those rows to the report's: it adds the rows that compare
+    dimensions, rewrites a pass decided by a rule that spans n, and appends
+    the exact oracle rows, which the plan computed when it was built.
+    Building a plan checks what the config's kind needs, so a config that it
+    rejects fails before any draw.
+    """
+
+    n_list: tuple[int, ...]
+    rows_at: Callable[[int], list[ReportRow]] | None
+    finish: Callable[[list[ReportRow]], list[ReportRow]] = list
 
 
 def _require(config: ExperimentConfig, field: str) -> float:
@@ -456,71 +485,73 @@ def _require(config: ExperimentConfig, field: str) -> float:
     return value
 
 
-def _gaussian_rows(experiment: str, n: int, param: str, studentized: EmpiricalSample,
-                   var_display: float, tol: str) -> list[ReportRow]:
-    """KS / mean / variance rows for a studentized statistic.
+def _gaussian_plan(config: ExperimentConfig, param: str, var_display: float, tol: str,
+                   studentized_at: Callable[[int], EmpiricalSample]) -> Plan:
+    """KS / mean / variance rows per dimension for a studentized statistic.
 
-    ``studentized`` should be standard normal in the limit; the variance row
-    is reported in the limit-variance units (theory value ``var_display``).
-    ``tol`` is the prefix of the rows' ``TOLERANCES`` keys (``clt`` or
-    ``general``).
+    ``studentized_at(n)`` draws the statistic's sample at n, which should be
+    standard normal in the limit; the variance row is reported in the
+    limit-variance units (theory value ``var_display``).  ``tol`` is the
+    prefix of the rows' ``TOLERANCES`` keys (``clt`` or ``general``).
     """
-    m = studentized.replicates
-    d = ks_distance(studentized, gaussian_cdf)
-    mean = float(studentized.values.mean())
-    mean_se = float(studentized.values.std()) / math.sqrt(m)
-    var = float(studentized.values.var()) * var_display
-    var_se = var * math.sqrt(2.0 / (m - 1))
-    mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] * mean_se
-                + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))
-    return [
-        ReportRow(f"{experiment}:ks", n, param, None, d, 0.0, None,
-                  d <= TOLERANCES[f"{tol}_ks"]),
-        ReportRow(f"{experiment}:mean", n, param, None, mean, 0.0, mean_se,
-                  abs(mean) <= mean_tol),
-        ReportRow(f"{experiment}:variance", n, param, None, var, var_display, var_se,
-                  abs(var - var_display) <= TOLERANCES[f"{tol}_var_rel"] * var_display),
-    ]
+
+    def rows_at(n: int) -> list[ReportRow]:
+        studentized = studentized_at(n)
+        m = studentized.replicates
+        d = ks_distance(studentized, gaussian_cdf)
+        mean = float(studentized.values.mean())
+        mean_se = float(studentized.values.std()) / math.sqrt(m)
+        var = float(studentized.values.var()) * var_display
+        var_se = var * math.sqrt(2.0 / (m - 1))
+        mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] * mean_se
+                    + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))
+        return [
+            ReportRow(f"{config.kind}:ks", n, param, None, d, 0.0, None,
+                      d <= TOLERANCES[f"{tol}_ks"]),
+            ReportRow(f"{config.kind}:mean", n, param, None, mean, 0.0, mean_se,
+                      abs(mean) <= mean_tol),
+            ReportRow(f"{config.kind}:variance", n, param, None, var, var_display, var_se,
+                      abs(var - var_display) <= TOLERANCES[f"{tol}_var_rel"] * var_display),
+        ]
+
+    return Plan(config.n_list, rows_at)
 
 
-def run_clt(config: ExperimentConfig) -> ExperimentReport:
+def _clt(config: ExperimentConfig) -> Plan:
     """Gaussian-limit check of the scaled lq-norm statistic, per dimension."""
     q = _require(config, "q")
     mc = moment_constants(q)
-    param = f"q={q:g}"
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        sample = clt_sample(config.seed, n, q, config.replicates, mc=mc, workers=config.workers)
-        # clt_sample is already studentized; the variance row is displayed
-        # against the limit variance sigma_q^2 of the unstudentized statistic
-        rows.extend(_gaussian_rows("clt", n, param, sample, mc.sigma_q_sq, "clt"))
-    return ExperimentReport(rows=rows, config=config)
+    # clt_sample is already studentized; the variance row is displayed
+    # against the limit variance sigma_q^2 of the unstudentized statistic
+    return _gaussian_plan(config, f"q={q:g}", mc.sigma_q_sq, "clt", lambda n: clt_sample(
+        config.seed, n, q, config.replicates, mc=mc, workers=config.workers))
 
 
-def run_berry_esseen_sweep(config: ExperimentConfig) -> ExperimentReport:
+def _berry_esseen_sweep(config: ExperimentConfig) -> Plan:
     """Boundedness of D_n * sqrt(n) / log n across a sweep of dimensions."""
     q = _require(config, "q")
     if len(config.n_list) < 3:
         raise ValueError("berry_esseen_sweep needs at least 3 dimensions")
     mc = moment_constants(q)
     param = f"q={q:g}"
-    rows: list[ReportRow] = []
-    ratios: list[tuple[int, float]] = []
-    for n in sorted(config.n_list):
+
+    def rows_at(n: int) -> list[ReportRow]:
         sample = clt_sample(config.seed, n, q, config.replicates, mc=mc, workers=config.workers)
-        d = ks_distance(sample, gaussian_cdf)
-        rows.append(ReportRow("berry_esseen:ks", n, param, None, d, 0.0, None,
-                              0.0 <= d <= 1.0))
-        ratios.append((n, d * math.sqrt(n) / math.log(n)))
-    bound = TOLERANCES["berry_esseen_ratio_factor"] * ratios[0][1]
-    for n, ratio in ratios:
-        rows.append(ReportRow("berry_esseen:ratio", n, param, None, ratio, bound, None,
-                              ratio <= bound))
-    return ExperimentReport(rows=rows, config=config)
+        # a KS row always passes: the ratio rows carry the sweep's verdict
+        return [ReportRow("berry_esseen:ks", n, param, None, ks_distance(sample, gaussian_cdf),
+                          0.0, None, True)]
+
+    def finish(rows: list[ReportRow]) -> list[ReportRow]:
+        ratios = [(r.n, r.estimate * math.sqrt(r.n) / math.log(r.n)) for r in rows]
+        bound = TOLERANCES["berry_esseen_ratio_factor"] * ratios[0][1]
+        return rows + [ReportRow("berry_esseen:ratio", n, param, None, ratio, bound, None,
+                                 ratio <= bound) for n, ratio in ratios]
+
+    return Plan(tuple(sorted(config.n_list)), rows_at, finish)
 
 
 # ---------------------------------------------------------------------------
-# the sup-norm limit theorems: one table row each, one runner
+# the sup-norm limit theorems: one table entry each, one plan builder
 
 
 def _deviation_pass(estimate: float, theory: float, band: tuple[float, float]) -> bool:
@@ -621,10 +652,6 @@ def _l1_param(config: ExperimentConfig) -> str:
     return "p=1"
 
 
-def _log_speed(config: ExperimentConfig, n: int) -> float:
-    return math.log(n)
-
-
 @dataclass(frozen=True)
 class SupTheorem:
     """How one sup-norm limit theorem is sampled, normalized and checked.
@@ -647,6 +674,42 @@ class SupTheorem:
     param: Callable  # config -> row param label; validates the parameter
     oracle: Callable | None  # (config, thresholds, param) -> exact rows
 
+    def __call__(self, config: ExperimentConfig) -> Plan:
+        """The plan of one config: Monte Carlo rows per dimension, then the
+        theorem's exact oracle rows.  Every map, speed and exact row is
+        computed here, before the first draw."""
+        kind = config.kind
+        param = self.param(config)
+        thresholds = config.thresholds or self.thresholds
+        if self.rate is not None and not thresholds:
+            raise ValueError(f"{kind} experiment requires thresholds")
+        maps = {n: (*self.affine(config, n), self.speed(config, n) if self.rate else None)
+                for n in config.n_list}
+        oracle_rows = self.oracle(config, thresholds, param) if self.oracle is not None else []
+
+        def rows_at(n: int) -> list[ReportRow]:
+            scale, shift, speed = maps[n]
+            base, max_norm = self.sample(config, n)
+            rows = []
+            if max_norm is not None:
+                rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
+                                      None, max_norm <= 1.0 + sampling.SUM_TOL))
+            sample = _affine_sample(base, scale, shift)
+            if self.rate is None:
+                d = ks_distance(sample, gumbel_cdf)
+                return rows + [ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
+                                         d <= TOLERANCES[self.tol])]
+            for z in thresholds:
+                theory = rate_function(self.rate, z, p=config.p)
+                direction = "above" if math.isfinite(theory) else "below"
+                dev = tail_log_prob(sample, z, speed=speed, direction=direction)
+                est = dev.normalized_log_prob
+                rows.append(ReportRow(f"{kind}:mc", n, param, z, est, theory, dev.std_error,
+                                      _deviation_pass(est, theory, TOLERANCES[self.tol])))
+            return rows
+
+        return Plan(config.n_list, rows_at, lambda rows: rows + oracle_rows)
+
 
 SUP_THEOREMS = {
     # n * ||Z_n||_inf - (log n - 1) -> Gumbel
@@ -657,7 +720,7 @@ SUP_THEOREMS = {
     # (n / log n) * ||Z_n||_inf: LDP at speed log n, rate z - 1
     "ldp": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0 / math.log(n), 0.0),
-        tol="ldp_band", rate="simplex_sup", speed=_log_speed, thresholds=(),
+        tol="ldp_band", rate="simplex_sup", speed=lambda c, n: math.log(n), thresholds=(),
         param=lambda c: "", oracle=_ldp_oracle),
     # (n * ||Z_n||_inf - log n) / s_n: MDP at speed s_n, rate x
     "mdp": SupTheorem(
@@ -667,7 +730,7 @@ SUP_THEOREMS = {
     # (n / (p log n))**(1/p) * sup-coordinate of the lp-ball: LDP, rate z**p - 1
     "lp_ldp": SupTheorem(
         sample=_ball_sup, affine=lambda c, n: ((n / (c.p * math.log(n))) ** (1.0 / c.p), 0.0),
-        tol="lp_ldp_band", rate="lp_sup", speed=_log_speed, thresholds=(),
+        tol="lp_ldp_band", rate="lp_sup", speed=lambda c, n: math.log(n), thresholds=(),
         param=_p_param, oracle=None),
     # n * sup-coordinate of the l1-ball - log n -> Gumbel
     "lp_gumbel": SupTheorem(
@@ -677,63 +740,28 @@ SUP_THEOREMS = {
 }
 
 
-def _run_sup(config: ExperimentConfig) -> ExperimentReport:
-    """Run one row of :data:`SUP_THEOREMS`: Monte Carlo rows per dimension,
-    then the theorem's exact oracle rows (computed first, written last)."""
-    kind = config.kind
-    th = SUP_THEOREMS[kind]
-    param = th.param(config)
-    thresholds = config.thresholds or th.thresholds
-    if th.rate is not None and not thresholds:
-        raise ValueError(f"{kind} experiment requires thresholds")
-    # every map, speed and exact row is computed before the first draw, so a
-    # config that one of them rejects fails before any sampling
-    maps = [(n, *th.affine(config, n), th.speed(config, n) if th.rate else None)
-            for n in config.n_list]
-    oracle_rows = th.oracle(config, thresholds, param) if th.oracle is not None else []
-    rows: list[ReportRow] = []
-    for n, scale, shift, speed in maps:
-        base, max_norm = th.sample(config, n)
-        if max_norm is not None:
-            rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
-                                  None, max_norm <= 1.0 + sampling.SUM_TOL))
-        sample = _affine_sample(base, scale, shift)
-        if th.rate is None:
-            d = ks_distance(sample, gumbel_cdf)
-            rows.append(ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
-                                  d <= TOLERANCES[th.tol]))
-            continue
-        for z in thresholds:
-            theory = rate_function(th.rate, z, p=config.p)
-            direction = "above" if math.isfinite(theory) else "below"
-            dev = tail_log_prob(sample, z, speed=speed, direction=direction)
-            rows.append(ReportRow(f"{kind}:mc", n, param, z, dev.normalized_log_prob, theory,
-                                  dev.std_error,
-                                  _deviation_pass(dev.normalized_log_prob, theory,
-                                                  TOLERANCES[th.tol])))
-    return ExperimentReport(rows=rows + oracle_rows, config=config)
-
-
-def run_equivalence_decay(config: ExperimentConfig) -> ExperimentReport:
+def _equivalence_decay(config: ExperimentConfig) -> Plan:
     """Decay of the probability that ||Z_n||_inf differs from the one-sided max."""
-    rows: list[ReportRow] = []
-    previous: tuple[float, float] | None = None
-    for n in sorted(config.n_list):
+
+    def rows_at(n: int) -> list[ReportRow]:
         freq, se = equivalence_frequency(config.seed, n, config.replicates,
                                          workers=config.workers)
-        if previous is None:
-            passed = True
-        else:
-            slack = TOLERANCES["equiv_se_sigmas"] * math.hypot(se, previous[1])
-            passed = freq <= previous[0] + slack
-        if n >= 100:
-            passed = passed and freq <= TOLERANCES["equiv_final_freq"]
-        rows.append(ReportRow("equivalence:freq", n, "", None, freq, 0.0, se, passed))
-        previous = (freq, se)
-    return ExperimentReport(rows=rows, config=config)
+        # from n = 100 on, the frequency must be all but zero
+        return [ReportRow("equivalence:freq", n, "", None, freq, 0.0, se,
+                          n < 100 or freq <= TOLERANCES["equiv_final_freq"])]
+
+    def finish(rows: list[ReportRow]) -> list[ReportRow]:
+        # a frequency may exceed the one at the next smaller n only within
+        # binomial error
+        sigmas = TOLERANCES["equiv_se_sigmas"]
+        return rows[:1] + [dataclasses.replace(r, passed=r.passed and r.estimate <= prev.estimate
+                                               + sigmas * math.hypot(r.std_error, prev.std_error))
+                           for prev, r in zip(rows, rows[1:])]
+
+    return Plan(tuple(sorted(config.n_list)), rows_at, finish)
 
 
-def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
+def _general_clt(config: ExperimentConfig) -> Plan:
     """Central-moment CLT for a named source distribution."""
     q = _require(config, "q")
     dist = SOURCE_DISTRIBUTIONS[config.source]
@@ -742,33 +770,30 @@ def run_general_clt(config: ExperimentConfig) -> ExperimentReport:
     try:
         sigma_sq = general_clt_variance(dist, q)
     except DegenerateVarianceError:
-        return ExperimentReport(rows=[ReportRow("general_clt:variance", 0, param, None,
-                                                None, None, None, False)],
-                                config=config)
-    rows: list[ReportRow] = []
-    for n in config.n_list:
-        sample = general_clt_sample(config.seed, n, q, config.source, mq,
-                                    config.replicates, workers=config.workers)
-        studentized = _affine_sample(sample, 1.0 / math.sqrt(sigma_sq), 0.0)
-        rows.extend(_gaussian_rows("general_clt", n, param, studentized, sigma_sq, "general"))
-    return ExperimentReport(rows=rows, config=config)
+        row = ReportRow("general_clt:variance", 0, param, None, None, None, None, False)
+        return Plan((), None, lambda rows: [row])
+    return _gaussian_plan(config, param, sigma_sq, "general", lambda n: _affine_sample(
+        general_clt_sample(config.seed, n, q, config.source, mq, config.replicates,
+                           workers=config.workers), 1.0 / math.sqrt(sigma_sq), 0.0))
 
 
-_RUNNERS = {
-    "clt": run_clt,
-    "berry_esseen_sweep": run_berry_esseen_sweep,
-    **dict.fromkeys(SUP_THEOREMS, _run_sup),
-    "equivalence_decay": run_equivalence_decay,
-    "general_clt": run_general_clt,
+#: experiment kind -> its plan builder, ``config -> Plan``
+THEOREMS = {
+    "clt": _clt,
+    "berry_esseen_sweep": _berry_esseen_sweep,
+    **SUP_THEOREMS,
+    "equivalence_decay": _equivalence_decay,
+    "general_clt": _general_clt,
 }
-EXPERIMENT_KINDS = tuple(_RUNNERS)
+EXPERIMENT_KINDS = tuple(THEOREMS)
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a config to its runner and stamp the wall time."""
+    """Run the plan that :data:`THEOREMS` builds for a config, and stamp the
+    wall time."""
     start = time.perf_counter()
-    report = _RUNNERS[config.kind](config)
-    if not report.rows:
+    n_list, rows_at, finish = THEOREMS[config.kind](config)
+    rows = finish([row for n in n_list for row in rows_at(n)])
+    if not rows:
         raise ValueError(f"{config.kind}: the config yields no report rows")
-    report.wall_time = time.perf_counter() - start
-    return report
+    return ExperimentReport(rows, config, wall_time=time.perf_counter() - start)
