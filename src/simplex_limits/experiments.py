@@ -754,9 +754,9 @@ def _equivalence_decay(config: ExperimentConfig) -> Plan:
         # a frequency may exceed the one at the next smaller n only within
         # binomial error
         sigmas = TOLERANCES["equiv_se_sigmas"]
-        return rows[:1] + [dataclasses.replace(r, passed=r.passed and r.estimate <= prev.estimate
-                                               + sigmas * math.hypot(r.std_error, prev.std_error))
-                           for prev, r in zip(rows, rows[1:])]
+        return rows[:1] + [dataclasses.replace(r, passed=r.passed and r.estimate <= (
+            prev.estimate + sigmas * math.hypot(r.std_error, prev.std_error)))
+            for prev, r in zip(rows, rows[1:])]
 
     return Plan(tuple(sorted(config.n_list)), rows_at, finish)
 
