@@ -23,10 +23,12 @@ blocks, the merged copy and the kept chunk are alive together: 2.41 MiB
 traced for ``sup_norm_sample`` at n = 1000 and 125,000 replicates (0.95 MiB
 of values).  Its sort peaks at 2.03 MiB, so the sample functions drop the
 reduction, and so its 0.5 MiB chunk, before the sort, which would otherwise
-pass the merge.  A whole run peaks later, in ``ks_distance``: 5.73 MiB for
-a ``gumbel`` run of that size.  The equivalence frequency counts each
-block's hits as the block ends.  The lp-ball kernel builds its reduction per
-block, so that its buffer is freed before the block's membership redraw.
+pass the merge.  A whole run peaks later, in ``ks_distance``: 3.82 MiB for
+a ``gumbel`` run of that size, which holds the sampled values, their affine
+map, their CDF values and one discrepancy buffer.  The equivalence
+frequency counts each block's hits as the block ends.  The lp-ball kernel
+builds its reduction per block, so that its buffer is freed before the
+block's membership redraw.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -766,7 +768,7 @@ def _general_clt(config: ExperimentConfig) -> Plan:
     q = _require(config, "q")
     dist = SOURCE_DISTRIBUTIONS[config.source]
     param = f"source={config.source};q={q:g}"
-    mq = abs_moment(dist, q, dist.mean)
+    mq = abs_moment(dist, q)
     try:
         sigma_sq = general_clt_variance(dist, q)
     except DegenerateVarianceError:

@@ -1,5 +1,6 @@
 """Reference CDFs, empirical-distribution machinery, deviation-rate
-estimators, and the source distributions of the central-moment CLT.
+estimators, and the source distributions of the central-moment CLT with
+their limit constants in closed form.
 
 The statistics themselves are computed by the batch kernels of
 :mod:`simplex_limits.experiments`; anything distributional operates on the
@@ -11,6 +12,9 @@ and standard error.
 
 scipy is imported on first use, inside the functions that call it; the
 README's Install section lists them and the subcommands that never load it.
+Only :func:`gaussian_cdf` here calls it (``scipy.special``); the
+central-moment CLT constants need no quadrature, except the exponential
+source's at a non-integer q, which :func:`constants.mu_q` integrates.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .constants import moment_constants
 
 
 class DegenerateVarianceError(ValueError):
@@ -68,15 +74,23 @@ class EmpiricalSample:
 def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     """Kolmogorov-Smirnov sup-distance of the sample against a reference CDF.
 
-    Evaluates both one-sided step discrepancies at every sorted sample point.
+    Evaluates both one-sided step discrepancies, i/m - F and F - (i-1)/m,
+    at every sorted sample point i.  Each is taken in place in one buffer,
+    freed before the next, so the CDF values and one buffer are all it holds.
     """
     m = sample.replicates
     if m < 1:
         raise ValueError("ks_distance requires a nonempty sample")
     f = np.asarray(cdf(sample.values), dtype=np.float64)
-    i = np.arange(1, m + 1, dtype=np.float64)
-    d_plus = float(np.max(i / m - f))
-    d_minus = float(np.max(f - (i - 1.0) / m))
+    step = np.arange(1, m + 1, dtype=np.float64)
+    step /= m
+    step -= f
+    d_plus = float(step.max())
+    del step
+    step = np.arange(0, m, dtype=np.float64)
+    step /= m
+    np.subtract(f, step, out=step)
+    d_minus = float(step.max())
     d = max(d_plus, d_minus)
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"KS distance {d} outside [0, 1]")
@@ -128,10 +142,21 @@ def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
 
 # ---------------------------------------------------------------------------
 # general central-moment CLT (arbitrary source distribution)
+#
+# sqrt(n) * (mean |X - Xbar|**q - m_q) has the limit variance
+# Var(d * X + |X - mu|**q), where m_q = E|X - mu|**q and d is the derivative
+# of t -> E|X - t|**q at t = mu.  Each source states m_q and that variance in
+# closed form, as ``clt_constants(q) -> (m_q, variance)``.
 
 
 class ExponentialDist:
-    """Standard exponential source for the central-moment CLT."""
+    """Standard exponential source for the central-moment CLT.
+
+    g(t) = E|E - t|**q = exp(-t) * (Gamma(q + 1) + int_0^t u**q e**u du) has
+    g'(t) = t**q - g(t), so d = 1 - mu_q, and the variance
+    d**2 + 2 d Cov(E, |E - 1|**q) + mu_2q - mu_q**2 reads every term from
+    :func:`constants.moment_constants`.
+    """
 
     mean = 1.0
 
@@ -140,14 +165,19 @@ class ExponentialDist:
         return rng.standard_exponential(shape, out=out)
 
     @staticmethod
-    def _pdf(x: float) -> float:
-        return math.exp(-x)
-
-    support = (0.0, math.inf)
+    def clt_constants(q: float) -> tuple[float, float]:
+        mc = moment_constants(q)
+        d = 1.0 - mc.mu_q
+        return mc.mu_q, d * d + 2.0 * d * mc.cov_e_absq + mc.mu_2q - mc.mu_q * mc.mu_q
 
 
 class Uniform01Dist:
-    """Uniform [0, 1] source for the central-moment CLT."""
+    """Uniform [0, 1] source for the central-moment CLT.
+
+    |X - 1/2| is uniform on [0, 1/2] and d = 0 by symmetry, so
+    m_q = 2**-q / (q + 1) and the variance is
+    4**-q / (2q + 1) - m_q**2 = q**2 / (4**q (2q + 1) (q + 1)**2).
+    """
 
     mean = 0.5
 
@@ -156,54 +186,24 @@ class Uniform01Dist:
         return rng.random(shape, out=out)
 
     @staticmethod
-    def _pdf(x: float) -> float:
-        return 1.0
-
-    support = (0.0, 1.0)
+    def clt_constants(q: float) -> tuple[float, float]:
+        return 2.0**-q / (q + 1.0), q * q / (4.0**q * (2.0 * q + 1.0) * (q + 1.0) ** 2)
 
 
 SOURCE_DISTRIBUTIONS = {"exponential": ExponentialDist, "uniform01": Uniform01Dist}
 
 
-def _expect(dist, f: Callable[[float], float], split: float) -> float:
-    # Integrands here have a kink at `split`, so integrate the two pieces.
-    from scipy.integrate import quad
-
-    a, b = dist.support
-    total = 0.0
-    for lo, hi in ((a, split), (split, b)):
-        if lo >= hi:
-            continue
-        val, _ = quad(lambda x: f(x) * dist._pdf(x), lo, hi,
-                      epsabs=1e-11, epsrel=1e-11, limit=200)
-        total += val
-    return total
-
-
-def abs_moment(dist, q: float, t: float) -> float:
-    """E|X - t|**q for the named source distribution, by quadrature."""
-    return _expect(dist, lambda x: abs(x - t) ** q, split=t)
-
-
-#: Step of the central finite difference in :func:`general_clt_variance`.
-_FD_STEP = 1e-4
+def abs_moment(dist, q: float) -> float:
+    """Central absolute moment E|X - mean|**q of a source distribution."""
+    return dist.clt_constants(q)[0]
 
 
 def general_clt_variance(dist, q: float) -> float:
     """Variance Var(d * X + |X - mu|**q) with d the derivative of
-    t -> E|X - t|**q at the mean, taken by central finite difference."""
+    t -> E|X - t|**q at the mean."""
     if not q >= 1.0:
         raise ValueError(f"moment order must satisfy q >= 1, got {q}")
-    mu = dist.mean
-    d = ((abs_moment(dist, q, mu + _FD_STEP) - abs_moment(dist, q, mu - _FD_STEP))
-         / (2.0 * _FD_STEP))
-
-    def g(x: float) -> float:
-        return d * x + abs(x - mu) ** q
-
-    first = _expect(dist, g, split=mu)
-    second = _expect(dist, lambda x: g(x) ** 2, split=mu)
-    var = second - first * first
+    var = dist.clt_constants(q)[1]
     if var <= 0.0:
         raise DegenerateVarianceError(f"central-moment CLT variance {var} is not positive")
     return var

@@ -147,6 +147,32 @@ def mu_q_bruteforce(q: float) -> tuple[float, float]:
     return left + right, e1 + e2 + tail
 
 
+#: general-CLT source -> (mean, density, support)
+_SOURCE_LAWS = {
+    "exponential": (1.0, lambda x: math.exp(-x), (0.0, math.inf)),
+    "uniform01": (0.5, lambda x: 1.0, (0.0, 1.0)),
+}
+
+
+def general_clt_constants(source: str, q: float) -> tuple[float, float]:
+    """(m_q, sigma**2) of the central-moment CLT by quadrature against the
+    source's density: m_q = E|X - mu|**q and sigma**2 = Var(d X + |X - mu|**q),
+    with d = E[-q sign(X - mu) |X - mu|**(q-1)] the derivative of
+    t -> E|X - t|**q at mu, integrated rather than differenced.  Every
+    integrand has its kink at mu, so each is integrated on the two sides of it.
+    """
+    mu, pdf, (lo, hi) = _SOURCE_LAWS[source]
+
+    def expect(f):
+        return sum(quad(lambda x: f(x) * pdf(x), a, b, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0] for a, b in ((lo, mu), (mu, hi)))
+
+    mq = expect(lambda x: abs(x - mu) ** q)
+    d = expect(lambda x: -q * math.copysign(abs(x - mu) ** (q - 1.0), x - mu))
+    var = expect(lambda x: (d * (x - mu) + abs(x - mu) ** q - mq) ** 2)
+    return mq, var
+
+
 def check_simplex_invariants(coords, centered: bool) -> None:
     """Raise if the sum/positivity invariants of a simplex point fail."""
     n = len(coords)

@@ -10,7 +10,7 @@ import pytest
 
 from simplex_limits import experiments as ex
 from simplex_limits import statistics as stats
-from simplex_limits.constants import moment_constants
+from simplex_limits.constants import MomentConstants, moment_constants
 from simplex_limits.rng import RandomStream
 from simplex_limits.sampling import exponential_block, lp_ball_block
 
@@ -55,7 +55,7 @@ def test_batch_clt_matches_scalar_statistic(source, q):
         scalar = [ref.clt_statistic(row / row.sum() - 1.0 / n, mc) for row in e]
     else:
         dist = stats.SOURCE_DISTRIBUTIONS[source]
-        mq = stats.abs_moment(dist, q, dist.mean)
+        mq = stats.abs_moment(dist, q)
         batch = ex.general_clt_sample(seed, n, q, source, mq, reps)
         x = dist.sample(_block0(seed, n).generator(), (reps, n))
         scalar = [ref.general_central_moment_stat(row, q, mq) for row in x]
@@ -117,6 +117,15 @@ def test_config_validation():
             ex.ExperimentConfig(kind="clt", n_list=(10,), replicates=10, seed=seed)
 
 
+def _forbid_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a config that cannot run drew a sample")
+
+    monkeypatch.setattr(ex.sampling, "exponential_block", draw)
+    monkeypatch.setattr(ex.sampling, "lp_ball_block", draw)
+    monkeypatch.setattr(ex.sampling.RowReduction, "__call__", draw)
+
+
 @pytest.mark.parametrize("config", [
     pytest.param(dict(kind="clt", n_list=(10,)), id="clt-without-q"),
     pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20, 40)), id="sweep-without-q"),
@@ -129,14 +138,21 @@ def test_config_validation():
     pytest.param(dict(kind="mdp", n_list=(10,), s_n_rule="log_log"), id="mdp-log_log-at-n10"),
 ])
 def test_a_rejected_config_fails_before_any_draw(monkeypatch, config):
-    def draw(*args, **kwargs):
-        raise AssertionError("a rejected config drew a sample")
-
-    monkeypatch.setattr(ex.sampling, "exponential_block", draw)
-    monkeypatch.setattr(ex.sampling, "lp_ball_block", draw)
-    monkeypatch.setattr(ex.sampling.RowReduction, "__call__", draw)
+    _forbid_draws(monkeypatch)
     with pytest.raises(ValueError):
         ex.run(ex.ExperimentConfig(replicates=10, seed=0, **config))
+
+
+def test_a_degenerate_general_clt_variance_is_one_failed_row_without_a_draw(monkeypatch):
+    # mu_q = mu_2q = 1 with no covariance: the exponential source's limit
+    # variance is 0
+    monkeypatch.setattr(stats, "moment_constants",
+                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0, "stub"))
+    _forbid_draws(monkeypatch)
+    report = ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(10, 20), q=2.0,
+                                        replicates=10, seed=0))
+    assert [(r.experiment, r.n, r.passed) for r in report.rows] == [
+        ("general_clt:variance", 0, False)]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -72,3 +72,14 @@ def test_clt_loads_scipy_special_at_its_ks(tmp_path):
     code = _RUN.format('kind="clt", n_list=(100,), q=2.0, replicates=200, seed=1')
     loaded = scipy_modules(code, tmp_path)
     assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+
+
+@pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 1.0),
+                                       ("uniform01", 1.5)])
+def test_general_clt_at_closed_form_constants_loads_no_scipy_integrate(source, q, tmp_path):
+    # both sources state m_q and the limit variance in closed form; only the
+    # exponential source's mu_q at a non-integer q is a quadrature
+    code = _RUN.format(f'kind="general_clt", n_list=(100,), q={q}, source="{source}", '
+                       'replicates=200, seed=1')
+    loaded = scipy_modules(code, tmp_path)
+    assert "scipy.special" in loaded and "scipy.integrate" not in loaded

@@ -71,7 +71,7 @@ PINNED_DIGESTS = {
     "equivalence_decay":
         "d9509c4bb87fb23663e1508bdd39cc6b3bc04258295b33c7a5117830451e0208",
     "general_clt":
-        "668b36b784d28f100a39a56d306f435fa39c6e4afa2d7714e613262384e8c51a",
+        "6445bbd9ed25018d56fbec5fb359cfbc63471111bbafaa455b6675c2012a47f4",
     "clt_n_in_config_order":
         "b672285a2552c171be29aeff16a2ee1e5b8dfed5fb3c32fe44b9015a6ac89881",
     "berry_esseen_sweep_n_sorted":
@@ -85,7 +85,7 @@ PINNED_DIGESTS = {
     "lp_ldp_n_in_config_order":
         "13df1dc2ac1a6ae8c3b6e18c4d48dab5928225b2314e3929d38f030fc2bc86d8",
     "general_clt_n_in_config_order":
-        "7386eaddbd7ccce596c14af726f9c52dba8628ce4c5a356d0e842af958bef023",
+        "b0fcce68554da6daa5d594a7d3f6d7484957902c79a2d9d3e075bfcafeed224f",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplex_limits import statistics as stats
-from simplex_limits.constants import moment_constants
+from simplex_limits.constants import MomentConstants, moment_constants
 from simplex_limits.experiments import clt_sample, sup_norm_sample
 
 import reference as ref
@@ -184,6 +184,24 @@ def test_ks_distance_iid_reference_draws():
     assert got <= 1.63 / math.sqrt(100_000)
 
 
+def test_ks_distance_holds_its_cdf_values_and_one_buffer():
+    # 125,000 values, as a gumbel run at n = 1000 holds; the array headers
+    # are the only allocations beside the two sample-length arrays
+    values = np.sort(np.random.default_rng(3).gumbel(size=125_000))
+    sample = _sample(values)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = stats.ks_distance(sample, stats.gumbel_cdf)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0 * values.nbytes + 4096, f"peak {peak / values.nbytes:.4f}x the values"
+    f = stats.gumbel_cdf(values)
+    i = np.arange(1, len(values) + 1, dtype=np.float64)
+    assert got == max(float(np.max(i / len(i) - f)), float(np.max(f - (i - 1.0) / len(i))))
+
+
 def test_ks_distance_probability_integral_transform():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(5000)
@@ -271,22 +289,32 @@ def test_general_stat_validation():
 
 def test_general_clt_variance_exponential_q2():
     # derivative term vanishes and Var (E-1)^2 = 9 - 1
-    assert stats.general_clt_variance(stats.ExponentialDist, 2.0) == pytest.approx(8.0, abs=1e-6)
+    assert stats.general_clt_variance(stats.ExponentialDist, 2.0) == 8.0
 
 
 def test_general_clt_variance_uniform_q1():
     # |X - 1/2| is uniform on [0, 1/2]: variance 1/48
-    assert stats.general_clt_variance(stats.Uniform01Dist, 1.0) == pytest.approx(1.0 / 48.0,
-                                                                                 abs=1e-9)
+    assert stats.general_clt_variance(stats.Uniform01Dist, 1.0) == 1.0 / 48.0
 
 
 def test_abs_moment_centers():
-    assert stats.abs_moment(stats.ExponentialDist, 1.0, 1.0) == pytest.approx(2.0 / math.e,
-                                                                              abs=1e-10)
-    assert stats.abs_moment(stats.Uniform01Dist, 1.0, 0.5) == pytest.approx(0.25, abs=1e-12)
+    assert stats.abs_moment(stats.ExponentialDist, 1.0) == pytest.approx(2.0 / math.e,
+                                                                         abs=1e-15)
+    assert stats.abs_moment(stats.Uniform01Dist, 1.0) == 0.25
+
+
+@pytest.mark.parametrize("source", sorted(stats.SOURCE_DISTRIBUTIONS))
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0])
+def test_general_clt_constants_match_quadrature(source, q):
+    dist = stats.SOURCE_DISTRIBUTIONS[source]
+    mq, var = ref.general_clt_constants(source, q)
+    assert stats.abs_moment(dist, q) == pytest.approx(mq, rel=1e-10)
+    assert stats.general_clt_variance(dist, q) == pytest.approx(var, rel=1e-10)
 
 
 def test_degenerate_variance_raises(monkeypatch):
-    monkeypatch.setattr(stats, "_expect", lambda dist, f, split: 1.0)
+    # mu_q = mu_2q = 1 with no covariance: d = 0 and Var |E - 1|**q = 0
+    monkeypatch.setattr(stats, "moment_constants",
+                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0, "stub"))
     with pytest.raises(stats.DegenerateVarianceError):
-        stats.general_clt_variance(stats.Uniform01Dist, 2.0)
+        stats.general_clt_variance(stats.ExponentialDist, 2.0)
