@@ -16,6 +16,7 @@ README's Install section lists them and the subcommands that never load it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -82,8 +83,13 @@ class MomentConstants:
     method: str  # "closed_form_integer_q" or "quadrature"
 
 
+@functools.lru_cache
 def moment_constants(q: float) -> MomentConstants:
-    """Assemble the moment bundle; integer q uses the exact closed form."""
+    """Assemble the moment bundle; integer q uses the exact closed form.
+
+    Cached per q, so a run that reads the bundle in several places
+    quadratures a non-integer q once.
+    """
     _check_q(q)
     if float(q).is_integer():
         m, m2 = mu_q_integer(int(q)), mu_q_integer(2 * int(q))

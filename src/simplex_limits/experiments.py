@@ -23,9 +23,10 @@ blocks, the merged copy and the kept chunk are alive together: 2.41 MiB
 traced for ``sup_norm_sample`` at n = 1000 and 125,000 replicates (0.95 MiB
 of values).  Its sort peaks at 2.03 MiB, so the sample functions drop the
 reduction, and so its 0.5 MiB chunk, before the sort, which would otherwise
-pass the merge.  A whole run peaks later, in ``ks_distance``: 3.82 MiB for
-a ``gumbel`` run of that size, which holds the sampled values, their affine
-map, their CDF values and one discrepancy buffer.  The equivalence
+pass the merge.  A whole run peaks later, in ``ks_distance``: 2.87 MiB for
+a ``gumbel`` run of that size, which holds the sampled values' affine map,
+their CDF values and one discrepancy buffer; the sup-norm plans drop the
+sampled values once mapped.  The equivalence
 frequency counts each block's hits as the block ends.  The lp-ball kernel
 builds its reduction per block, so that its buffer is freed before the
 block's membership redraw.
@@ -697,6 +698,7 @@ class SupTheorem:
                 rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
                                       None, max_norm <= 1.0 + sampling.SUM_TOL))
             sample = _affine_sample(base, scale, shift)
+            del base  # the KS distance or the tails hold only the mapped copy
             if self.rate is None:
                 d = ks_distance(sample, gumbel_cdf)
                 return rows + [ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,

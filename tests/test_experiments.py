@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from simplex_limits import constants
 from simplex_limits import experiments as ex
 from simplex_limits import statistics as stats
 from simplex_limits.constants import MomentConstants, moment_constants
@@ -153,6 +154,25 @@ def test_a_degenerate_general_clt_variance_is_one_failed_row_without_a_draw(monk
                                         replicates=10, seed=0))
     assert [(r.experiment, r.n, r.passed) for r in report.rows] == [
         ("general_clt:variance", 0, False)]
+
+
+def test_a_general_clt_plan_quadratures_each_moment_once(monkeypatch):
+    # abs_moment and general_clt_variance read one cached moment bundle:
+    # mu_q and mu_2q at q = 2.5, not each of them twice
+    calls, real = [], constants.mu_q
+
+    def mu_q(q):
+        calls.append(q)
+        return real(q)
+
+    constants.moment_constants.cache_clear()
+    monkeypatch.setattr(constants, "mu_q", mu_q)
+    try:
+        ex.THEOREMS["general_clt"](ex.ExperimentConfig(kind="general_clt", n_list=(10,),
+                                                       q=2.5, replicates=10, seed=0))
+    finally:
+        constants.moment_constants.cache_clear()
+    assert sorted(calls) == [2.5, 5.0]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -1,7 +1,8 @@
 """scipy is loaded only by the functions that call it.
 
-Importing the package and running the q = inf experiments, oracle queries,
-samples and report conversions must leave no ``scipy`` module in
+Importing the package, running every experiment kind at closed-form
+constants (the Gaussian kinds at an integer q, or the uniform source), oracle
+queries, samples and report conversions must leave no ``scipy`` module in
 ``sys.modules``.  Each case runs in a fresh interpreter, because this test
 process has loaded scipy long before.
 """
@@ -36,6 +37,16 @@ CASES = {
                              'seed=1'),
     "equivalence_decay": _RUN.format('kind="equivalence_decay", n_list=(5, 10), '
                                      'replicates=200, seed=1'),
+    "clt": _RUN.format('kind="clt", n_list=(100,), q=2.0, replicates=200, seed=1'),
+    "berry_esseen_sweep": _RUN.format('kind="berry_esseen_sweep", n_list=(10, 20, 40), '
+                                      'q=2.0, replicates=200, seed=1'),
+    # both sources state their central-moment CLT constants in closed form;
+    # only the exponential source's mu_q at a non-integer q is a quadrature
+    **{case: _RUN.format(f'kind="general_clt", n_list=(100,), q={q}, source="{source}", '
+                         'replicates=200, seed=1')
+       for case, source, q in [("general_clt_exponential_q2", "exponential", 2.0),
+                               ("general_clt_uniform01_q1", "uniform01", 1.0),
+                               ("general_clt_uniform01_q1_5", "uniform01", 1.5)]},
     "oracle": _CLI.format(["oracle", "--op", "max-spacing-sf", "--n", "100", "--s", "0.05"]),
     "sample": _CLI.format(["sample", "--kind", "ball", "--n", "4", "--count", "3",
                            "--p", "1.5"]),
@@ -58,7 +69,7 @@ def test_loads_no_scipy(case, tmp_path):
 
 
 def test_report_conversion_loads_no_scipy(tmp_path):
-    # a clt report, whose run loads scipy; converting it must not
+    # converting a saved report loads no scipy and reproduces its csv
     report = ex.run(ex.ExperimentConfig(kind="clt", n_list=(100,), q=2.0, replicates=200,
                                         seed=1))
     (tmp_path / "r.json").write_text(report.to_json())
@@ -67,19 +78,8 @@ def test_report_conversion_loads_no_scipy(tmp_path):
     assert (tmp_path / "r.csv").read_text() == report.to_csv()
 
 
-def test_clt_loads_scipy_special_at_its_ks(tmp_path):
-    # the check above sees a scipy import where there is one
-    code = _RUN.format('kind="clt", n_list=(100,), q=2.0, replicates=200, seed=1')
-    loaded = scipy_modules(code, tmp_path)
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
-
-
-@pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 1.0),
-                                       ("uniform01", 1.5)])
-def test_general_clt_at_closed_form_constants_loads_no_scipy_integrate(source, q, tmp_path):
-    # both sources state m_q and the limit variance in closed form; only the
-    # exponential source's mu_q at a non-integer q is a quadrature
-    code = _RUN.format(f'kind="general_clt", n_list=(100,), q={q}, source="{source}", '
-                       'replicates=200, seed=1')
-    loaded = scipy_modules(code, tmp_path)
-    assert "scipy.special" in loaded and "scipy.integrate" not in loaded
+def test_clt_at_a_non_integer_q_loads_scipy_integrate(tmp_path):
+    # the check above sees a scipy import where there is one: mu_q at
+    # q = 2.5 is a quadrature
+    code = _RUN.format('kind="clt", n_list=(100,), q=2.5, replicates=200, seed=1')
+    assert "scipy.integrate" in scipy_modules(code, tmp_path)

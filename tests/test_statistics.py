@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from simplex_limits import statistics as stats
 from simplex_limits.constants import MomentConstants, moment_constants
@@ -152,6 +153,44 @@ def test_gumbel_cdf_values():
 def test_gaussian_cdf_values():
     assert float(stats.gaussian_cdf(0.0)) == 0.5
     assert float(stats.gaussian_cdf(1.959963985)) == pytest.approx(0.975, abs=1e-9)
+
+
+_MAXLOG = 709.782712893384
+
+
+def _same_bits_as_ndtr(a):
+    got, want = stats.gaussian_cdf(a), ndtr(np.asarray(a, dtype=np.float64))
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    bad = np.asarray(got).view(np.int64) != np.asarray(want).view(np.int64)
+    assert not bad.any(), (np.asarray(a)[bad], np.asarray(got)[bad], np.asarray(want)[bad])
+
+
+@pytest.mark.parametrize("edge", [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                                  math.sqrt(2.0 * _MAXLOG)])
+def test_gaussian_cdf_is_ndtr_bit_for_bit_across_each_branch_edge(edge):
+    # |a| = sqrt(2), 8 sqrt(2) and sqrt(2 MAXLOG) are erfc's 1, 8 and
+    # underflow edges after the scaling by 1/sqrt(2); |a| = 1 is ndtr's own
+    near = np.concatenate([np.linspace(edge - 1e-9, edge + 1e-9, 2001),
+                           edge + np.arange(-50, 51) * math.ulp(edge)])
+    _same_bits_as_ndtr(near)
+    _same_bits_as_ndtr(-near)
+
+
+def test_gaussian_cdf_is_ndtr_bit_for_bit_at_special_values():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    _same_bits_as_ndtr(np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                                 tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308]))
+
+
+def test_gaussian_cdf_is_ndtr_bit_for_bit_on_normal_draws():
+    _same_bits_as_ndtr(np.random.default_rng(20240).standard_normal(1_000_000))
+
+
+@pytest.mark.parametrize("a", [0.3, -2.0, np.float64(9.0), np.array(1.5),
+                               np.array([[0.1, -3.0, 40.0], [-9.0, 0.0, math.nan]])],
+                         ids=["float", "negative-float", "numpy-scalar", "0-d", "2-D"])
+def test_gaussian_cdf_has_ndtr_shape_and_return_type(a):
+    _same_bits_as_ndtr(a)
 
 
 @given(st.floats(min_value=-30.0, max_value=30.0))
