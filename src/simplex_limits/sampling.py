@@ -17,28 +17,35 @@ one row.  Each leaf is drawn by :func:`_guarded_fill`, which draws an exact
 0.0 again right after its leaf.  There are two loops over the chunks.  A
 built block is drawn chunk by chunk into the rows of the output
 (:func:`_built_block`).  A :class:`RowReduction` owns the one reducing loop:
-it draws each chunk into one reused buffer, leaf by leaf, takes each leaf's
-sums while it is in L2 and adds them as numpy adds the tree's nodes, so the
-row is read back from memory once for the centred power sum, not once per
-reduction.  :func:`exponential_block` hands it the guarded exponential
-fill; the general-CLT sources hand it their own fill, unguarded; the
-``sup`` pass of :func:`lp_ball_block` hands it a guarded magnitude fill
-that keeps each leaf's row max and leaves the leaf's p-th powers to be
-summed (its membership redraw is a built chunk).  Either way the reduced
-values are the built block's, bit for bit.
+it draws each leaf into one reused buffer, takes the leaf's sums while it
+is in L2 and adds them as numpy adds the tree's nodes.  Only a centred
+power sum at q != 2 reads a row back from memory, once; at q = 2 each
+leaf's squares are taken about its own mean while it is in L2 and merged at
+the row mean, so no row is stored.  :func:`exponential_block` hands it the
+guarded exponential fill; the general-CLT sources hand it their own fill,
+unguarded; the ``sup`` pass of :func:`lp_ball_block` hands it a guarded
+magnitude fill that keeps each leaf's row max and leaves the leaf's p-th
+powers to be summed (its membership redraw is a built chunk).  Either way
+the reduced values are the built block's, bit for bit, but for the q = 2
+power sum of a row of more than one leaf (n > 2**16), which is the merge of
+its leaves (see :class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
-builds one: each worker thread holds one row chunk, about 512 KiB, or one
-row of 8n bytes when n > 2**16, for the reduction's whole lifetime, and its
-second pass centres, powers and sums each leaf in place in that chunk.  Its
-other arrays last one leaf and are at most one leaf: the q = 3 ``d*d``
-temporary (:func:`pow_in_place`) and the zero guard's mask.  So a worker's
-reducing memory is one row chunk, whatever the number of blocks, plus a
-few values per row.  The reducing sample functions build one reduction per
-sample and drop it, and so every worker's buffer, before they sort their
-values.  The lp-ball ``sup`` pass builds one per block and frees it before
-its membership redraw, which draws, powers and sums one built chunk at a
-time (at p = 3 with one chunk-sized ``d*d``).
+builds one: each worker thread holds one buffer for the reduction's whole
+lifetime, a row chunk of about 512 KiB, which for n > 2**16 is one leaf of
+a row.  Only a centred power at q != 2 stores the whole row there (8n bytes
+when n > 2**16), for its second pass to centre, power and sum each leaf in
+place.  The reduction's other arrays last one leaf and are at most one
+leaf: the q = 3 ``d*d`` temporary (:func:`pow_in_place`) and the zero
+guard's mask.  So a worker's reducing memory is one row chunk (one row at
+q != 2 when n > 2**16), whatever the number of blocks, plus a few values
+per row and leaf.
+The reducing sample functions build one reduction per sample and drop it,
+and so every worker's buffer, before they sort their values.  The lp-ball
+``sup`` pass builds one per block and frees it before its membership
+redraw, which draws, powers and sums one built chunk at a time (at p = 3
+with one chunk-sized ``d*d``); for n > 2**16 that chunk is one candidate
+row of 8n bytes.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -163,7 +170,8 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
 class RowStats(NamedTuple):
     """The row reductions of a chunk, one value per row, each with the bits
     of numpy's reduction along the whole row: the sum, the min and max (or
-    None), and the sum of |x - sum / n|**q (or None)."""
+    None), and the sum of |x - sum / n|**q (or None; at q = 2 on a row of
+    more than one leaf, the merge of :class:`RowReduction`)."""
 
     total: np.ndarray
     low: np.ndarray | None
@@ -193,24 +201,35 @@ class RowReduction:
 
     Called as ``reduction(draw, rows, n)``, it gives the values of a
     ``rows`` x ``n`` block that is never built.  The block is drawn a row
-    chunk (:func:`_row_chunks`) at a time into one reused buffer, each row by
-    the leaves of :func:`_tree_sum`, so a row longer than
-    :data:`_CHUNK_ELEMS` is reduced a cache-sized leaf at a time; a shorter
-    row is one leaf, reduced as one.  Pass 1 has ``draw(leaf)`` fill each
-    leaf in place, in the block's draw order, and takes its sum (and min and
-    max) right after.  The reductions read whatever ``draw`` leaves in the
-    leaf, so a draw may also transform the values it drew, in place (the
-    lp-ball ``sup`` pass leaves their p-th powers).  Pass 2 overwrites each
-    leaf, as the draw left it, with its distance from the row mean (the abs
-    skipped at q = 2), raises it to the power q in place and takes its sum;
-    nothing reads the stored row after that.  Every value has the bits of
-    the same reduction of whole rows.
+    chunk (:func:`_row_chunks`) at a time, each row by the leaves of
+    :func:`_tree_sum`, so a row longer than :data:`_CHUNK_ELEMS` is reduced
+    a cache-sized leaf at a time; a shorter row is one leaf, reduced as one.
+    Pass 1 has ``draw(leaf)`` fill each leaf in place, in the block's draw
+    order, and takes its sum (and min and max) right after.  The reductions
+    read whatever ``draw`` leaves in the leaf, so a draw may also transform
+    the values it drew, in place (the lp-ball ``sup`` pass leaves their p-th
+    powers).
 
-    Each thread that calls a reduction keeps its chunk buffer (:class:`_Kept`)
-    for the reduction's lifetime and allocates one only when it has none
-    large enough; a block of fewer rows takes a view.  So each worker
-    allocates its buffer once per sample, not once per block (which for
-    n > 2**21 is one fresh row per replicate).  The buffer goes with the
+    The centred power sum is taken in one of two ways.  At q = 2, pass 1
+    also overwrites each leaf with its distance from its own mean
+    m_L = s_L / n_L, squares it in place and takes its sum M2_L; the leaves
+    are then added at the row mean m as M2_L + n_L (m_L - m)**2, in
+    :func:`_tree_sum`'s order (the pairwise update of Chan, Golub & LeVeque,
+    *Amer. Statist.* 37, 1983).  A row of one leaf has m_L = m and adds 0.0,
+    so its sum keeps the bits of the whole-row two-pass sum; a longer row's
+    differs from it in the last bits, and the tests hold both within a
+    relative 1e-14 of an extended-precision sum.  At any other q the row is
+    stored in the buffer, and pass 2 overwrites each leaf, as the draw left
+    it, with its absolute distance from the row mean, raises it to the power
+    q in place and takes its sum.  Every other value has the bits of the
+    same reduction of whole rows.  So only a power at q != 2 stores a row;
+    every other reduction draws each leaf into one leaf-sized buffer.
+
+    Each thread that calls a reduction keeps its buffer (:class:`_Kept`) for
+    the reduction's lifetime and allocates one only when it has none large
+    enough; a block of fewer rows takes a view.  So each worker allocates
+    its buffer once per sample, not once per block (which for n > 2**21 is
+    one fresh leaf, or row, per replicate).  The buffer goes with the
     reduction or with the thread (see the module docstring's memory model).
     """
 
@@ -220,32 +239,52 @@ class RowReduction:
     _kept: _Kept = field(default_factory=_Kept, init=False, repr=False)
 
     def __call__(self, draw, rows: int, n: int) -> np.ndarray:
-        buf = self._kept.take(min(rows, _chunk_rows(n)), n)
+        # only a centred power other than the square reads the row back
+        stored = self.q not in (None, 2.0)
+        buf = self._kept.take(min(rows, _chunk_rows(n)), n if stored else min(n, _CHUNK_ELEMS))
         values = np.empty(rows)
         for chunk in _row_chunks(rows, n):
             x = buf[:chunk.stop - chunk.start]
-            lows, highs = [], []
+            lows, highs, squares = [], [], []
 
             def leaf_sum(cols: slice) -> np.ndarray:
-                y = x[:, cols]
+                width = cols.stop - cols.start
+                y = x[:, cols] if stored else x[:, :width]
                 draw(y)
                 if self.extremes:
                     lows.append(y.min(axis=1))
                     highs.append(y.max(axis=1))
-                return y.sum(axis=1)
+                s = y.sum(axis=1)
+                if self.q == 2.0:
+                    # IEEE multiplication sets the sign apart from the
+                    # magnitude, so d * d is |d| * |d|, bit for bit
+                    d = np.subtract(y, (s / width)[:, None], out=y)
+                    d *= d
+                    squares.append((s, d.sum(axis=1)))
+                return s
 
             total = _tree_sum(n, leaf_sum)
             power = None
-            if self.q is not None:
+            if self.q == 2.0:
+                mean = total / n
+                merged = iter(squares)
+
+                def leaf_merge(cols: slice) -> np.ndarray:
+                    # Chan, Golub & LeVeque's update: a leaf's squares about
+                    # the row mean are its own plus n_L (m_L - m)**2, which
+                    # is 0.0 for a row of one leaf
+                    s, m2 = next(merged)
+                    width = cols.stop - cols.start
+                    dev = s / width - mean
+                    return m2 + width * (dev * dev)
+
+                power = _tree_sum(n, leaf_merge)
+            elif stored:
                 centre = (total / n)[:, None]
 
                 def leaf_power(cols: slice) -> np.ndarray:
                     d = np.subtract(x[:, cols], centre, out=x[:, cols])
-                    # IEEE multiplication sets the sign apart from the
-                    # magnitude, so d * d is |d| * |d|, bit for bit
-                    if self.q != 2.0:
-                        np.abs(d, out=d)
-                    return pow_in_place(d, self.q).sum(axis=1)
+                    return pow_in_place(np.abs(d, out=d), self.q).sum(axis=1)
 
                 power = _tree_sum(n, leaf_power)
             low = functools.reduce(np.minimum, lows) if lows else None

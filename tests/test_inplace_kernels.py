@@ -47,14 +47,37 @@ def _ref_magnitudes(rng, size, p):
     return (p * rng.standard_gamma(1.0 / p, size)) ** (1.0 / p)
 
 
-def _ref_leaves(n, start=0):
-    # the nodes of at most _CHUNK_ELEMS elements of numpy's pairwise-sum tree
-    # of a row of n elements, in order; a node of m > 128 elements is split
-    # after its first m//2 - (m//2) % 8
+def _ref_tree(n, leaf, start=0):
+    # leaf(cols) of each node of at most _CHUNK_ELEMS elements of numpy's
+    # pairwise-sum tree of a row of n elements, added in the tree's order; a
+    # node of m > 128 elements is split after its first m//2 - (m//2) % 8
     if n <= sampling._CHUNK_ELEMS:
-        return [slice(start, start + n)]
+        return leaf(slice(start, start + n))
     half = n // 2 - (n // 2) % 8
-    return _ref_leaves(half, start) + _ref_leaves(n - half, start + half)
+    return _ref_tree(half, leaf, start) + _ref_tree(n - half, leaf, start + half)
+
+
+def _ref_leaves(n):
+    # the leaves of a row of n elements, in order
+    return _ref_tree(n, lambda cols: [cols])
+
+
+def _ref_power_sum(x, q):
+    # the sum of |x - mean|**q of each row; at q = 2 a row of more than one
+    # leaf adds each leaf's squares about its own mean m_L and n_L (m_L - m)**2
+    # about the row mean m, in the tree's order (Chan, Golub & LeVeque 1983)
+    mean = x.mean(axis=1)
+    if q != 2.0 or x.shape[1] <= sampling._CHUNK_ELEMS:
+        return _ref_abs_pow(np.abs(x - mean[:, None]), q).sum(axis=1)
+
+    def leaf(cols):
+        y = x[:, cols]
+        width = cols.stop - cols.start
+        leaf_mean = y.sum(axis=1) / width
+        dev = leaf_mean - mean
+        return _ref_abs_pow(y - leaf_mean[:, None], 2.0).sum(axis=1) + width * (dev * dev)
+
+    return _ref_tree(x.shape[1], leaf)
 
 
 def _ref_pgen(rng, rows, n, p):
@@ -91,9 +114,7 @@ def _ref_clt_values(seed, n, q, reps):
 
     def kernel(bstream, rows):
         e = sampling.exponential_block(bstream, rows, n)
-        mean = e.mean(axis=1)
-        power_sum = _ref_abs_pow(np.abs(e - mean[:, None]), q).sum(axis=1)
-        scaled = (power_sum * (inv_mu / n)) ** (1.0 / q) / mean
+        scaled = (_ref_power_sum(e, q) * (inv_mu / n)) ** (1.0 / q) / e.mean(axis=1)
         return sqrt_n * (scaled - 1.0) / sigma
 
     return _ref_collect(seed, n, reps, kernel)
@@ -121,8 +142,7 @@ def _ref_general_clt_values(seed, n, q, source, mq, reps):
 
     def kernel(bstream, rows):
         x = dist.sample(bstream.generator(), (rows, n))
-        centered = np.abs(x - x.mean(axis=1)[:, None])
-        return math.sqrt(n) * (_ref_abs_pow(centered, q).mean(axis=1) - mq)
+        return math.sqrt(n) * (_ref_power_sum(x, q) / n - mq)
 
     return _ref_collect(seed, n, reps, kernel)
 
@@ -233,6 +253,21 @@ def test_leaf_walk_has_the_bits_of_the_whole_row_reduction(n):
     assert stats.low == x.min() and stats.high == x.max()
     ref_power = _ref_abs_pow(np.abs(x - x.mean(axis=1)[:, None]), 3.0).sum(axis=1)
     assert np.array_equal(stats.power, ref_power)
+
+
+@pytest.mark.parametrize("n", [_CHUNK + 1, 100_003, 3 * _CHUNK + 5, 2**21 + 8])
+def test_merged_square_sum_of_a_long_row_is_as_accurate_as_two_passes(n):
+    # q = 2 merges a long row's leaves instead of reading the row back; both
+    # sums must lie within 1e-14 of one taken in extended precision
+    x = RandomStream(79, n).generator().standard_exponential((1, n))
+    (merged,) = sampling.RowReduction(lambda s: s.power, q=2.0)(_copy_leaves(x), 1, n)
+    d = x - x.mean()
+    two_pass = (d * d).sum()
+    wide = x.astype(np.longdouble)
+    wide -= wide.sum() / n
+    exact = (wide * wide).sum()
+    for got in (merged, two_pass):
+        assert abs(got - exact) <= 1e-14 * exact
 
 
 @pytest.mark.parametrize("n, reps", _FUSED_SHAPES)
@@ -400,9 +435,15 @@ _FULL_BLOCK = ex._BLOCK_ELEMS // 10_000  # 209 rows at n=1e4
     ("equivalence", lambda: ex.equivalence_frequency(8, 10_000, _FULL_BLOCK)),
     ("general_clt_exponential",
      lambda: ex.general_clt_sample(9, 10_000, 2.0, "exponential", 1.0, _FULL_BLOCK)),
+    # two blocks of one 16 MiB row each, never stored
+    ("clt_q2_long", lambda: ex.clt_sample(15, _HUGE + 8, 2.0, 2, mc=_MC2)),
+    ("general_clt_q2_long",
+     lambda: ex.general_clt_sample(16, _HUGE + 8, 2.0, "exponential", 1.0, 2)),
+    ("sup_norm_long", lambda: ex.sup_norm_sample(17, _HUGE + 8, 2)),
 ])
 def test_row_reducing_sample_function_peaks_under_one_mib(name, call):
-    # a 16 MiB block, drawn and reduced 6 rows (480 KB) at a time
+    # a 16 MiB block, drawn and reduced 6 rows (480 KB) at a time, or a long
+    # row one 512 KiB leaf at a time
     peak = _peak_traced_bytes(call)
     assert peak < 2**20, f"{name}: peak {peak / 2**20:.2f} MiB"
 
@@ -423,12 +464,16 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
         return out
 
     monkeypatch.setattr(sampling.np, "empty", empty)
-    ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers)
-    # one chunk buffer, which is one row, per worker, whatever the number of
-    # blocks and chunks; pass 2 works in the chunk, so no leaf-sized buffer
-    rows = sizes.count(n)
-    assert sizes.count(_CHUNK) == 0 and rows == len(sizes)
-    assert 1 <= rows <= workers
+    # one buffer per worker, whatever the number of blocks and chunks: at
+    # q = 2 one leaf, as each leaf's squares are taken while it is drawn; at
+    # q = 3 one row, which pass 2 centres and powers in place, so no
+    # leaf-sized buffer
+    for q, mc, buffer_size in [(2.0, _MC2, _CHUNK), (3.0, _MC3, n)]:
+        sizes.clear()
+        ex.clt_sample(75, n, q, reps, mc=mc, workers=workers)
+        kept = sizes.count(buffer_size)
+        assert kept == len(sizes), f"q={q}: arrays of {sorted(set(sizes))} elements"
+        assert 1 <= kept <= workers
 
 
 @pytest.mark.parametrize("sample", [
