@@ -16,10 +16,10 @@ Memory model: no kernel holds a block.  Each reduces its block by
 ``sampling.RowReduction``; the ``sampling`` docstring states what a worker
 holds, for the reduction's lifetime: one 512 KiB row chunk, which for
 n > 2^16 is one leaf of a row, or for a centred power at q != 2 the whole
-row of 8n bytes.  The CLT, sup-norm, equivalence and general-CLT sample
-functions each build one reduction per sample, so a worker allocates its
-buffer once per sample, not once per block, and a sample of one-row blocks
-(n > 2^21) maps one leaf, or at q != 2 one row, once per worker.  A sorted
+row of 8n bytes.  The CLT, sup-norm, equivalence, general-CLT and lp-ball
+sample functions each build one reduction per sample, so a worker allocates
+its buffer once per sample, not once per block, and a sample of one-row
+blocks (n > 2^21) maps one leaf, or at q != 2 one row, once per worker.  A sorted
 sample peaks in ``_collect``'s merge, where the blocks, the merged copy and
 the kept chunk are alive together: 2.41 MiB traced for ``sup_norm_sample``
 at n = 1000 and 125,000 replicates (0.95 MiB of values).  Its sort peaks at
@@ -28,10 +28,9 @@ chunk, before the sort, which would otherwise pass the merge.  A whole run
 peaks later, in ``ks_distance``: 2.87 MiB for a ``gumbel`` run of that
 size, which holds the sampled values' affine map, their CDF values and one
 discrepancy buffer; the sup-norm plans drop the sampled values once mapped.
-The equivalence frequency counts each block's hits as the block ends.  The
-lp-ball kernel builds its reduction per block, so that its buffer is freed
-before the block's membership redraw, which still builds one candidate row
-for n > 2^16.
+The equivalence frequency counts each block's hits as the block ends.  An
+lp-ball block's membership redraw draws its candidates into the same kept
+buffer as its ``sup`` pass, so no lp-ball array grows with n either.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -424,8 +423,10 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
                     workers: int = 1) -> tuple[EmpiricalSample, float]:
     """Replicated sup-coordinates of uniform lp-ball points, plus the largest
     lp-norm seen (for the membership check)."""
+    reduce = sampling.RowReduction(lambda s: s.total)
     both = _collect(seed, n, replicates, workers,
-                    lambda bstream, rows: sampling.lp_ball_block(bstream, rows, n, p, sup=True))
+                    lambda bstream, rows: sampling.lp_ball_block(bstream, rows, n, p, sup=reduce))
+    del reduce  # and the buffers it keeps, before the sort
     return EmpiricalSample.from_values(both[:, 0]), float(both[:, 1].max())
 
 

@@ -25,10 +25,11 @@ the row mean, so no row is stored.  :func:`exponential_block` hands it the
 guarded exponential fill; the general-CLT sources hand it their own fill,
 unguarded; the ``sup`` pass of :func:`lp_ball_block` hands it a guarded
 magnitude fill that keeps each leaf's row max and leaves the leaf's p-th
-powers to be summed (its membership redraw is a built chunk).  Either way
-the reduced values are the built block's, bit for bit, but for the q = 2
-power sum of a row of more than one leaf (n > 2**16), which is the merge of
-its leaves (see :class:`RowReduction`).
+powers to be summed, and its membership redraw a guarded fill that scales
+the leaf and leaves its p-th powers.  Either way the reduced values are the
+built block's, bit for bit, but for the q = 2 power sum of a row of more
+than one leaf (n > 2**16), which is the merge of its leaves (see
+:class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
 builds one: each worker thread holds one buffer for the reduction's whole
@@ -42,10 +43,9 @@ q != 2 when n > 2**16), whatever the number of blocks, plus a few values
 per row and leaf.
 The reducing sample functions build one reduction per sample and drop it,
 and so every worker's buffer, before they sort their values.  The lp-ball
-``sup`` pass builds one per block and frees it before its membership
-redraw, which draws, powers and sums one built chunk at a time (at p = 3
-with one chunk-sized ``d*d``); for n > 2**16 that chunk is one candidate
-row of 8n bytes.
+sample hands its one reduction to each block's ``sup`` pass and membership
+redraw, so both draw into the same kept buffer (at p = 3 with one
+leaf-sized ``d*d``), and no ball array grows with n.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -408,7 +408,7 @@ def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np
 
 
 def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
-                  sup: bool = False) -> np.ndarray:
+                  sup: bool | RowReduction = False) -> np.ndarray:
     """Matrix of uniform points of the unit lp-ball.
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
@@ -420,12 +420,15 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     With ``sup``, the block is never built and the result is a ``rows`` x 2
     array.  Column 0 holds each point's largest absolute coordinate.  Column
     1 holds the point's lp-norm on the rows that can hold the block's largest
-    one, and 0.0 on the others.  The magnitudes are drawn and reduced by a
-    :class:`RowReduction`, leaf by leaf: each leaf's row max is kept, the
-    generator state saved before it, and its p-th powers are summed as the
-    row sums.  The values, and the largest norm, are those of the built
-    block, bit for bit: the leaves and their row sums are the built block's,
-    a row's max is the max of its leaves' maxes, and the signs are skipped
+    one, and 0.0 on the others.  ``sup`` is a :class:`RowReduction` of the
+    row totals (``RowReduction(lambda s: s.total)``), which a caller keeps
+    for all its blocks, so each worker draws every block into one kept
+    buffer; ``True`` builds one for this call.  The magnitudes are drawn and
+    reduced by it, leaf by leaf: each leaf's row max is kept, the generator
+    state saved before it, and its p-th powers are summed as the row sums.
+    The values, and the largest norm, are those of the built block, bit for
+    bit: the leaves and their row sums are the built block's, a row's max is
+    the max of its leaves' maxes, and the signs are skipped
     (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate
     exactly, and rounding is symmetric, so |sign * y * c| = y * c.  A
     positive scale c is monotone under rounding, so max(y * c) is
@@ -433,10 +436,11 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
     U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
     one.  Their chunks are drawn again, each from the state saved before its
-    first leaf, by :func:`_built_block` once the reduction's buffer is
-    freed, so the peak stays at one chunk; then they are scaled and reduced
-    with the built block's elementwise ops and row sums.  The root is then
-    taken on the whole vector of rows, as numpy takes it there.  (A
+    first leaf, by the same reduction into the same buffer, a leaf at a
+    time: each leaf is scaled by its rows' scale and raised to the power p
+    in place, the built chunk's elementwise ops, and summed by the leaves of
+    :func:`_tree_sum`, which give the built chunk's row sums.  The root is
+    then taken on the whole vector of rows, as numpy takes it there.  (A
     Python-scalar root would call libm's power, which can differ from
     numpy's by an ulp.)
     """
@@ -456,6 +460,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         y *= (rng.random(rows) ** (1.0 / n) / power_sums ** (1.0 / p))[:, None]
         return y
 
+    reduce = RowReduction(lambda s: s.total) if sup is True else sup
     # the empty head lets a block of no rows concatenate its maxes
     states, highs = [], [np.empty(0)]
 
@@ -465,7 +470,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         if p != 1.0:
             leaf **= p
 
-    power_sums = RowReduction(lambda s: s.total)(draw, rows, n)
+    power_sums = reduce(draw, rows, n)
     _skip_fair_signs(rng, rows * n)
     radius = rng.random(rows) ** (1.0 / n)
     scale = radius / power_sums ** (1.0 / p)
@@ -482,9 +487,13 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     for i, chunk in enumerate(_row_chunks(rows, n)):
         if candidates[chunk].any():
             rng.bit_generator.state = states[i * leaves]
-            y = _built_block(rng, fill, chunk.stop - chunk.start, n)
-            y *= scale[chunk, None]
-            point_sums[chunk] = pow_in_place(y, p).sum(axis=1)
+
+            def redraw(leaf: np.ndarray) -> None:
+                _guarded_fill(rng, fill, leaf)
+                leaf *= scale[chunk, None]
+                pow_in_place(leaf, p)
+
+            point_sums[chunk] = reduce(redraw, chunk.stop - chunk.start, n)
     point_sums[~candidates] = 0.0
     return np.column_stack([high * scale, point_sums ** (1.0 / p)])
 

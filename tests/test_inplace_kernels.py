@@ -415,9 +415,6 @@ _MC2, _MC3 = moment_constants(2.0), moment_constants(3.0)
     ("clt_q3", lambda: ex.clt_sample(12, _HUGE, 3.0, 1, mc=_MC3), 8 * _HUGE),
     ("general_clt_q3",
      lambda: ex.general_clt_sample(13, _HUGE, 3.0, "exponential", 2.0, 1), 8 * _HUGE),
-    ("ball_sup_p1", lambda: ex.ball_sup_sample(4, _HUGE, 1.0, 1), 8 * _HUGE),
-    # the long row's power is taken in place, leaf by leaf
-    ("ball_sup_p1.5", lambda: ex.ball_sup_sample(14, _HUGE, 1.5, 1), 8 * _HUGE),
     # a full block of 2097 rows at n=1000: the p=2 norm is summed by row chunks
     ("ball_sup_p2", lambda: ex.ball_sup_sample(5, 1000, 2.0, 2097), 8 * 1000 * 2097),
 ])
@@ -440,6 +437,10 @@ _FULL_BLOCK = ex._BLOCK_ELEMS // 10_000  # 209 rows at n=1e4
     ("general_clt_q2_long",
      lambda: ex.general_clt_sample(16, _HUGE + 8, 2.0, "exponential", 1.0, 2)),
     ("sup_norm_long", lambda: ex.sup_norm_sample(17, _HUGE + 8, 2)),
+    # the sup pass and the membership redraw share one leaf buffer; the long
+    # row's power is taken in place, leaf by leaf
+    ("ball_sup_p1", lambda: ex.ball_sup_sample(4, _HUGE + 8, 1.0, 2)),
+    ("ball_sup_p1.5", lambda: ex.ball_sup_sample(14, _HUGE + 8, 1.5, 2)),
 ])
 def test_row_reducing_sample_function_peaks_under_one_mib(name, call):
     # a 16 MiB block, drawn and reduced 6 rows (480 KB) at a time, or a long
@@ -467,12 +468,19 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
     # one buffer per worker, whatever the number of blocks and chunks: at
     # q = 2 one leaf, as each leaf's squares are taken while it is drawn; at
     # q = 3 one row, which pass 2 centres and powers in place, so no
-    # leaf-sized buffer
-    for q, mc, buffer_size in [(2.0, _MC2, _CHUNK), (3.0, _MC3, n)]:
+    # leaf-sized buffer; for the lp-ball one leaf, which its sup pass and its
+    # membership redraw both draw into
+    samples = [
+        ("clt q=2", lambda: ex.clt_sample(75, n, 2.0, reps, mc=_MC2, workers=workers), _CHUNK),
+        ("clt q=3", lambda: ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers), n),
+        ("ball p=1", lambda: ex.ball_sup_sample(79, n, 1.0, reps, workers=workers), _CHUNK),
+        ("ball p=2", lambda: ex.ball_sup_sample(79, n, 2.0, reps, workers=workers), _CHUNK),
+    ]
+    for name, sample, buffer_size in samples:
         sizes.clear()
-        ex.clt_sample(75, n, q, reps, mc=mc, workers=workers)
+        sample()
         kept = sizes.count(buffer_size)
-        assert kept == len(sizes), f"q={q}: arrays of {sorted(set(sizes))} elements"
+        assert kept == len(sizes), f"{name}: arrays of {sorted(set(sizes))} elements"
         assert 1 <= kept <= workers
 
 
@@ -480,7 +488,8 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
     lambda: ex.clt_sample(76, 1000, 2.0, 3000, mc=_MC2),
     lambda: ex.sup_norm_sample(77, 1000, 3000),
     lambda: ex.general_clt_sample(78, 1000, 2.0, "exponential", 1.0, 3000),
-], ids=["clt", "sup_norm", "general_clt"])
+    lambda: ex.ball_sup_sample(80, 1000, 2.0, 3000),
+], ids=["clt", "sup_norm", "general_clt", "ball_sup"])
 def test_sample_function_frees_its_reducing_buffer_before_the_sort(monkeypatch, sample):
     # a sample peaks in _collect's merge (2.41 MiB traced for sup_norm_sample
     # at n=1000 and 125,000 replicates); its sort peaks at 2.03 MiB, so a
@@ -500,7 +509,8 @@ def test_sample_function_frees_its_reducing_buffer_before_the_sort(monkeypatch, 
     finally:
         tracemalloc.stop()
     (at_sort,) = held
-    assert at_sort - base < 2**17  # the 24 KB of values, and no chunk
+    # the 24 KB of values (48 KB of the ball's two columns), and no chunk
+    assert at_sort - base < 2**17
 
 
 @pytest.mark.parametrize("name, call", [
