@@ -13,24 +13,19 @@ worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
 Memory model: no kernel holds a block.  Each reduces its block by
-``sampling.RowReduction``; the ``sampling`` docstring states what a worker
-holds, for the reduction's lifetime: one 512 KiB row chunk, which for
-n > 2^16 is one leaf of a row, or for a centred power at q != 2 the whole
-row of 8n bytes.  The CLT, sup-norm, equivalence, general-CLT and lp-ball
-sample functions each build one reduction per sample, so a worker allocates
-its buffer once per sample, not once per block, and a sample of one-row
-blocks (n > 2^21) maps one leaf, or at q != 2 one row, once per worker.  A sorted
-sample peaks in ``_collect``'s merge, where the blocks, the merged copy and
-the kept chunk are alive together: 2.41 MiB traced for ``sup_norm_sample``
-at n = 1000 and 125,000 replicates (0.95 MiB of values).  Its sort peaks at
-2.03 MiB, so the sample functions drop the reduction, and so its 0.5 MiB
-chunk, before the sort, which would otherwise pass the merge.  A whole run
-peaks later, in ``ks_distance``: 2.87 MiB for a ``gumbel`` run of that
+``sampling.RowReduction``, whose one buffer lives for one call: one 512 KiB
+row chunk, which for n > 2^16 is one leaf of a row, or for a centred power
+at q != 2 the whole row of 8n bytes (the ``sampling`` docstring states
+this in full).  So no buffer outlives its block, and ``_collect``'s merge
+holds only the blocks' values and their merged copy.  A sorted sample peaks
+at its sort: 2.03 MiB traced for ``sup_norm_sample`` at n = 1000 and
+125,000 replicates (0.95 MiB of values), at either worker count.  A whole
+run peaks later, in ``ks_distance``: 2.87 MiB for a ``gumbel`` run of that
 size, which holds the sampled values' affine map, their CDF values and one
 discrepancy buffer; the sup-norm plans drop the sampled values once mapped.
 The equivalence frequency counts each block's hits as the block ends.  An
-lp-ball block's membership redraw draws its candidates into the same kept
-buffer as its ``sup`` pass, so no lp-ball array grows with n either.
+lp-ball block's membership redraw draws its candidates leaf by leaf, as its
+``sup`` pass does, so no lp-ball array grows with n either.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -381,9 +376,7 @@ def _sorted_values(seed: int, n: int, replicates: int, workers: int, finish,
         rng = bstream.generator()
         return reduce(lambda leaf: source.sample(rng, leaf.shape, out=leaf), rows, n)
 
-    values = _collect(seed, n, replicates, workers, kernel)
-    del reduce  # and the buffers it keeps, before the sort
-    return EmpiricalSample.from_values(values)
+    return EmpiricalSample.from_values(_collect(seed, n, replicates, workers, kernel))
 
 
 def clt_sample(seed: int, n: int, q: float, replicates: int,
@@ -423,10 +416,8 @@ def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
                     workers: int = 1) -> tuple[EmpiricalSample, float]:
     """Replicated sup-coordinates of uniform lp-ball points, plus the largest
     lp-norm seen (for the membership check)."""
-    reduce = sampling.RowReduction(lambda s: s.total)
     both = _collect(seed, n, replicates, workers,
-                    lambda bstream, rows: sampling.lp_ball_block(bstream, rows, n, p, sup=reduce))
-    del reduce  # and the buffers it keeps, before the sort
+                    lambda bstream, rows: sampling.lp_ball_block(bstream, rows, n, p, sup=True))
     return EmpiricalSample.from_values(both[:, 0]), float(both[:, 1].max())
 
 
@@ -443,7 +434,7 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
 
     reduce = sampling.RowReduction(finish, extremes=True)
     # each block's hits are counted as it ends (a sum of 0.0s and 1.0s is
-    # exact in any order), so the kept buffer never meets a merge of rows
+    # exact in any order), so the merge holds one value per block, not per row
     hits = float(_collect(seed, n, replicates, workers, lambda bstream, rows:
                           sampling.exponential_block(bstream, rows, n, reduce)
                           .sum(keepdims=True)).sum())

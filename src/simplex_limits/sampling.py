@@ -32,20 +32,17 @@ than one leaf (n > 2**16), which is the merge of its leaves (see
 :class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
-builds one: each worker thread holds one buffer for the reduction's whole
-lifetime, a row chunk of about 512 KiB, which for n > 2**16 is one leaf of
-a row.  Only a centred power at q != 2 stores the whole row there (8n bytes
-when n > 2**16), for its second pass to centre, power and sum each leaf in
-place.  The reduction's other arrays last one leaf and are at most one
-leaf: the q = 3 ``d*d`` temporary (:func:`pow_in_place`) and the zero
-guard's mask.  So a worker's reducing memory is one row chunk (one row at
-q != 2 when n > 2**16), whatever the number of blocks, plus a few values
-per row and leaf.
-The reducing sample functions build one reduction per sample and drop it,
-and so every worker's buffer, before they sort their values.  The lp-ball
-sample hands its one reduction to each block's ``sup`` pass and membership
-redraw, so both draw into the same kept buffer (at p = 3 with one
-leaf-sized ``d*d``), and no ball array grows with n.
+builds one: each call holds one buffer while it runs, a row chunk of about
+512 KiB, which for n > 2**16 is one leaf of a row.  Only a centred power at
+q != 2 stores the whole row there (8n bytes when n > 2**16), for its second
+pass to centre, power and sum each leaf in place.  The reduction's other
+arrays last one leaf and are at most one leaf: the q = 3 ``d*d`` temporary
+(:func:`pow_in_place`) and the zero guard's mask.  So a worker's reducing
+memory is one row chunk (one row at q != 2 when n > 2**16), whatever the
+number of blocks, plus a few values per row and leaf, and none of it
+outlives the block.  The lp-ball ``sup`` pass and its membership redraw
+are two calls of one reduction, each with its own leaf buffer (at p = 3
+with one leaf-sized ``d*d``), so no ball array grows with n.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -58,8 +55,7 @@ radius factor.
 from __future__ import annotations
 
 import functools
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -179,21 +175,7 @@ class RowStats(NamedTuple):
     power: np.ndarray | None
 
 
-class _Kept(threading.local):
-    """The chunk buffer one thread keeps between the calls of one
-    :class:`RowReduction`; a thread that has none reads this empty one."""
-
-    buf = np.empty(0)
-
-    def take(self, rows: int, n: int) -> np.ndarray:
-        """A ``rows`` x ``n`` view of this thread's buffer, which is allocated
-        anew only when it is smaller than that."""
-        if self.buf.size < rows * n:
-            self.buf = np.empty(rows * n)
-        return self.buf[:rows * n].reshape(rows, n)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RowReduction:
     """A per-row statistic, stated once as the row reductions it reads: the
     sum, the min and max when ``extremes``, and the centred power sum when
@@ -225,23 +207,18 @@ class RowReduction:
     same reduction of whole rows.  So only a power at q != 2 stores a row;
     every other reduction draws each leaf into one leaf-sized buffer.
 
-    Each thread that calls a reduction keeps its buffer (:class:`_Kept`) for
-    the reduction's lifetime and allocates one only when it has none large
-    enough; a block of fewer rows takes a view.  So each worker allocates
-    its buffer once per sample, not once per block (which for n > 2**21 is
-    one fresh leaf, or row, per replicate).  The buffer goes with the
-    reduction or with the thread (see the module docstring's memory model).
+    Each call allocates that one buffer and frees it when it returns, so a
+    reduction is a plain value, which threads may share.
     """
 
     finish: Callable[[RowStats], np.ndarray]
     extremes: bool = False
     q: float | None = None
-    _kept: _Kept = field(default_factory=_Kept, init=False, repr=False)
 
     def __call__(self, draw, rows: int, n: int) -> np.ndarray:
         # only a centred power other than the square reads the row back
         stored = self.q not in (None, 2.0)
-        buf = self._kept.take(min(rows, _chunk_rows(n)), n if stored else min(n, _CHUNK_ELEMS))
+        buf = np.empty((min(rows, _chunk_rows(n)), n if stored else min(n, _CHUNK_ELEMS)))
         values = np.empty(rows)
         for chunk in _row_chunks(rows, n):
             x = buf[:chunk.stop - chunk.start]
@@ -408,7 +385,7 @@ def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np
 
 
 def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
-                  sup: bool | RowReduction = False) -> np.ndarray:
+                  sup: bool = False) -> np.ndarray:
     """Matrix of uniform points of the unit lp-ball.
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
@@ -420,12 +397,10 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     With ``sup``, the block is never built and the result is a ``rows`` x 2
     array.  Column 0 holds each point's largest absolute coordinate.  Column
     1 holds the point's lp-norm on the rows that can hold the block's largest
-    one, and 0.0 on the others.  ``sup`` is a :class:`RowReduction` of the
-    row totals (``RowReduction(lambda s: s.total)``), which a caller keeps
-    for all its blocks, so each worker draws every block into one kept
-    buffer; ``True`` builds one for this call.  The magnitudes are drawn and
-    reduced by it, leaf by leaf: each leaf's row max is kept, the generator
-    state saved before it, and its p-th powers are summed as the row sums.
+    one, and 0.0 on the others.  The magnitudes are drawn and reduced by a
+    :class:`RowReduction` of the row totals, leaf by leaf: each leaf's row
+    max is kept, the generator state saved before it, and its p-th powers
+    are summed as the row sums.
     The values, and the largest norm, are those of the built block, bit for
     bit: the leaves and their row sums are the built block's, a row's max is
     the max of its leaves' maxes, and the signs are skipped
@@ -436,11 +411,11 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
     U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
     one.  Their chunks are drawn again, each from the state saved before its
-    first leaf, by the same reduction into the same buffer, a leaf at a
-    time: each leaf is scaled by its rows' scale and raised to the power p
-    in place, the built chunk's elementwise ops, and summed by the leaves of
-    :func:`_tree_sum`, which give the built chunk's row sums.  The root is
-    then taken on the whole vector of rows, as numpy takes it there.  (A
+    first leaf, by the same reduction, a leaf at a time: each leaf is scaled
+    by its rows' scale and raised to the power p in place, the built chunk's
+    elementwise ops, and summed by the leaves of :func:`_tree_sum`, which
+    give the built chunk's row sums.  The root is then taken on the whole
+    vector of rows, as numpy takes it there.  (A
     Python-scalar root would call libm's power, which can differ from
     numpy's by an ulp.)
     """
@@ -460,7 +435,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         y *= (rng.random(rows) ** (1.0 / n) / power_sums ** (1.0 / p))[:, None]
         return y
 
-    reduce = RowReduction(lambda s: s.total) if sup is True else sup
+    reduce = RowReduction(lambda s: s.total)
     # the empty head lets a block of no rows concatenate its maxes
     states, highs = [], [np.empty(0)]
 

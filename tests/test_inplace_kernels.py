@@ -465,11 +465,11 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
         return out
 
     monkeypatch.setattr(sampling.np, "empty", empty)
-    # one buffer per worker, whatever the number of blocks and chunks: at
-    # q = 2 one leaf, as each leaf's squares are taken while it is drawn; at
-    # q = 3 one row, which pass 2 centres and powers in place, so no
-    # leaf-sized buffer; for the lp-ball one leaf, which its sup pass and its
-    # membership redraw both draw into
+    # every reducing buffer is one leaf, whatever the number of blocks and
+    # chunks: at q = 2 as each leaf's squares are taken while it is drawn,
+    # and for the lp-ball as its sup pass and its membership redraw both
+    # draw leaf by leaf; at q = 3 one row, which pass 2 centres and powers
+    # in place, so no leaf-sized buffer besides it
     samples = [
         ("clt q=2", lambda: ex.clt_sample(75, n, 2.0, reps, mc=_MC2, workers=workers), _CHUNK),
         ("clt q=3", lambda: ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers), n),
@@ -479,9 +479,46 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
     for name, sample, buffer_size in samples:
         sizes.clear()
         sample()
-        kept = sizes.count(buffer_size)
-        assert kept == len(sizes), f"{name}: arrays of {sorted(set(sizes))} elements"
-        assert 1 <= kept <= workers
+        assert set(sizes) == {buffer_size}, f"{name}: arrays of {sorted(set(sizes))} elements"
+
+
+class _TracedMerge:
+    """numpy as ``experiments`` sees it, but for ``concatenate``, which
+    records the traced memory and the bytes of the arrays it is handed."""
+
+    def __init__(self):
+        self.merges = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, arrays, *args, **kwargs):
+        self.merges.append((tracemalloc.get_traced_memory()[0], sum(a.nbytes for a in arrays)))
+        return np.concatenate(arrays, *args, **kwargs)
+
+
+# n=1000 and 5000 replicates: three blocks, of 2097, 2097 and 806 rows
+@pytest.mark.parametrize("sample", [
+    lambda w: ex.sup_norm_sample(81, 1000, 5000, workers=w),
+    lambda w: ex.clt_sample(82, 1000, 2.0, 5000, mc=_MC2, workers=w),
+    lambda w: ex.ball_sup_sample(83, 1000, 2.0, 5000, workers=w),
+], ids=["sup_norm", "clt", "ball_sup"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_merge_of_the_blocks_holds_only_their_values(monkeypatch, sample, workers):
+    # no reducing buffer outlives its block, so when _collect merges the
+    # blocks, the memory held is theirs and a few small objects, not a
+    # 520 KB chunk buffer per worker
+    numpy = _TracedMerge()
+    monkeypatch.setattr(ex, "np", numpy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample(workers)
+    finally:
+        tracemalloc.stop()
+    ((held, blocks),) = numpy.merges
+    assert blocks >= 5000 * 8
+    assert held - base - blocks < 2**17, f"{(held - base - blocks) / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize("sample", [
@@ -491,9 +528,10 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
     lambda: ex.ball_sup_sample(80, 1000, 2.0, 3000),
 ], ids=["clt", "sup_norm", "general_clt", "ball_sup"])
 def test_sample_function_frees_its_reducing_buffer_before_the_sort(monkeypatch, sample):
-    # a sample peaks in _collect's merge (2.41 MiB traced for sup_norm_sample
-    # at n=1000 and 125,000 replicates); its sort peaks at 2.03 MiB, so a
-    # 520 KB chunk buffer kept through the sort would lift it past the merge
+    # a sample peaks at its sort (2.03 MiB traced for sup_norm_sample at
+    # n=1000 and 125,000 replicates, at either worker count, against
+    # 1.92-1.99 MiB at the merge), so a 520 KB chunk buffer kept through the
+    # sort would lift its peak by a quarter
     held = []
     from_values = ex.EmpiricalSample.from_values
 
