@@ -12,20 +12,9 @@ so the merged sample is a pure function of the config and never depends on
 worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
-Memory model: no kernel holds a block.  Each reduces its block by
-``sampling.RowReduction``, whose one buffer lives for one call: one 512 KiB
-row chunk, which for n > 2^16 is one leaf of a row, or for a centred power
-at q != 2 the whole row of 8n bytes (the ``sampling`` docstring states
-this in full).  So no buffer outlives its block, and ``_collect``'s merge
-holds only the blocks' values and their merged copy.  A sorted sample peaks
-at its sort: 2.03 MiB traced for ``sup_norm_sample`` at n = 1000 and
-125,000 replicates (0.95 MiB of values), at either worker count.  A whole
-run peaks later, in ``ks_distance``: 2.87 MiB for a ``gumbel`` run of that
-size, which holds the sampled values' affine map, their CDF values and one
-discrepancy buffer; the sup-norm plans drop the sampled values once mapped.
-The equivalence frequency counts each block's hits as the block ends.  An
-lp-ball block's membership redraw draws its candidates leaf by leaf, as its
-``sup`` pass does, so no lp-ball array grows with n either.
+Memory: no kernel holds a block, and no reducing buffer outlives its
+block.  The ``sampling`` docstring states the reducing memory, and README
+"Memory" the measured peaks of a sample and a run.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -45,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import oracle, sampling
-from .constants import MomentConstants, moment_constants, rate_function
+from .constants import moment_constants, rate_function
 from .rng import RandomStream
 from .statistics import (
     SOURCE_DISTRIBUTIONS,
@@ -380,9 +369,9 @@ def _sorted_values(seed: int, n: int, replicates: int, workers: int, finish,
 
 
 def clt_sample(seed: int, n: int, q: float, replicates: int,
-               mc: MomentConstants | None = None, workers: int = 1) -> EmpiricalSample:
+               workers: int = 1) -> EmpiricalSample:
     """Replicated values of the studentized scaled lq-norm statistic."""
-    mc = mc or moment_constants(q)
+    mc = moment_constants(q)
     inv_mu = 1.0 / mc.mu_q
     sigma = math.sqrt(mc.sigma_q_sq)
     sqrt_n = math.sqrt(n)
@@ -521,7 +510,7 @@ def _clt(config: ExperimentConfig) -> Plan:
     # clt_sample is already studentized; the variance row is displayed
     # against the limit variance sigma_q^2 of the unstudentized statistic
     return _gaussian_plan(config, f"q={q:g}", mc.sigma_q_sq, "clt", lambda n: clt_sample(
-        config.seed, n, q, config.replicates, mc=mc, workers=config.workers))
+        config.seed, n, q, config.replicates, workers=config.workers))
 
 
 def _berry_esseen_sweep(config: ExperimentConfig) -> Plan:
@@ -529,11 +518,10 @@ def _berry_esseen_sweep(config: ExperimentConfig) -> Plan:
     q = _require(config, "q")
     if len(config.n_list) < 3:
         raise ValueError("berry_esseen_sweep needs at least 3 dimensions")
-    mc = moment_constants(q)
     param = f"q={q:g}"
 
     def rows_at(n: int) -> list[ReportRow]:
-        sample = clt_sample(config.seed, n, q, config.replicates, mc=mc, workers=config.workers)
+        sample = clt_sample(config.seed, n, q, config.replicates, workers=config.workers)
         # a KS row always passes: the ratio rows carry the sweep's verdict
         return [ReportRow("berry_esseen:ks", n, param, None, ks_distance(sample, gaussian_cdf),
                           0.0, None, True)]
@@ -559,25 +547,15 @@ def _deviation_pass(estimate: float, theory: float, band: tuple[float, float]) -
     return theory - band[0] <= estimate <= theory + band[1]
 
 
-def _oracle_rate(res: oracle.OracleResult, speed: float) -> tuple[float, float]:
-    """Normalized rate -log(P) / speed of an exact probability, with its error."""
-    return -math.log(res.value) / speed, res.error_bound / (res.value * speed)
+def _oracle_grid(theorem: SupTheorem, config: ExperimentConfig, thresholds,
+                 param: str) -> list[ReportRow]:
+    """Exact rows at every oracle dimension in config order, thresholds inner."""
+    return [theorem.exact(config, n, z, param)
+            for n in config.oracle_n_list for z in thresholds]
 
 
-def _gumbel_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
-    """Exact max-spacing curve against the Gumbel CDF at the oracle dimensions."""
-    rows = []
-    for n in config.oracle_n_list:
-        for x in thresholds:
-            res = oracle.gumbel_surrogate_cdf(n, x)
-            theory = float(gumbel_cdf(x))
-            rows.append(ReportRow("gumbel:oracle", n, param, x, res.value, theory,
-                                  res.error_bound,
-                                  abs(res.value - theory) <= TOLERANCES["gumbel_oracle_abs"]))
-    return rows
-
-
-def _ldp_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
+def _ldp_oracle(theorem: SupTheorem, config: ExperimentConfig, thresholds,
+                param: str) -> list[ReportRow]:
     """Exact LDP rates, plus a trend row per threshold across the oracle dimensions.
 
     Only the finite-rate side z > 1 is evaluated: below 1 the alternating
@@ -588,46 +566,14 @@ def _ldp_oracle(config: ExperimentConfig, thresholds, param: str) -> list[Report
     for z in thresholds:
         if z <= 1.0:
             continue
-        theory = rate_function("simplex_sup", z)
-        estimates = []
-        for n in sorted(config.oracle_n_list):
-            res = oracle.max_spacing_sf(n, (1.0 + z * math.log(n)) / n)
-            est, err = _oracle_rate(res, math.log(n))
-            rows.append(ReportRow("ldp:oracle", n, param, z, est, theory, err,
-                                  _deviation_pass(est, theory, TOLERANCES["ldp_band"])))
-            estimates.append(est)
-        if len(estimates) >= 2:
-            gaps = [abs(e - theory) for e in estimates]
+        exact = [theorem.exact(config, n, z, param) for n in sorted(config.oracle_n_list)]
+        rows += exact
+        if len(exact) >= 2:
+            gaps = [abs(r.estimate - r.theory) for r in exact]
             monotone = all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
             rows.append(ReportRow("ldp:oracle_trend", max(config.oracle_n_list), param, z,
                                   gaps[-1], 0.0, None,
                                   monotone and gaps[-1] <= TOLERANCES["ldp_oracle_final_abs"]))
-    return rows
-
-
-def _mdp_oracle(config: ExperimentConfig, thresholds, param: str) -> list[ReportRow]:
-    """Exact MDP rates; the lower tail checks super-decay against exp(-3 s_n)
-    (``inf_region_min``)."""
-    rows = []
-    for n in config.oracle_n_list:
-        s_n = config.s_n(n)
-        log_n = math.log(n)
-        for x in thresholds:
-            theory = rate_function("mdp", x)
-            s = (1.0 + log_n + s_n * x) / n
-            if math.isfinite(theory):
-                res = oracle.max_spacing_sf(n, s)
-            else:
-                # lower tail: fall back to the certified product bound when the
-                # exact series cancels; its -log is a lower bound on the
-                # normalized magnitude, which is all the super-decay floor needs
-                try:
-                    res = oracle.max_spacing_cdf(n, s)
-                except oracle.CancellationError:
-                    res = oracle.max_spacing_cdf_upper(n, s)
-            est, err = _oracle_rate(res, s_n)
-            rows.append(ReportRow("mdp:oracle", n, param, x, est, theory, err,
-                                  _deviation_pass(est, theory, TOLERANCES["mdp_band"])))
     return rows
 
 
@@ -658,6 +604,12 @@ class SupTheorem:
     Gumbel CDF (KS bound ``TOLERANCES[tol]``); otherwise each threshold's
     tail frequency is compared with the rate function at ``speed`` (band
     ``TOLERANCES[tol]``), in the direction where the rate is finite.
+
+    :meth:`exact` is the one rule of an exact row: the same check, on the
+    max-spacing oracle's probability at one dimension and threshold instead
+    of a sample's.  ``spacing`` maps a deviation threshold to the spacing
+    bound that the oracle is asked about, and ``oracle`` lays the exact
+    rows out over the config's oracle dimensions.
     """
 
     #: (config, n) -> (sample, largest lp-norm seen or None); a norm adds a
@@ -669,7 +621,39 @@ class SupTheorem:
     speed: Callable | None  # (config, n) -> deviation speed
     thresholds: tuple[float, ...]  # used when the config gives none
     param: Callable  # config -> row param label; validates the parameter
-    oracle: Callable | None  # (config, thresholds, param) -> exact rows
+    spacing: Callable | None = None  # (config, n, z) -> max-spacing bound at z
+    oracle: Callable | None = None  # (theorem, config, thresholds, param) -> exact rows
+
+    def exact(self, config: ExperimentConfig, n: int, z: float, param: str) -> ReportRow:
+        """The exact oracle row at dimension ``n`` and threshold ``z``.
+
+        A Gumbel theorem compares the exact CDF with the Gumbel CDF; a
+        deviation theorem compares the normalized rate -log(P) / speed of the
+        exact tail probability, on the side where the rate is finite, with
+        the rate function.
+        """
+        if self.rate is None:
+            res = oracle.gumbel_surrogate_cdf(n, z)
+            theory = float(gumbel_cdf(z))
+            return ReportRow(f"{config.kind}:oracle", n, param, z, res.value, theory,
+                             res.error_bound,
+                             abs(res.value - theory) <= TOLERANCES["gumbel_oracle_abs"])
+        theory = rate_function(self.rate, z, p=config.p)
+        s = self.spacing(config, n, z)
+        if math.isfinite(theory):
+            res = oracle.max_spacing_sf(n, s)
+        else:
+            # lower tail: fall back to the certified product bound when the
+            # exact series cancels; its -log is a lower bound on the
+            # normalized magnitude, which is all the super-decay floor needs
+            try:
+                res = oracle.max_spacing_cdf(n, s)
+            except oracle.CancellationError:
+                res = oracle.max_spacing_cdf_upper(n, s)
+        speed = self.speed(config, n)
+        est, err = -math.log(res.value) / speed, res.error_bound / (res.value * speed)
+        return ReportRow(f"{config.kind}:oracle", n, param, z, est, theory, err,
+                         _deviation_pass(est, theory, TOLERANCES[self.tol]))
 
     def __call__(self, config: ExperimentConfig) -> Plan:
         """The plan of one config: Monte Carlo rows per dimension, then the
@@ -682,7 +666,7 @@ class SupTheorem:
             raise ValueError(f"{kind} experiment requires thresholds")
         maps = {n: (*self.affine(config, n), self.speed(config, n) if self.rate else None)
                 for n in config.n_list}
-        oracle_rows = self.oracle(config, thresholds, param) if self.oracle is not None else []
+        oracle_rows = self.oracle(self, config, thresholds, param) if self.oracle else []
 
         def rows_at(n: int) -> list[ReportRow]:
             scale, shift, speed = maps[n]
@@ -714,27 +698,28 @@ SUP_THEOREMS = {
     "gumbel": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0, -(math.log(n) - 1.0)),
         tol="gumbel_ks", rate=None, speed=None, thresholds=(-1.0, 0.0, 1.0, 2.0),
-        param=lambda c: "", oracle=_gumbel_oracle),
+        param=lambda c: "", oracle=_oracle_grid),
     # (n / log n) * ||Z_n||_inf: LDP at speed log n, rate z - 1
     "ldp": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0 / math.log(n), 0.0),
         tol="ldp_band", rate="simplex_sup", speed=lambda c, n: math.log(n), thresholds=(),
-        param=lambda c: "", oracle=_ldp_oracle),
+        param=lambda c: "", spacing=lambda c, n, z: (1.0 + z * math.log(n)) / n,
+        oracle=_ldp_oracle),
     # (n * ||Z_n||_inf - log n) / s_n: MDP at speed s_n, rate x
     "mdp": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0 / c.s_n(n), -math.log(n) / c.s_n(n)),
         tol="mdp_band", rate="mdp", speed=lambda c, n: c.s_n(n), thresholds=(1.0,),
-        param=lambda c: f"s_n={c.s_n_rule}", oracle=_mdp_oracle),
+        param=lambda c: f"s_n={c.s_n_rule}",
+        spacing=lambda c, n, x: (1.0 + math.log(n) + c.s_n(n) * x) / n, oracle=_oracle_grid),
     # (n / (p log n))**(1/p) * sup-coordinate of the lp-ball: LDP, rate z**p - 1
     "lp_ldp": SupTheorem(
         sample=_ball_sup, affine=lambda c, n: ((n / (c.p * math.log(n))) ** (1.0 / c.p), 0.0),
         tol="lp_ldp_band", rate="lp_sup", speed=lambda c, n: math.log(n), thresholds=(),
-        param=_p_param, oracle=None),
+        param=_p_param),
     # n * sup-coordinate of the l1-ball - log n -> Gumbel
     "lp_gumbel": SupTheorem(
         sample=_ball_sup, affine=lambda c, n: (float(n), -math.log(n)),
-        tol="lp_gumbel_ks", rate=None, speed=None, thresholds=(),
-        param=_l1_param, oracle=None),
+        tol="lp_gumbel_ks", rate=None, speed=None, thresholds=(), param=_l1_param),
 }
 
 

@@ -232,8 +232,6 @@ class ExponentialDist:
     :func:`constants.moment_constants`.
     """
 
-    mean = 1.0
-
     @staticmethod
     def sample(rng: np.random.Generator, shape, out=None) -> np.ndarray:
         return rng.standard_exponential(shape, out=out)
@@ -252,8 +250,6 @@ class Uniform01Dist:
     m_q = 2**-q / (q + 1) and the variance is
     4**-q / (2q + 1) - m_q**2 = q**2 / (4**q (2q + 1) (q + 1)**2).
     """
-
-    mean = 0.5
 
     @staticmethod
     def sample(rng: np.random.Generator, shape, out=None) -> np.ndarray:

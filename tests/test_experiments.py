@@ -10,6 +10,7 @@ import pytest
 
 from simplex_limits import constants
 from simplex_limits import experiments as ex
+from simplex_limits import oracle
 from simplex_limits import statistics as stats
 from simplex_limits.constants import MomentConstants, moment_constants
 from simplex_limits.rng import RandomStream
@@ -51,7 +52,7 @@ def test_batch_clt_matches_scalar_statistic(source, q):
     seed, n, reps = 31, 20, 64
     if source == "simplex":
         mc = moment_constants(q)
-        batch = ex.clt_sample(seed, n, q, reps, mc=mc)
+        batch = ex.clt_sample(seed, n, q, reps)
         e = exponential_block(_block0(seed, n), reps, n)
         scalar = [ref.clt_statistic(row / row.sum() - 1.0 / n, mc) for row in e]
     else:
@@ -132,6 +133,7 @@ def _forbid_draws(monkeypatch):
     pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20, 40)), id="sweep-without-q"),
     pytest.param(dict(kind="general_clt", n_list=(10,)), id="general_clt-without-q"),
     pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20), q=2.0), id="sweep-of-two"),
+    pytest.param(dict(kind="berry_esseen_sweep", n_list=(10, 20, 40), q=0.5), id="sweep-q0.5"),
     pytest.param(dict(kind="ldp", n_list=(10,)), id="ldp-without-thresholds"),
     pytest.param(dict(kind="lp_ldp", n_list=(10,), p=2.0), id="lp_ldp-without-thresholds"),
     pytest.param(dict(kind="lp_gumbel", n_list=(10,), p=2.0), id="lp_gumbel-at-p2"),
@@ -405,6 +407,59 @@ def test_mdp_oracle_lower_tail_uses_the_inf_region_floor(monkeypatch):
     monkeypatch.setitem(ex.TOLERANCES, "inf_region_min", row.estimate + 1.0)
     (row,) = ex.run(cfg).rows
     assert not row.passed
+
+
+def _exact_row(kind: str, n: int, z: float) -> ex.ReportRow:
+    cfg = ex.ExperimentConfig(kind=kind, n_list=(), replicates=1, seed=0, thresholds=(z,))
+    row = ex.SUP_THEOREMS[kind].exact(cfg, n, z, "param")
+    assert (row.experiment, row.n, row.param, row.threshold) == (f"{kind}:oracle", n, "param", z)
+    return row
+
+
+def _rate_row(res, speed: float, theory: float, passed: bool) -> tuple:
+    # estimate, theory, std_error and pass of a deviation row on an exact probability
+    return -math.log(res.value) / speed, theory, res.error_bound / (res.value * speed), passed
+
+
+def test_gumbel_exact_row_is_the_exact_cdf_against_the_gumbel_cdf():
+    row = _exact_row("gumbel", 1000, 0.0)
+    res = oracle.gumbel_surrogate_cdf(1000, 0.0)
+    theory = float(stats.gumbel_cdf(0.0))
+    assert (row.estimate, row.theory, row.std_error, row.passed) == (
+        res.value, theory, res.error_bound,
+        abs(res.value - theory) <= ex.TOLERANCES["gumbel_oracle_abs"])
+
+
+def test_ldp_exact_row_is_the_normalized_exact_upper_tail():
+    n, z, (below, above) = 10_000, 1.5, ex.TOLERANCES["ldp_band"]
+    res = oracle.max_spacing_sf(n, (1.0 + z * math.log(n)) / n)
+    rate = -math.log(res.value) / math.log(n)
+    expected = _rate_row(res, math.log(n), 0.5, 0.5 - below <= rate <= 0.5 + above)
+    row = _exact_row("ldp", n, z)
+    assert (row.estimate, row.theory, row.std_error, row.passed) == expected
+    assert row.passed
+
+
+def test_mdp_exact_rows_take_the_finite_side_and_fall_back_on_cancellation():
+    n = 10**6
+    s_n = math.sqrt(math.log(n))
+    below, above = ex.TOLERANCES["mdp_band"]
+    res = oracle.max_spacing_sf(n, (1.0 + math.log(n) + s_n * 1.0) / n)
+    rate = -math.log(res.value) / s_n
+    row = _exact_row("mdp", n, 1.0)
+    assert (row.estimate, row.theory, row.std_error, row.passed) == _rate_row(
+        res, s_n, 1.0, 1.0 - below <= rate <= 1.0 + above)
+    # x = -1 has rate +inf: the exact lower tail cancels at this n, so the row
+    # is the certified product bound's, judged by the super-decay floor
+    s = (1.0 + math.log(n) + s_n * -1.0) / n
+    with pytest.raises(oracle.CancellationError):
+        oracle.max_spacing_cdf(n, s)
+    res = oracle.max_spacing_cdf_upper(n, s)
+    rate = -math.log(res.value) / s_n
+    row = _exact_row("mdp", n, -1.0)
+    assert (row.estimate, row.theory, row.std_error, row.passed) == _rate_row(
+        res, s_n, math.inf, rate >= ex.TOLERANCES["inf_region_min"])
+    assert row.passed
 
 
 def test_table_text_needs_columns_for_an_empty_table():

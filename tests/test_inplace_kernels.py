@@ -402,17 +402,14 @@ def _peak_traced_bytes(call) -> int:
         tracemalloc.stop()
 
 
-_MC2, _MC3 = moment_constants(2.0), moment_constants(3.0)
-
-
 @pytest.mark.parametrize("name, call, block_bytes", [
-    ("clt_q2", lambda: ex.clt_sample(1, _HUGE, 2.0, 1, mc=_MC2), 8 * _HUGE),
+    ("clt_q2", lambda: ex.clt_sample(1, _HUGE, 2.0, 1), 8 * _HUGE),
     ("general_clt_exponential",
      lambda: ex.general_clt_sample(2, _HUGE, 2.0, "exponential", 1.0, 1), 8 * _HUGE),
     ("general_clt_uniform01",
      lambda: ex.general_clt_sample(3, _HUGE, 1.0, "uniform01", 0.25, 1), 8 * _HUGE),
     # the q=3 temporary d*d is one leaf, not one row
-    ("clt_q3", lambda: ex.clt_sample(12, _HUGE, 3.0, 1, mc=_MC3), 8 * _HUGE),
+    ("clt_q3", lambda: ex.clt_sample(12, _HUGE, 3.0, 1), 8 * _HUGE),
     ("general_clt_q3",
      lambda: ex.general_clt_sample(13, _HUGE, 3.0, "exponential", 2.0, 1), 8 * _HUGE),
     # a full block of 2097 rows at n=1000: the p=2 norm is summed by row chunks
@@ -427,13 +424,13 @@ _FULL_BLOCK = ex._BLOCK_ELEMS // 10_000  # 209 rows at n=1e4
 
 
 @pytest.mark.parametrize("name, call", [
-    ("clt_q2", lambda: ex.clt_sample(6, 10_000, 2.0, _FULL_BLOCK, mc=_MC2)),
+    ("clt_q2", lambda: ex.clt_sample(6, 10_000, 2.0, _FULL_BLOCK)),
     ("sup_norm", lambda: ex.sup_norm_sample(7, 10_000, _FULL_BLOCK)),
     ("equivalence", lambda: ex.equivalence_frequency(8, 10_000, _FULL_BLOCK)),
     ("general_clt_exponential",
      lambda: ex.general_clt_sample(9, 10_000, 2.0, "exponential", 1.0, _FULL_BLOCK)),
     # two blocks of one 16 MiB row each, never stored
-    ("clt_q2_long", lambda: ex.clt_sample(15, _HUGE + 8, 2.0, 2, mc=_MC2)),
+    ("clt_q2_long", lambda: ex.clt_sample(15, _HUGE + 8, 2.0, 2)),
     ("general_clt_q2_long",
      lambda: ex.general_clt_sample(16, _HUGE + 8, 2.0, "exponential", 1.0, 2)),
     ("sup_norm_long", lambda: ex.sup_norm_sample(17, _HUGE + 8, 2)),
@@ -471,8 +468,8 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
     # draw leaf by leaf; at q = 3 one row, which pass 2 centres and powers
     # in place, so no leaf-sized buffer besides it
     samples = [
-        ("clt q=2", lambda: ex.clt_sample(75, n, 2.0, reps, mc=_MC2, workers=workers), _CHUNK),
-        ("clt q=3", lambda: ex.clt_sample(75, n, 3.0, reps, mc=_MC3, workers=workers), n),
+        ("clt q=2", lambda: ex.clt_sample(75, n, 2.0, reps, workers=workers), _CHUNK),
+        ("clt q=3", lambda: ex.clt_sample(75, n, 3.0, reps, workers=workers), n),
         ("ball p=1", lambda: ex.ball_sup_sample(79, n, 1.0, reps, workers=workers), _CHUNK),
         ("ball p=2", lambda: ex.ball_sup_sample(79, n, 2.0, reps, workers=workers), _CHUNK),
     ]
@@ -500,7 +497,7 @@ class _TracedMerge:
 # n=1000 and 5000 replicates: three blocks, of 2097, 2097 and 806 rows
 @pytest.mark.parametrize("sample", [
     lambda w: ex.sup_norm_sample(81, 1000, 5000, workers=w),
-    lambda w: ex.clt_sample(82, 1000, 2.0, 5000, mc=_MC2, workers=w),
+    lambda w: ex.clt_sample(82, 1000, 2.0, 5000, workers=w),
     lambda w: ex.ball_sup_sample(83, 1000, 2.0, 5000, workers=w),
 ], ids=["sup_norm", "clt", "ball_sup"])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -522,7 +519,7 @@ def test_merge_of_the_blocks_holds_only_their_values(monkeypatch, sample, worker
 
 
 @pytest.mark.parametrize("sample", [
-    lambda: ex.clt_sample(76, 1000, 2.0, 3000, mc=_MC2),
+    lambda: ex.clt_sample(76, 1000, 2.0, 3000),
     lambda: ex.sup_norm_sample(77, 1000, 3000),
     lambda: ex.general_clt_sample(78, 1000, 2.0, "exponential", 1.0, 3000),
     lambda: ex.ball_sup_sample(80, 1000, 2.0, 3000),
