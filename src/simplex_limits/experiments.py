@@ -13,8 +13,11 @@ worker count or scheduling.  Only the statistic value per replicate is kept,
 not the n-dimensional points.
 
 Memory: no kernel holds a block, and no reducing buffer outlives its
-block.  The ``sampling`` docstring states the reducing memory, and README
-"Memory" the measured peaks of a sample and a run.
+block.  A sample's values are held once: :func:`_collect` copies each block
+into the sample's one array as the block ends, ``EmpiricalSample.from_values``
+sorts that array in place and :func:`_affine_sample` maps it in place.  The
+``sampling`` docstring states the reducing memory, and README "Memory" the
+measured peaks of a sample and a run.
 
 Finite-n tolerances for the asymptotic claims live in :data:`TOLERANCES`;
 the theorems provide limits, not finite-n bounds, so each entry records the
@@ -23,6 +26,7 @@ band inside which a desk-scale run is expected to land.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -335,21 +339,52 @@ def report_from_json(text: str) -> ExperimentReport:
 # replicate-block engine
 
 
+def _blocks(kernel, streams, rows: list[int], workers: int):
+    """``kernel(stream, rows)`` of each block, in block order: in this thread
+    at one worker, else on a pool that is handed a block only while at most
+    ``workers`` are waiting to be taken, so that neither finished blocks nor
+    their futures pile up."""
+    if workers <= 1:
+        yield from map(kernel, streams, rows)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = collections.deque()
+        for stream, r in zip(streams, rows):
+            ahead.append(pool.submit(kernel, stream, r))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+
+
 def _collect(seed: int, n: int, replicates: int, workers: int, kernel) -> np.ndarray:
     """Per-replicate values of an experiment at dimension ``n``: ``kernel(stream,
-    rows)`` of each block, concatenated in block order.
+    rows)`` of each block, one entry per row, in block order.
 
     Block ``i`` holds ``max(1, _BLOCK_ELEMS // n)`` rows (the last one holds what
     is left) and draws from ``RandomStream(seed).substream(n).substream(i)``; the
-    substream id is the dimension itself, so n_list order is irrelevant.
+    substream id is the dimension itself, so n_list order is irrelevant.  The
+    values are held once: a sample of one block is that block; otherwise the
+    first block fixes the dtype and shape of the sample's one array, and each
+    block is copied into its rows as it ends and then dropped.  The array is
+    laid out column by column, so each column of a block of several (the
+    lp-ball's) lies contiguously and can be sorted where it lies.
     """
     step = max(1, _BLOCK_ELEMS // n)
-    rows = [min(step, replicates - start) for start in range(0, replicates, step)]
+    starts = range(0, replicates, step)
+    rows = [min(step, replicates - start) for start in starts]
     streams = map(RandomStream(seed).substream(n).substream, range(len(rows)))
-    if workers <= 1 or len(rows) == 1:
-        return np.concatenate(list(map(kernel, streams, rows)), axis=0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(kernel, streams, rows)), axis=0)
+    if len(rows) == 1:
+        return kernel(next(streams), replicates)
+    blocks = _blocks(kernel, streams, rows, workers)
+    out = None
+    for start in starts:
+        block = next(blocks)
+        if out is None:
+            out = np.empty((replicates, *block.shape[1:]), block.dtype, order="F")
+        out[start:start + len(block)] = block
+        del block  # before the next block is drawn
+    return out
 
 
 def _sorted_values(seed: int, n: int, replicates: int, workers: int, finish,
@@ -397,8 +432,14 @@ def sup_norm_sample(seed: int, n: int, replicates: int, workers: int = 1) -> Emp
 
 
 def _affine_sample(base: EmpiricalSample, scale: float, shift: float) -> EmpiricalSample:
-    # increasing affine maps preserve sortedness, no re-sort needed
-    return EmpiricalSample(base.values * scale + shift)
+    """``base`` mapped by x -> scale * x + shift, in place: the caller hands
+    ``base`` over, and the result holds its array.  ``v *= scale; v += shift``
+    rounds as ``v * scale + shift`` does, and an increasing map keeps the
+    values sorted, so there is no re-sort."""
+    values = base.values
+    values *= scale
+    values += shift
+    return EmpiricalSample(values)
 
 
 def ball_sup_sample(seed: int, n: int, p: float, replicates: int,
@@ -422,11 +463,9 @@ def equivalence_frequency(seed: int, n: int, replicates: int,
         return 2.0 * s.total / n > s.high + s.low
 
     reduce = sampling.RowReduction(finish, extremes=True)
-    # each block's hits are counted as it ends (a sum of 0.0s and 1.0s is
-    # exact in any order), so the merge holds one value per block, not per row
-    hits = float(_collect(seed, n, replicates, workers, lambda bstream, rows:
-                          sampling.exponential_block(bstream, rows, n, reduce)
-                          .sum(keepdims=True)).sum())
+    # the sample holds one bool, a byte, per row; its hits are counted
+    hits = int(np.count_nonzero(_collect(seed, n, replicates, workers, lambda bstream, rows:
+                                         sampling.exponential_block(bstream, rows, n, reduce))))
     freq = hits / replicates
     return freq, math.sqrt(freq * (1.0 - freq) / replicates)
 
@@ -676,7 +715,6 @@ class SupTheorem:
                 rows.append(ReportRow(f"{kind}:membership", n, param, None, max_norm, 1.0,
                                       None, max_norm <= 1.0 + sampling.SUM_TOL))
             sample = _affine_sample(base, scale, shift)
-            del base  # the KS distance or the tails hold only the mapped copy
             if self.rate is None:
                 d = ks_distance(sample, gumbel_cdf)
                 return rows + [ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,

@@ -163,6 +163,27 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     return reduce(functools.partial(_guarded_fill, rng, fill), rows, n)
 
 
+#: Rows shorter than this take their min and max a column at a time:
+#: numpy reduces each row of a C-contiguous leaf on its own, which costs
+#: most on short rows.  Per element of a 2**16-element leaf (timeit, 2 vCPU
+#: Xeon), the row-wise min took 12.3 ns at n = 5, 3.3 at n = 20, 1.4-1.6 at
+#: n = 50 and 0.9-1.0 at n = 100, the column-wise one 0.58, 0.86, 1.3-1.7
+#: and 1.7-2.5 ns: they break even near n = 50.  A min or max is exact in
+#: any order, so both give the same bits.
+_SHORT_ROW = 48
+
+
+def _row_extreme(ufunc, y: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(y, axis=1)`` for ``ufunc`` np.minimum or np.maximum:
+    each row's min or max of the leaf ``y``."""
+    if y.shape[1] >= _SHORT_ROW:
+        return ufunc.reduce(y, axis=1)
+    out = y[:, 0].copy()
+    for column in y.T[1:]:
+        ufunc(out, column, out=out)
+    return out
+
+
 class RowStats(NamedTuple):
     """The row reductions of a chunk, one value per row, each with the bits
     of numpy's reduction along the whole row: the sum, the min and max (or
@@ -208,7 +229,9 @@ class RowReduction:
     every other reduction draws each leaf into one leaf-sized buffer.
 
     Each call allocates that one buffer and frees it when it returns, so a
-    reduction is a plain value, which threads may share.
+    reduction is a plain value, which threads may share.  The values are one
+    per row, at the dtype that ``finish`` returns (a bool per row for a
+    test, a float for a statistic).
     """
 
     finish: Callable[[RowStats], np.ndarray]
@@ -219,7 +242,7 @@ class RowReduction:
         # only a centred power other than the square reads the row back
         stored = self.q not in (None, 2.0)
         buf = np.empty((min(rows, _chunk_rows(n)), n if stored else min(n, _CHUNK_ELEMS)))
-        values = np.empty(rows)
+        values = np.empty(0)
         for chunk in _row_chunks(rows, n):
             x = buf[:chunk.stop - chunk.start]
             lows, highs, squares = [], [], []
@@ -229,8 +252,8 @@ class RowReduction:
                 y = x[:, cols] if stored else x[:, :width]
                 draw(y)
                 if self.extremes:
-                    lows.append(y.min(axis=1))
-                    highs.append(y.max(axis=1))
+                    lows.append(_row_extreme(np.minimum, y))
+                    highs.append(_row_extreme(np.maximum, y))
                 s = y.sum(axis=1)
                 if self.q == 2.0:
                     # IEEE multiplication sets the sign apart from the
@@ -266,7 +289,10 @@ class RowReduction:
                 power = _tree_sum(n, leaf_power)
             low = functools.reduce(np.minimum, lows) if lows else None
             high = functools.reduce(np.maximum, highs) if highs else None
-            values[chunk] = self.finish(RowStats(total, low, high, power))
+            chunk_values = self.finish(RowStats(total, low, high, power))
+            if chunk.start == 0:
+                values = np.empty(rows, chunk_values.dtype)
+            values[chunk] = chunk_values
         return values
 
 
@@ -441,24 +467,30 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
 
     def draw(leaf: np.ndarray) -> None:
         states.append(rng.bit_generator.state)
-        highs.append(_guarded_fill(rng, fill, leaf).max(axis=1))
+        highs.append(_row_extreme(np.maximum, _guarded_fill(rng, fill, leaf)))
         if p != 1.0:
             leaf **= p
 
     power_sums = reduce(draw, rows, n)
     _skip_fair_signs(rng, rows * n)
     radius = rng.random(rows) ** (1.0 / n)
-    scale = radius / power_sums ** (1.0 / p)
-    # the leaf maxes fill a rows x leaves matrix in C order: a row chunk is
-    # one leaf, or one row of leaves
-    leaves = _tree_sum(n, lambda cols: 1)
-    high = np.concatenate(highs).reshape(rows, leaves).max(axis=1)
-
     g = _norm_rounding_bound(n)
     # initial=0.0 leaves the max of a nonempty block as it is; a block of no
     # rows has no candidates and gives a (0, 2) array
     candidates = radius >= radius.max(initial=0.0) * ((1.0 - g) / (1.0 + g))
-    point_sums = np.zeros(rows)
+    # the scale radius / power_sums ** (1 / p) and both columns are taken in
+    # place, so the block holds a few vectors of one value per row
+    power_sums **= 1.0 / p
+    scale = np.divide(radius, power_sums, out=radius)
+    del power_sums
+    out = np.zeros((rows, 2))
+    # the leaf maxes fill a rows x leaves matrix in C order: a row chunk is
+    # one leaf, or one row of leaves
+    leaves = _tree_sum(n, lambda cols: 1)
+    np.concatenate(highs).reshape(rows, leaves).max(axis=1, out=out[:, 0])
+    highs.clear()
+    out[:, 0] *= scale
+    point_sums = out[:, 1]
     for i, chunk in enumerate(_row_chunks(rows, n)):
         if candidates[chunk].any():
             rng.bit_generator.state = states[i * leaves]
@@ -470,7 +502,8 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
 
             point_sums[chunk] = reduce(redraw, chunk.stop - chunk.start, n)
     point_sums[~candidates] = 0.0
-    return np.column_stack([high * scale, point_sums ** (1.0 / p)])
+    point_sums **= 1.0 / p
+    return out
 
 
 def _norm_rounding_bound(n: int) -> float:

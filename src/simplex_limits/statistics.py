@@ -142,7 +142,13 @@ class EmpiricalSample:
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalSample":
-        return cls(np.sort(np.asarray(values, dtype=np.float64)))
+        """The sample of ``values``.  A float64 ndarray is sorted in place:
+        the caller hands it over, and the sample holds it.  Anything else (a
+        list, another dtype) is copied to a new float64 array first, and is
+        left as it was."""
+        values = np.asarray(values, dtype=np.float64)
+        values.sort()
+        return cls(values)
 
 
 def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:

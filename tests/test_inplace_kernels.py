@@ -255,6 +255,27 @@ def test_leaf_walk_has_the_bits_of_the_whole_row_reduction(n):
     assert np.array_equal(stats.power, ref_power)
 
 
+_SHORT = sampling._SHORT_ROW
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, _SHORT - 1, _SHORT, _SHORT + 1, 100])
+def test_row_extremes_have_the_bits_of_numpys_row_reductions(n):
+    # rows shorter than _SHORT_ROW take their min and max a column at a
+    # time; three full row chunks and a partial one, of signed values
+    x = np.random.default_rng(n).standard_normal((3 * sampling._chunk_rows(n) + 7, n))
+    taken = 0
+
+    def draw(leaf):
+        nonlocal taken
+        leaf[:] = x[taken:taken + len(leaf)]
+        taken += len(leaf)
+
+    kept = []
+    sampling.RowReduction(lambda s: kept.append(s) or s.total, extremes=True)(draw, len(x), n)
+    assert np.array_equal(np.concatenate([s.low for s in kept]), x.min(axis=1))
+    assert np.array_equal(np.concatenate([s.high for s in kept]), x.max(axis=1))
+
+
 @pytest.mark.parametrize("n", [_CHUNK + 1, 100_003, 3 * _CHUNK + 5, 2**21 + 8])
 def test_merged_square_sum_of_a_long_row_is_as_accurate_as_two_passes(n):
     # q = 2 merges a long row's leaves instead of reading the row back; both
@@ -479,43 +500,33 @@ def test_sample_function_allocates_its_reducing_buffers_once_per_worker(monkeypa
         assert set(sizes) == {buffer_size}, f"{name}: arrays of {sorted(set(sizes))} elements"
 
 
-class _TracedMerge:
-    """numpy as ``experiments`` sees it, but for ``concatenate``, which
-    records the traced memory and the bytes of the arrays it is handed."""
-
-    def __init__(self):
-        self.merges = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def concatenate(self, arrays, *args, **kwargs):
-        self.merges.append((tracemalloc.get_traced_memory()[0], sum(a.nbytes for a in arrays)))
-        return np.concatenate(arrays, *args, **kwargs)
-
-
-# n=1000 and 5000 replicates: three blocks, of 2097, 2097 and 806 rows
-@pytest.mark.parametrize("sample", [
-    lambda w: ex.sup_norm_sample(81, 1000, 5000, workers=w),
-    lambda w: ex.clt_sample(82, 1000, 2.0, 5000, workers=w),
-    lambda w: ex.ball_sup_sample(83, 1000, 2.0, 5000, workers=w),
+# sup_norm and clt at n=500 and 200,000 replicates, ball_sup at n=1000 and
+# 100,000: 1.53 MiB of values each, in 48 or 49 blocks
+@pytest.mark.parametrize("sample, n, values", [
+    (lambda w: ex.sup_norm_sample(81, 500, 200_000, workers=w), 500, 8 * 200_000),
+    (lambda w: ex.clt_sample(82, 500, 2.0, 200_000, workers=w), 500, 8 * 200_000),
+    (lambda w: ex.ball_sup_sample(83, 1000, 2.0, 100_000, workers=w), 1000, 16 * 100_000),
 ], ids=["sup_norm", "clt", "ball_sup"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_merge_of_the_blocks_holds_only_their_values(monkeypatch, sample, workers):
-    # no reducing buffer outlives its block, so when _collect merges the
-    # blocks, the memory held is theirs and a few small objects, not a
-    # 520 KB chunk buffer per worker
-    numpy = _TracedMerge()
-    monkeypatch.setattr(ex, "np", numpy)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sample(workers)
-    finally:
-        tracemalloc.stop()
-    ((held, blocks),) = numpy.merges
-    assert blocks >= 5000 * 8
-    assert held - base - blocks < 2**17, f"{(held - base - blocks) / 1024:.0f} KiB"
+def test_merge_of_the_blocks_holds_only_their_values(sample, n, values, workers):
+    # each block is copied into the sample's one array as it ends, and that
+    # array is sorted where it lies, so a call holds its values once plus
+    # what each worker's running block holds: its leaf buffer, a few vectors
+    # of one value per row and numpy's 64 KiB buffer of a broadcast operand
+    # (54-141 KiB per worker measured).  A merge of a list of the blocks, or
+    # a sorted copy, would hold the values twice (289-1252 KiB per worker).
+    leaf = sampling._chunk_rows(n) * n * 8
+    over = _peak_traced_bytes(lambda: sample(workers)) - values - workers * leaf
+    assert over < workers * 192 * 2**10, f"{over / workers / 2**10:.0f} KiB per worker"
+
+
+def test_equivalence_frequency_holds_one_byte_per_replicate():
+    # n=5 and 125,000 replicates are one block of bools, as battery row 09
+    # draws it: 1.24 MiB traced (the 512 KiB leaf buffer, the chunk's
+    # vectors and the 0.12 MiB of bools), against 2.06 MiB when each row's
+    # value was a float and the merge copied the blocks
+    peak = _peak_traced_bytes(lambda: ex.equivalence_frequency(8, 5, 125_000))
+    assert peak < 1.4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("sample", [
@@ -525,10 +536,8 @@ def test_merge_of_the_blocks_holds_only_their_values(monkeypatch, sample, worker
     lambda: ex.ball_sup_sample(80, 1000, 2.0, 3000),
 ], ids=["clt", "sup_norm", "general_clt", "ball_sup"])
 def test_sample_function_frees_its_reducing_buffer_before_the_sort(monkeypatch, sample):
-    # a sample peaks at its sort (2.03 MiB traced for sup_norm_sample at
-    # n=1000 and 125,000 replicates, at either worker count, against
-    # 1.92-1.99 MiB at the merge), so a 520 KB chunk buffer kept through the
-    # sort would lift its peak by a quarter
+    # the values are sorted where they lie, so a 520 KB chunk buffer kept
+    # through the sort would be the largest array there besides them
     held = []
     from_values = ex.EmpiricalSample.from_values
 

@@ -295,18 +295,31 @@ def test_empirical_sample_sorts_and_validates():
         stats.EmpiricalSample(np.array([2.0, 1.0]))
 
 
-def test_from_values_peaks_at_its_sorted_copy_and_a_mask():
-    # the sort check compares neighbours in place: no difference array of
-    # the sample's length on top of the sorted copy
+def test_from_values_sorts_an_array_where_it_lies_and_peaks_at_a_mask():
+    # a float64 array is handed over and sorted in place; the sort check
+    # compares neighbours into a mask of one byte per value, the peak
     values = np.random.default_rng(0).random(1_000_000)
+    expected = np.sort(values)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        stats.EmpiricalSample.from_values(values)
+        sample = stats.EmpiricalSample.from_values(values)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * values.nbytes, f"peak {peak / values.nbytes:.2f}x the values"
+    assert sample.values is values
+    assert np.array_equal(values, expected)
+    assert peak <= len(values) + 2**16, f"peak {peak / len(values):.2f} bytes per value"
+
+
+@pytest.mark.parametrize("values", [[3.0, 1.0, 2.0], np.array([3.0, 1.0, 2.0], np.float32),
+                                    np.array([3, 1, 2])], ids=["list", "float32", "int"])
+def test_from_values_leaves_anything_but_a_float64_array_as_it_was(values):
+    before = list(values)
+    sample = stats.EmpiricalSample.from_values(values)
+    assert sample.values.dtype == np.float64
+    assert sample.values.tolist() == [1.0, 2.0, 3.0]
+    assert list(values) == before
 
 
 # ---------------------------------------------------------------------------
