@@ -156,6 +156,9 @@ class ExperimentConfig:
         if any(n < 2 for n in self.oracle_n_list):
             raise ValueError(f"the max-spacing oracle requires every n >= 2 in oracle_n_list, "
                              f"got {self.oracle_n_list}")
+        if self.oracle_n_list and getattr(THEOREMS[self.kind], "oracle", None) is None:
+            raise ValueError(f"{self.kind} experiments have no exact oracle rows, "
+                             f"got oracle_n_list={self.oracle_n_list}")
         if self.kind == "equivalence_decay" and any(not 2 <= n <= 200 for n in self.n_list):
             raise ValueError("equivalence_decay expects n in [2, 200]")
 
@@ -525,8 +528,9 @@ def _gaussian_plan(config: ExperimentConfig, param: str, var_display: float, tol
         m = studentized.replicates
         d = ks_distance(studentized, gaussian_cdf)
         mean = float(studentized.values.mean())
-        mean_se = float(studentized.values.std()) / math.sqrt(m)
-        var = float(studentized.values.var()) * var_display
+        var = float(studentized.values.var())  # numpy's std is its sqrt
+        mean_se = math.sqrt(var) / math.sqrt(m)
+        var *= var_display
         var_se = var * math.sqrt(2.0 / (m - 1))
         mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] * mean_se
                     + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))

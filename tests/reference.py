@@ -106,6 +106,16 @@ def general_central_moment_stat(data, q: float, mq: float) -> float:
     return math.sqrt(x.size) * (float(np.mean(centered**q)) - mq)
 
 
+def ks_distance_whole(values, cdf) -> float:
+    """Kolmogorov-Smirnov distance of the sorted ``values`` against ``cdf``,
+    with the CDF and both step discrepancies, i/m - F and F - (i-1)/m, taken
+    over the whole array at once."""
+    m = len(values)
+    f = np.asarray(cdf(values), dtype=np.float64)
+    return max(float(np.max(np.arange(1, m + 1, dtype=np.float64) / m - f)),
+               float(np.max(f - np.arange(0, m, dtype=np.float64) / m)))
+
+
 # ---------------------------------------------------------------------------
 # moments, normalization constants and point invariants
 

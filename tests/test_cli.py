@@ -243,13 +243,16 @@ def test_config_yielding_no_rows_is_a_usage_error(capsys):
      "threshold must lie in (0, 1)"),
     (["ldp", "--n", "1000", "--replicates", "1000000", "--oracle-n", "10", "--z", "20"],
      "threshold must lie in (0, 1)"),
+    (["lpball", "--law", "ldp", "--p", "2", "--n", "200", "--z", "1.3", "--replicates", "2000",
+      "--oracle-n", "1000"], "no exact oracle rows"),
 ], ids=["gumbel_oracle_n_1", "mdp_oracle_n_2", "mdp_n_2", "gumbel_oracle_threshold",
-        "ldp_oracle_threshold"])
+        "ldp_oracle_threshold", "lp_ldp_oracle_n"])
 def test_config_error_is_a_usage_error_before_sampling(monkeypatch, capsys, args, message):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
 
     monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
+    monkeypatch.setattr(sampling, "lp_ball_block", must_not_sample)
     assert run_cli(args + ["--workers", "1"]) == 2
     assert message in capsys.readouterr().err
 

@@ -51,6 +51,13 @@ def test_mu_q_quadrature_matches_subfactorial_form(q):
     assert abs(constants.mu_q(float(q)) - constants.mu_q_integer(q)) < 1e-10
 
 
+@pytest.mark.parametrize("q", [1.25, 2.5, 7.5])
+def test_mu_q_series_matches_brute_force_quadrature(q):
+    # a non-integer q, where moment_constants reads the series
+    value, error_bound = ref.mu_q_bruteforce(q)
+    assert abs(constants.mu_q(q) - value) <= error_bound + 1e-15 * value
+
+
 def test_sigma_q_sq_closed_values():
     assert abs(constants.sigma_q_sq(2.0) - 1.0) < 1e-12
     assert abs(constants.sigma_q_sq(1.0) - (2.0 * math.e - 5.0)) < 1e-12
@@ -181,7 +188,7 @@ def test_moment_constants_internal_identities(q):
                       + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
     assert mc.sigma_q_sq == expected_sigma
     assert mc.cov_e_absq == (q + 1.0) * mc.mu_q - 1.0
-    assert mc.method in ("closed_form_integer_q", "quadrature")
+    assert mc.method in ("closed_form_integer_q", "series")
 
 
 def test_constants_table_columns():

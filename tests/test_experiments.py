@@ -139,6 +139,14 @@ def _forbid_draws(monkeypatch):
     pytest.param(dict(kind="lp_gumbel", n_list=(10,), p=2.0), id="lp_gumbel-at-p2"),
     # s_n = log log 10 = 0.83 is not in (1, log n)
     pytest.param(dict(kind="mdp", n_list=(10,), s_n_rule="log_log"), id="mdp-log_log-at-n10"),
+    # only the gumbel, ldp and mdp theorems have exact oracle rows
+    *(pytest.param(dict(config, oracle_n_list=(1000,)), id=f"{config['kind']}-with-oracle_n")
+      for config in [dict(kind="clt", n_list=(10,), q=2.0),
+                     dict(kind="berry_esseen_sweep", n_list=(10, 20, 40), q=2.0),
+                     dict(kind="general_clt", n_list=(10,), q=2.0),
+                     dict(kind="equivalence_decay", n_list=(5, 10)),
+                     dict(kind="lp_ldp", n_list=(10,), p=2.0, thresholds=(1.3,)),
+                     dict(kind="lp_gumbel", n_list=(10,), p=1.0)]),
 ])
 def test_a_rejected_config_fails_before_any_draw(monkeypatch, config):
     _forbid_draws(monkeypatch)

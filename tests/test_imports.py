@@ -1,10 +1,10 @@
 """scipy is loaded only by the functions that call it.
 
-Importing the package, running every experiment kind at closed-form
-constants (the Gaussian kinds at an integer q, or the uniform source), oracle
-queries, samples and report conversions must leave no ``scipy`` module in
-``sys.modules``.  Each case runs in a fresh interpreter, because this test
-process has loaded scipy long before.
+Importing the package, running every experiment kind at any q (the moment
+constants are closed forms or series), oracle queries, samples and report
+conversions must leave no ``scipy`` module in ``sys.modules``.  Each case
+runs in a fresh interpreter, because this test process has loaded scipy
+long before.
 """
 
 import json
@@ -38,13 +38,15 @@ CASES = {
     "equivalence_decay": _RUN.format('kind="equivalence_decay", n_list=(5, 10), '
                                      'replicates=200, seed=1'),
     "clt": _RUN.format('kind="clt", n_list=(100,), q=2.0, replicates=200, seed=1'),
+    "clt_q2_5": _RUN.format('kind="clt", n_list=(100,), q=2.5, replicates=200, seed=1'),
     "berry_esseen_sweep": _RUN.format('kind="berry_esseen_sweep", n_list=(10, 20, 40), '
                                       'q=2.0, replicates=200, seed=1'),
     # both sources state their central-moment CLT constants in closed form;
-    # only the exponential source's mu_q at a non-integer q is a quadrature
+    # the exponential source's mu_q at a non-integer q is a series
     **{case: _RUN.format(f'kind="general_clt", n_list=(100,), q={q}, source="{source}", '
                          'replicates=200, seed=1')
        for case, source, q in [("general_clt_exponential_q2", "exponential", 2.0),
+                               ("general_clt_exponential_q2_5", "exponential", 2.5),
                                ("general_clt_uniform01_q1", "uniform01", 1.0),
                                ("general_clt_uniform01_q1_5", "uniform01", 1.5)]},
     "oracle": _CLI.format(["oracle", "--op", "max-spacing-sf", "--n", "100", "--s", "0.05"]),
@@ -78,8 +80,8 @@ def test_report_conversion_loads_no_scipy(tmp_path):
     assert (tmp_path / "r.csv").read_text() == report.to_csv()
 
 
-def test_clt_at_a_non_integer_q_loads_scipy_integrate(tmp_path):
-    # the check above sees a scipy import where there is one: mu_q at
-    # q = 2.5 is a quadrature
-    code = _RUN.format('kind="clt", n_list=(100,), q=2.5, replicates=200, seed=1')
-    assert "scipy.integrate" in scipy_modules(code, tmp_path)
+def test_m_n_loads_scipy_optimize(tmp_path):
+    # the check above sees a scipy import where there is one: m_n is a
+    # bracketed root-finding
+    code = "from simplex_limits import constants\nconstants.m_n(2.0, 1000)"
+    assert "scipy.optimize" in scipy_modules(code, tmp_path)

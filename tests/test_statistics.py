@@ -223,22 +223,49 @@ def test_ks_distance_iid_reference_draws():
     assert got <= 1.63 / math.sqrt(100_000)
 
 
-def test_ks_distance_holds_its_cdf_values_and_one_buffer():
-    # 125,000 values, as a gumbel run at n = 1000 holds; the array headers
-    # are the only allocations beside the two sample-length arrays
-    values = np.sort(np.random.default_rng(3).gumbel(size=125_000))
-    sample = _sample(values)
+_KS_LAWS = {"gaussian": (stats.gaussian_cdf, "standard_normal"),
+            "gumbel": (stats.gumbel_cdf, "gumbel")}
+
+
+@pytest.mark.parametrize("law", sorted(_KS_LAWS))
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 5)])
+def test_ks_distance_is_the_whole_array_formula_bit_for_bit(law, chunks, extra):
+    # m around one and three chunks: the chunked maxima and the chunk's
+    # 0-based indices round as the whole-array formula does
+    cdf, draw = _KS_LAWS[law]
+    m = chunks * stats._KS_CHUNK + extra
+    values = np.sort(getattr(np.random.default_rng(m), draw)(size=m))
+    assert stats.ks_distance(_sample(values), cdf) == ref.ks_distance_whole(values, cdf)
+
+
+def test_ks_distance_rejects_a_nan_cdf_value_in_the_last_chunk():
+    m = 2 * stats._KS_CHUNK + 3
+    values = np.sort(np.random.default_rng(4).gumbel(size=m))
+
+    def cdf(x):
+        f = stats.gumbel_cdf(x)
+        if x[-1] == values[-1]:
+            f[len(f) // 2] = np.nan
+        return f
+
+    with pytest.raises(ValueError, match="outside"):
+        stats.ks_distance(_sample(values), cdf)
+
+
+@pytest.mark.parametrize("law", sorted(_KS_LAWS))
+def test_ks_distance_holds_at_most_1_5_mib_above_its_sample(law):
+    # 125,000 values, as a run of that many replicates holds: the whole
+    # sample's CDF values and discrepancy buffers would take 0.95 MiB each
+    cdf, draw = _KS_LAWS[law]
+    sample = _sample(getattr(np.random.default_rng(3), draw)(size=125_000))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        got = stats.ks_distance(sample, stats.gumbel_cdf)
+        stats.ks_distance(sample, cdf)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.0 * values.nbytes + 4096, f"peak {peak / values.nbytes:.4f}x the values"
-    f = stats.gumbel_cdf(values)
-    i = np.arange(1, len(values) + 1, dtype=np.float64)
-    assert got == max(float(np.max(i / len(i) - f)), float(np.max(f - (i - 1.0) / len(i))))
+    assert peak <= 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_ks_distance_probability_integral_transform():
