@@ -175,10 +175,12 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[str, str | None]:
     stream = RandomStream(args.seed)
     if args.kind == "exponential":
         matrix = sampling.exponential_block(stream, args.count, args.n)
-    elif args.kind in ("simplex", "spacings"):
-        construction = "exponential" if args.kind == "simplex" else "spacings"
-        matrix = sampling.simplex_block(stream, args.count, args.n, not args.uncentered,
-                                        construction)
+    elif args.kind == "simplex":
+        matrix = sampling.simplex_block(stream, args.count, args.n, not args.uncentered)
+    elif args.kind == "spacings":
+        matrix = sampling.spacings_block(stream, args.count, args.n)
+        if not args.uncentered:
+            matrix -= 1.0 / args.n
     elif args.kind == "pgen":
         matrix = sampling.pgen_gaussian_block(stream, args.count, args.n, args.p)
     else:

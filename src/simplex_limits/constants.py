@@ -7,9 +7,11 @@ absolute moment
     mu_q = E|E - 1|**q = exp(-1) * (Gamma(q + 1) + int_0^1 x**q exp(x) dx)
 
 for a standard exponential E; the infinite part is folded into the Gamma
-term, and the finite integral is the series sum_k 1 / (k! (q + k + 1)).  For
-integer q the same moment has an exact subfactorial form, which
-:func:`moment_constants` uses.
+term, and the finite integral is the series sum_k 1 / (k! (q + k + 1)).
+:func:`moment_constants` reads this one definition at every q >= 1.  For
+integer q the same moment has an exact subfactorial form,
+:func:`mu_q_integer`, kept as the reference that the series is checked
+against.
 
 scipy is imported on first use, inside the functions that call it
 (:func:`pgen_two_sided_tail`, :func:`m_n` and :func:`tail_sandwich`); no
@@ -50,11 +52,18 @@ def mu_q(q: float) -> float:
 
     int_0^1 x**q e**x dx = sum_k 1 / (k! (q + k + 1)); at q >= 1 the 20th
     term is below 1e-18 of the first, so 20 terms, summed by ``math.fsum``,
-    leave a truncation error far below one ulp.
+    leave a truncation error far below one ulp.  Gamma(q + 1) leaves the
+    float range above q = 170.62, so a larger q, integer or not, raises
+    OverflowError.
     """
     _check_q(q)
+    try:
+        gamma = math.gamma(q + 1.0)
+    except OverflowError:
+        raise OverflowError(f"mu_q at q={q:g} exceeds the float range "
+                            f"(Gamma(q + 1) overflows above q = 170.62)") from None
     finite = math.fsum(1.0 / (math.factorial(k) * (q + k + 1.0)) for k in range(20))
-    return math.exp(-1.0) * (math.gamma(q + 1.0) + finite)
+    return math.exp(-1.0) * (gamma + finite)
 
 
 def mu_q_integer(q: int) -> float:
@@ -72,35 +81,28 @@ def mu_q_integer(q: int) -> float:
 
 @dataclass(frozen=True)
 class MomentConstants:
-    """Per-q bundle of the moment constants, with evaluation provenance."""
+    """Per-q bundle of the moment constants."""
 
     q: float
     mu_q: float
     mu_2q: float
     sigma_q_sq: float
     cov_e_absq: float
-    method: str  # "closed_form_integer_q" or "series"
 
 
 @functools.lru_cache
 def moment_constants(q: float) -> MomentConstants:
-    """Assemble the moment bundle; integer q uses the exact closed form.
+    """Assemble the moment bundle from mu_q(q) and mu_q(2q) at every q >= 1.
 
-    Cached per q, so a run that reads the bundle in several places sums a
-    non-integer q's series once.
+    mu_q(2q) bounds q at about 85.31, half of mu_q's float range.  Cached per
+    q, so a run that reads the bundle in several places sums each series once.
     """
-    _check_q(q)
-    if float(q).is_integer():
-        m, m2 = mu_q_integer(int(q)), mu_q_integer(2 * int(q))
-        method = "closed_form_integer_q"
-    else:
-        m, m2 = mu_q(q), mu_q(2.0 * q)
-        method = "series"
+    m, m2 = mu_q(q), mu_q(2.0 * q)
     # the limit variance and Cov(E, |E - 1|**q), from m = mu_q and m2 = mu_2q
     sigma_sq = ((m2 - (q * q + 2.0 * q + 2.0) * m * m + 2.0 * (q + 1.0) * m - 1.0)
                 / (q * q * m * m))
     return MomentConstants(q=float(q), mu_q=m, mu_2q=m2, sigma_q_sq=sigma_sq,
-                           cov_e_absq=(q + 1.0) * m - 1.0, method=method)
+                           cov_e_absq=(q + 1.0) * m - 1.0)
 
 
 def sigma_q_sq(q: float) -> float:
@@ -228,6 +230,5 @@ def constants_table(q_list) -> list[dict]:
             "cov_e_absq": mc.cov_e_absq,
             "m1": m1(q),
             "c1_qq": c1_qq(q),
-            "method": mc.method,
         })
     return rows

@@ -133,8 +133,7 @@ class ExperimentConfig:
         if self.kind in ("clt", "general_clt", "berry_esseen_sweep") and self.replicates < 2:
             raise ValueError(f"{self.kind} experiments require replicates >= 2, "
                              f"got {self.replicates}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        RandomStream(self.seed)  # checks the seed's range
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.s_n_rule not in S_N_RULES:

@@ -309,23 +309,14 @@ def spacings_block(stream: RandomStream, rows: int, n: int) -> np.ndarray:
     return out
 
 
-def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True,
-                  construction: str = "exponential") -> np.ndarray:
-    """Matrix of ``rows`` uniform simplex points, shifted by the barycenter
-    1/n when ``centered``.
+def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True) -> np.ndarray:
+    """Matrix of ``rows`` uniform simplex points, normalized exponentials
+    (O(n), no sort), shifted by the barycenter 1/n when ``centered``.
 
-    Both constructions sample the same distribution: ``exponential``
-    (normalized exponentials, the default; O(n), no sort) and ``spacings``
-    (uniform order-statistic spacings).
+    :func:`spacings_block` samples the same law by uniform spacings.
     """
-    _check_dimension(n)
-    if construction == "exponential":
-        x = exponential_block(stream, rows, n)
-        x = x / x.sum(axis=1)[:, None]
-    elif construction == "spacings":
-        x = spacings_block(stream, rows, n)
-    else:
-        raise ValueError(f"unknown construction {construction!r}")
+    x = exponential_block(stream, rows, n)
+    x = x / x.sum(axis=1)[:, None]
     if centered:
         x = x - 1.0 / n
     return x

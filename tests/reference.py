@@ -10,6 +10,7 @@ against an independent implementation.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -155,6 +156,18 @@ def mu_q_bruteforce(q: float) -> tuple[float, float]:
     a = x_max - 1.0  # tail bound: int_A^inf u^q e^-u du <= A^q e^-A / (1 - q/A)
     tail = a**q * math.exp(-a) / (1.0 - q / a) * math.exp(-1.0)
     return left + right, e1 + e2 + tail
+
+
+def mu_q_decimal(q: int) -> Decimal:
+    """mu_q at integer q from its closed form in 60-digit decimal: the
+    derangement count !q at even q, 2 q!/e - !q at odd q, with !q exact."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        derangements = sum((-1) ** k * (math.factorial(q) // math.factorial(k))
+                           for k in range(q + 1))
+        if q % 2 == 0:
+            return Decimal(derangements)
+        return 2 * Decimal(math.factorial(q)) / Decimal(1).exp() - derangements
 
 
 #: general-CLT source -> (mean, density, support)

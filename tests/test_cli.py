@@ -221,6 +221,19 @@ def test_huge_integer_q_fails_at_once():
     assert run_cli(["constants", "--q", "85"]) == 0  # mu_170, the largest in range
 
 
+@pytest.mark.parametrize("args", [["constants", "--q", "85.5"], ["constants", "--q", "86"],
+                                  ["clt", "--q", "85.5", "--n", "100", "--replicates", "10"]])
+def test_q_past_the_float_range_fails_the_same_way_at_any_q(monkeypatch, capsys, args):
+    # mu_2q leaves the float range above q = 85.31, integer q or not
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the moment constants were checked")
+
+    monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
+    assert run_cli(args) == 1
+    assert "exceeds the float range (Gamma(q + 1) overflows above q = 170.62)" in (
+        capsys.readouterr().err)
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

@@ -1,4 +1,6 @@
 import math
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -51,9 +53,34 @@ def test_mu_q_quadrature_matches_subfactorial_form(q):
     assert abs(constants.mu_q(float(q)) - constants.mu_q_integer(q)) < 1e-10
 
 
+@pytest.mark.parametrize("q", range(1, 86))
+def test_moment_constants_match_the_60_digit_closed_form(q):
+    # the series at every integer q whose mu_2q is in range, within 8 units
+    # of roundoff (2**-53) of the exact subfactorial form
+    mc = constants.moment_constants(q)
+    for value, order in [(mc.mu_q, q), (mc.mu_2q, 2 * q)]:
+        exact = ref.mu_q_decimal(order)
+        assert abs(Decimal(value) - exact) <= 8 * Decimal(2) ** -53 * exact
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6])
+def test_moment_constants_have_the_closed_form_bits_at_the_read_orders(q):
+    # the orders the battery, the benchmark and the pinned digests read
+    mc = constants.moment_constants(q)
+    assert mc.mu_q == constants.mu_q_integer(q)
+    if 2 * q <= 6:
+        assert mc.mu_2q == constants.mu_q_integer(2 * q)
+
+
+@pytest.mark.parametrize("q", [170.63, 171.0])
+def test_mu_q_past_the_float_range_is_one_named_overflow(q):
+    with pytest.raises(OverflowError, match=re.escape(f"mu_q at q={q:g} exceeds the float range")):
+        constants.mu_q(q)
+    assert math.isfinite(constants.mu_q(170.62))
+
+
 @pytest.mark.parametrize("q", [1.25, 2.5, 7.5])
 def test_mu_q_series_matches_brute_force_quadrature(q):
-    # a non-integer q, where moment_constants reads the series
     value, error_bound = ref.mu_q_bruteforce(q)
     assert abs(constants.mu_q(q) - value) <= error_bound + 1e-15 * value
 
@@ -188,19 +215,18 @@ def test_moment_constants_internal_identities(q):
                       + 2.0 * (q + 1.0) * m - 1.0) / (q * q * m * m)
     assert mc.sigma_q_sq == expected_sigma
     assert mc.cov_e_absq == (q + 1.0) * mc.mu_q - 1.0
-    assert mc.method in ("closed_form_integer_q", "series")
 
 
 def test_constants_table_columns():
     rows = constants.constants_table([1.0, 2.5])
     assert [r["q"] for r in rows] == [1.0, 2.5]
-    assert set(rows[0]) == {"q", "mu_q", "sigma_q_sq", "cov_e_absq", "m1", "c1_qq", "method"}
+    assert set(rows[0]) == {"q", "mu_q", "sigma_q_sq", "cov_e_absq", "m1", "c1_qq"}
     assert rows[0]["m1"] == 1.0
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
 def test_sigma_and_covariance_are_the_moment_bundle(q):
-    # one definition: the integer-q closed form reaches both functions too
+    # one definition: both functions read the bundle, at integer q as at any other
     bundle = constants.moment_constants(q)
     assert constants.sigma_q_sq(q) == bundle.sigma_q_sq
     assert constants.cov_e_absq(q) == bundle.cov_e_absq

@@ -158,7 +158,7 @@ def test_a_degenerate_general_clt_variance_is_one_failed_row_without_a_draw(monk
     # mu_q = mu_2q = 1 with no covariance: the exponential source's limit
     # variance is 0
     monkeypatch.setattr(stats, "moment_constants",
-                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0, "stub"))
+                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
     _forbid_draws(monkeypatch)
     report = ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(10, 20), q=2.0,
                                         replicates=10, seed=0))

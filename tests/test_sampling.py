@@ -77,7 +77,10 @@ def test_simplex_n1_is_exact():
     construction=st.sampled_from(["exponential", "spacings"]),
 )
 def test_simplex_invariants(seed, n, centered, construction):
-    (point,) = simplex_block(RandomStream(seed), 1, n, centered, construction)
+    if construction == "exponential":
+        (point,) = simplex_block(RandomStream(seed), 1, n, centered)
+    else:
+        (point,) = spacings_block(RandomStream(seed), 1, n) - (1.0 / n if centered else 0.0)
     ref.check_simplex_invariants(point, centered)
 
 

@@ -394,6 +394,6 @@ def test_general_clt_constants_match_quadrature(source, q):
 def test_degenerate_variance_raises(monkeypatch):
     # mu_q = mu_2q = 1 with no covariance: d = 0 and Var |E - 1|**q = 0
     monkeypatch.setattr(stats, "moment_constants",
-                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0, "stub"))
+                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
     with pytest.raises(stats.DegenerateVarianceError):
         stats.general_clt_variance(stats.ExponentialDist, 2.0)
