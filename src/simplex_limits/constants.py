@@ -13,9 +13,11 @@ integer q the same moment has an exact subfactorial form,
 :func:`mu_q_integer`, kept as the reference that the series is checked
 against.
 
-scipy is imported on first use, inside the functions that call it
-(:func:`pgen_two_sided_tail`, :func:`m_n` and :func:`tail_sandwich`); no
-experiment kind calls them.
+The p-generalized Gaussian tail, its 1/n quantile and the tail sandwich
+(:func:`pgen_two_sided_tail`, :func:`m_n` and :func:`tail_sandwich`) all
+read one regularized upper incomplete gamma, :func:`_upper_gamma_q`, written
+with the standard library; nothing in the package imports scipy, and no
+experiment kind calls these three.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 RATE_KINDS = ("simplex_sup", "mdp", "lp_sup")
-
-
-class NumericalError(RuntimeError):
-    """A numerical routine (quadrature, root-finding) failed to converge."""
 
 
 def subfactorial(q: int) -> int:
@@ -125,47 +123,77 @@ def c1_qq(q: float) -> float:
     return (math.gamma(2.0 * q + 1.0) / math.gamma(q + 1.0) ** 2 - 1.0) / (q * q) - 1.0
 
 
-def pgen_two_sided_tail(p: float, m: float) -> float:
-    """P[|Y| > m] for a p-generalized Gaussian Y.
+def _upper_gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x) / Gamma(a), a > 0.
 
-    The gamma transform gives the exact identity
-    P[|Y| > m] = Q(1/p, m**p / p) with Q the regularized upper incomplete
-    gamma function, so no truncated quadrature is needed here.
+    Below x = a + 1, one minus the power series of P (DLMF 8.7.1); above it,
+    the continued fraction of Q (DLMF 8.9.2) by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.2).  Each stops once a term moves
+    its sum by less than one ulp.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
-    if m < 0:
-        raise ValueError(f"threshold must be nonnegative, got {m}")
-    from scipy.special import gammaincc
+    if x == 0.0 or x == math.inf:
+        return 1.0 if x == 0.0 else 0.0
+    eps = 2.0**-52
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        k = a
+        while abs(term) >= eps * abs(total):
+            k += 1.0
+            term *= x / k
+            total += term
+        return 1.0 - prefactor * total
+    # above x = a + 1 each Lentz denominator is at least i + 1 (by induction
+    # on i), so none needs a guard against zero
+    b, c, delta, i = x + 1.0 - a, math.inf, 0.0, 0
+    h = d = 1.0 / b
+    while abs(delta - 1.0) >= eps:
+        i += 1
+        an, b = -i * (i - a), b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+    return prefactor * h
 
-    return float(gammaincc(1.0 / p, m**p / p))
+
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p}")
+
+
+def pgen_two_sided_tail(p: float, m: float) -> float:
+    """P[|Y| > m] for a p-generalized Gaussian Y, with density prop. to exp(-|y|**p / p).
+
+    The gamma transform gives the exact identity P[|Y| > m] = Q(1/p, m**p / p),
+    with Q the regularized upper incomplete gamma; 0.0 at m = inf.
+    """
+    _check_p(p)
+    if not m >= 0:
+        raise ValueError(f"threshold must be nonnegative, got {m}")
+    return _upper_gamma_q(1.0 / p, m**p / p)
 
 
 def m_n(p: float, n: int) -> float:
     """The 1/n two-sided tail quantile of the p-generalized Gaussian.
 
-    Solves P[|Y| > m] = 1/n by bracketed root-finding; the upper bracket end
-    2 * p**(1/p) * (log n)**(1/p) + 10 is safe because the quantile is
-    asymptotic to p**(1/p) * (log n)**(1/p).
+    Solves P[|Y| > m] = 1/n by bisection down to adjacent floats.
     """
-    if not p >= 1.0:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
+    _check_p(p)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    from scipy.optimize import brentq
-
-    lo, hi = 1e-6, 2.0 * p ** (1.0 / p) * math.log(n) ** (1.0 / p) + 10.0
-
-    def f(m: float) -> float:
-        return pgen_two_sided_tail(p, m) - 1.0 / n
-
-    if not (f(lo) > 0.0 > f(hi)):
-        raise NumericalError(f"m_n bracket failed for p={p}, n={n}")
-    try:
-        root = brentq(f, lo, hi, xtol=1e-13, rtol=1e-12, maxiter=200)
-    except RuntimeError as exc:  # pragma: no cover - brentq converges on this bracket
-        raise NumericalError(f"m_n root-finding did not converge: {exc}") from exc
-    return float(root)
+    # at hi, x = hi**p / p >= 2**p * log n, and Q(a, x) <= exp(-x) for a <= 1
+    # (a Gamma(a) variable is stochastically below Exp(1)), so the tail there
+    # is at most n**-2 < 1/n, while at 0 it is 1
+    lo, hi = 0.0, 2.0 * p ** (1.0 / p) * math.log(n) ** (1.0 / p) + 10.0
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if pgen_two_sided_tail(p, mid) > 1.0 / n:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 class TailSandwich(NamedTuple):
@@ -175,25 +203,20 @@ class TailSandwich(NamedTuple):
 
 
 def tail_sandwich(p: float, x: float) -> TailSandwich:
-    """Lower bound, quadrature value, and upper bound of int_x^inf exp(-y**p / p) dy."""
-    if not p >= 1.0:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
-    if not x > 0:
-        raise ValueError(f"x must be positive, got {x}")
-    from scipy.integrate import quad
+    """Lower bound, closed-form value, and upper bound of int_x^inf exp(-y**p / p) dy.
 
-    value, err = quad(lambda y: math.exp(-(y**p) / p), x, math.inf,
-                      epsabs=1e-12, epsrel=1e-12)
-    if err > 1e-8:
-        raise NumericalError(f"tail quadrature error {err} too large at p={p}, x={x}")
+    The value is p**(1/p - 1) * Gamma(1/p) * Q(1/p, x**p / p), by the gamma
+    transform y**p / p = t.
+    """
+    _check_p(p)
+    if not 0 < x < math.inf:
+        raise ValueError(f"x must be finite and positive, got {x}")
+    value = p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * _upper_gamma_q(1.0 / p, x**p / p)
     envelope = math.exp(-(x**p) / p)
     lower = x / (x**p + p) * envelope
     upper = x ** (1.0 - p) * envelope
-    if not (lower <= value + err and value - err <= upper):
-        raise NumericalError(f"tail sandwich violated at p={p}, x={x}: "
-                             f"{lower} <= {value} <= {upper} fails")
-    # the true integral provably lies in the sandwich (at p = 1 the upper
-    # bound is exact), so clamp away last-ulp quadrature overshoot
+    # the true integral lies in the sandwich (at p = 1 the upper bound is
+    # exact), so clamp away the closed form's last-ulp overshoot
     return TailSandwich(lower=lower, value=min(max(value, lower), upper), upper=upper)
 
 

@@ -12,12 +12,12 @@ and standard error.  :func:`ks_distance` walks the sorted values a chunk
 at a time, so it holds a chunk's CDF values and discrepancies, never the
 sample's.
 
-Nothing here imports scipy.  :func:`gaussian_cdf` is a numpy port of the
-Cephes ``ndtr`` that ``scipy.special.ndtr`` evaluates, and returns its bits
+No module of the package imports scipy; the tests keep it as the
+independent reference.  :func:`gaussian_cdf` is a numpy port of the Cephes
+``ndtr`` that ``scipy.special.ndtr`` evaluates, and returns its bits
 exactly; the central-moment CLT constants are closed forms, or for the
 exponential source at a non-integer q the series of
-:func:`constants.mu_q`.  The README's Install section lists the functions
-that load scipy.
+:func:`constants.mu_q`.
 """
 
 from __future__ import annotations

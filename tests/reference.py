@@ -14,6 +14,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import gammaincc
 
 from simplex_limits.constants import mu_q
 from simplex_limits.sampling import SUM_TOL
@@ -138,6 +140,20 @@ def c_p(p: float) -> float:
     if not p >= 1.0:
         raise ValueError(f"c_p requires p >= 1, got {p}")
     return 1.0 / (2.0 * p ** (1.0 / p) * math.gamma(1.0 + 1.0 / p))
+
+
+def pgen_tail_integral(p: float, x: float) -> float:
+    """int_x^inf exp(-y**p / p) dy = p**(1/p - 1) Gamma(1/p) Q(1/p, x**p / p),
+    with scipy's regularized upper incomplete gamma Q."""
+    return p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * float(gammaincc(1.0 / p, x**p / p))
+
+
+def m_n_brentq(p: float, n: int) -> float:
+    """The 1/n two-sided tail quantile of the p-generalized Gaussian: brentq on
+    P[|Y| > m] = Q(1/p, m**p / p), with scipy's Q, to full float precision."""
+    hi = 2.0 * p ** (1.0 / p) * math.log(n) ** (1.0 / p) + 10.0
+    return brentq(lambda m: float(gammaincc(1.0 / p, m**p / p)) - 1.0 / n, 1e-6, hi,
+                  xtol=1e-15, rtol=1e-15, maxiter=500)
 
 
 def mu_q_bruteforce(q: float) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import gammaincc, ndtri
 
 import reference as ref
 from simplex_limits import constants
@@ -177,6 +177,77 @@ def test_tail_sandwich_gaussian_point():
 def test_tail_sandwich_ordering(p, x):
     lower, value, upper = constants.tail_sandwich(p, x)
     assert lower <= value <= upper
+
+
+TAIL_PS = (1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 8.0, 20.0)
+
+
+@pytest.mark.parametrize("p", TAIL_PS)
+def test_upper_gamma_matches_scipy(p):
+    # Q(1/p, m**p / p) = P[|Y| > m] on 500 geometric thresholds in [1e-6, 30]
+    for m in np.geomspace(1e-6, 30.0, 500):
+        a, x = 1.0 / p, float(m) ** p / p
+        expected = float(gammaincc(a, x))
+        assert abs(constants._upper_gamma_q(a, x) - expected) <= 1e-13 * expected, (p, m)
+
+
+def test_upper_gamma_at_one_is_the_exponential_tail():
+    for x in np.linspace(0.01, 30.0, 3000):
+        x = float(x)
+        assert abs(constants._upper_gamma_q(1.0, x) - math.exp(-x)) <= 1e-14 * math.exp(-x)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 20.0])
+def test_tail_endpoints(p):
+    assert constants._upper_gamma_q(1.0 / p, 0.0) == 1.0
+    assert constants._upper_gamma_q(1.0 / p, math.inf) == 0.0
+    assert constants.pgen_two_sided_tail(p, 0.0) == 1.0
+    assert constants.pgen_two_sided_tail(p, math.inf) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+@pytest.mark.parametrize("n", [10, 100, 10**3, 10**6])
+def test_m_n_matches_brentq_on_scipy(p, n):
+    expected = ref.m_n_brentq(p, n)
+    assert abs(constants.m_n(p, n) - expected) <= 1e-12 * expected
+
+
+def test_tail_sandwich_value_is_the_closed_form():
+    # relative accuracy where the integral is tiny: 1.1e-70 at (4, 5)
+    for p, x in ((4.0, 5.0), (1.5, 0.5), (2.0, 5.0), (8.0, 1.2)):
+        expected = ref.pgen_tail_integral(p, x)
+        assert abs(constants.tail_sandwich(p, x).value - expected) <= 1e-12 * expected
+
+
+def test_tail_sandwich_clamps_to_the_exact_laplace_bound():
+    # at p = 1 the upper bound exp(-x) is the integral itself; the unclamped
+    # closed form lies one ulp above it at some x, among them x = 5
+    xs = [float(x) for x in np.linspace(0.01, 30.0, 3000)] + [5.0]
+    assert any(constants._upper_gamma_q(1.0, x) > math.exp(-x) for x in xs)
+    for x in xs:
+        _, value, upper = constants.tail_sandwich(1.0, x)
+        assert value <= upper == math.exp(-x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: constants.pgen_two_sided_tail(2.0, math.nan),
+    lambda: constants.pgen_two_sided_tail(2.0, -1.0),
+    lambda: constants.pgen_two_sided_tail(math.inf, 1.0),
+    lambda: constants.pgen_two_sided_tail(0.5, 1.0),
+    lambda: constants.pgen_two_sided_tail(math.nan, 1.0),
+    lambda: constants.tail_sandwich(2.0, math.inf),
+    lambda: constants.tail_sandwich(2.0, math.nan),
+    lambda: constants.tail_sandwich(2.0, 0.0),
+    lambda: constants.tail_sandwich(math.inf, 1.0),
+    lambda: constants.m_n(math.inf, 10),
+    lambda: constants.m_n(math.nan, 10),
+    lambda: constants.m_n(0.5, 10),
+], ids=["tail_m_nan", "tail_m_negative", "tail_p_inf", "tail_p_half", "tail_p_nan",
+        "sandwich_x_inf", "sandwich_x_nan", "sandwich_x_zero", "sandwich_p_inf",
+        "m_n_p_inf", "m_n_p_nan", "m_n_p_half"])
+def test_tail_functions_reject_bad_input(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_rate_function_values():

@@ -1,10 +1,12 @@
-"""scipy is loaded only by the functions that call it.
+"""No part of the package imports scipy.
 
-Importing the package, running every experiment kind at any q (the moment
-constants are closed forms or series), oracle queries, samples and report
-conversions must leave no ``scipy`` module in ``sys.modules``.  Each case
-runs in a fresh interpreter, because this test process has loaded scipy
-long before.
+scipy is a test dependency only, the independent reference of the tests.
+Importing the package, running every experiment kind at any q, oracle
+queries, samples and report conversions must leave no ``scipy`` module in
+``sys.modules``, and every CLI subcommand but the experiments, and the
+three p-generalized Gaussian tail functions, must run with scipy blocked.
+Each case runs in a fresh interpreter, because this test process has
+loaded scipy long before.
 """
 
 import json
@@ -55,14 +57,19 @@ CASES = {
 }
 
 
+def run_python(code: str, cwd: Path) -> str:
+    """The stdout of ``code`` run in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def scipy_modules(code: str, cwd: Path) -> list[str]:
     """The scipy modules loaded after running ``code`` in a fresh interpreter."""
     script = (code + "\nimport json, sys\nprint(json.dumps(sorted("
               "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
-    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(run_python(script, cwd).splitlines()[-1])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -80,8 +87,34 @@ def test_report_conversion_loads_no_scipy(tmp_path):
     assert (tmp_path / "r.csv").read_text() == report.to_csv()
 
 
-def test_m_n_loads_scipy_optimize(tmp_path):
-    # the check above sees a scipy import where there is one: m_n is a
-    # bracketed root-finding
-    code = "from simplex_limits import constants\nconstants.m_n(2.0, 1000)"
-    assert "scipy.optimize" in scipy_modules(code, tmp_path)
+SAMPLE_KINDS = ("exponential", "simplex", "spacings", "pgen", "ball")
+ORACLE_QUERIES = {"max-spacing-cdf": ["--n", "100", "--s", "0.05"],
+                  "max-spacing-sf": ["--n", "100", "--s", "0.05"],
+                  "small-n-norm-cdf": ["--n", "2", "--q", "2", "--t", "0.5"]}
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    report = ex.run(ex.ExperimentConfig(kind="clt", n_list=(100,), q=2.0, replicates=200,
+                                        seed=1))
+    (tmp_path / "r.json").write_text(report.to_json())
+    argvs = [["constants", "--q", "1,2.5"],
+             *(["sample", "--kind", kind, "--n", "4", "--count", "3", "--p", "1.5"]
+               for kind in SAMPLE_KINDS),
+             *(["oracle", "--op", op, *args] for op, args in ORACLE_QUERIES.items()),
+             ["report", "--in", "r.json"]]
+    # None in sys.modules makes every scipy import raise ImportError
+    code = f"""import sys
+sys.modules["scipy"] = None
+try:
+    from scipy.special import gammaincc
+    raise AssertionError("scipy is not blocked")
+except ImportError:
+    pass
+import simplex_limits
+from simplex_limits import cli, constants
+print(constants.m_n(1.5, 1000), constants.tail_sandwich(1.5, 2.0).value,
+      constants.pgen_two_sided_tail(1.5, 2.0))
+for argv in {argvs!r}:
+    assert cli.main(argv + ["--out", "out.txt"]) == 0, argv
+"""
+    assert len(run_python(code, tmp_path).split()) == 3
