@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment battery and write CSV + JSON reports.
 
-Default settings mirror the acceptance suite (25-37 s measured at workers=2
+Default settings mirror the acceptance suite (33-46 s measured at workers=2
 on a 2-vCPU VM with Python 3.11.7 and numpy 2.4.6; the host's speed drifts by
 tens of percent); ``--quick`` shrinks replicate counts ~10x for a fast smoke
-pass (2.9-5.0 s on the same VM).
+pass (4.0-4.3 s on the same VM).
 The last line printed is the process's peak resident memory.
 """
 

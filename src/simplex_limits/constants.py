@@ -162,6 +162,15 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must be finite and >= 1, got {p}")
 
 
+def _power(x: float, p: float) -> float:
+    """x**p in floats, saturated to inf where it leaves the float range (Q is
+    then 0)."""
+    try:
+        return float(x) ** p
+    except OverflowError:
+        return math.inf
+
+
 def pgen_two_sided_tail(p: float, m: float) -> float:
     """P[|Y| > m] for a p-generalized Gaussian Y, with density prop. to exp(-|y|**p / p).
 
@@ -171,7 +180,7 @@ def pgen_two_sided_tail(p: float, m: float) -> float:
     _check_p(p)
     if not m >= 0:
         raise ValueError(f"threshold must be nonnegative, got {m}")
-    return _upper_gamma_q(1.0 / p, m**p / p)
+    return _upper_gamma_q(1.0 / p, _power(m, p) / p)
 
 
 def m_n(p: float, n: int) -> float:
@@ -211,9 +220,10 @@ def tail_sandwich(p: float, x: float) -> TailSandwich:
     _check_p(p)
     if not 0 < x < math.inf:
         raise ValueError(f"x must be finite and positive, got {x}")
-    value = p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * _upper_gamma_q(1.0 / p, x**p / p)
-    envelope = math.exp(-(x**p) / p)
-    lower = x / (x**p + p) * envelope
+    xp = _power(x, p)
+    value = p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * _upper_gamma_q(1.0 / p, xp / p)
+    envelope = math.exp(-xp / p)
+    lower = x / (xp + p) * envelope
     upper = x ** (1.0 - p) * envelope
     # the true integral lies in the sandwich (at p = 1 the upper bound is
     # exact), so clamp away the closed form's last-ulp overshoot

@@ -44,7 +44,6 @@ from .statistics import (
     SOURCE_DISTRIBUTIONS,
     EmpiricalSample,
     abs_moment,
-    DegenerateVarianceError,
     gaussian_cdf,
     general_clt_variance,
     gumbel_cdf,
@@ -501,7 +500,7 @@ class Plan(NamedTuple):
     """
 
     n_list: tuple[int, ...]
-    rows_at: Callable[[int], list[ReportRow]] | None
+    rows_at: Callable[[int], list[ReportRow]]
     finish: Callable[[list[ReportRow]], list[ReportRow]] = list
 
 
@@ -693,7 +692,12 @@ class SupTheorem:
             except oracle.CancellationError:
                 res = oracle.max_spacing_cdf_upper(n, s)
         speed = self.speed(config, n)
-        est, err = -math.log(res.value) / speed, res.error_bound / (res.value * speed)
+        if res.value == 0.0:
+            # a tail below the float range (or empty, s <= 1/n) reads as an
+            # empty Monte Carlo tail does: a +inf rate, here with no error
+            est, err = math.inf, 0.0
+        else:
+            est, err = -math.log(res.value) / speed, res.error_bound / (res.value * speed)
         return ReportRow(f"{config.kind}:oracle", n, param, z, est, theory, err,
                          _deviation_pass(est, theory, TOLERANCES[self.tol]))
 
@@ -790,12 +794,7 @@ def _general_clt(config: ExperimentConfig) -> Plan:
     q = _require(config, "q")
     dist = SOURCE_DISTRIBUTIONS[config.source]
     param = f"source={config.source};q={q:g}"
-    mq = abs_moment(dist, q)
-    try:
-        sigma_sq = general_clt_variance(dist, q)
-    except DegenerateVarianceError:
-        row = ReportRow("general_clt:variance", 0, param, None, None, None, None, False)
-        return Plan((), None, lambda rows: [row])
+    mq, sigma_sq = abs_moment(dist, q), general_clt_variance(dist, q)
     return _gaussian_plan(config, param, sigma_sq, "general", lambda n: _affine_sample(
         general_clt_sample(config.seed, n, q, config.source, mq, config.replicates,
                            workers=config.workers), 1.0 / math.sqrt(sigma_sq), 0.0))

@@ -9,7 +9,7 @@ an alternating series whose terms can dwarf the result.  Terms are computed
 in log-space and summed by ``math.fsum``, which rounds their exact sum once,
 so the order of the terms does not matter; a cancellation monitor aborts with
 a diagnostic rather than returning garbage once the floating-point budget is
-spent.
+spent, or once every term lies below the float range.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .sampling import exponential_block
 
 #: exp() overflow guard for individual term magnitudes.
 _LOG_OVERFLOW = 690.0
+#: Log of the smallest subnormal float: a peak term below it underflows.
+_LOG_UNDERFLOW = math.log(5e-324)
 #: Base per-term relative representation error of the log-space pipeline.
 _TERM_EPS = 4e-16
 #: Abort once the rounding-error estimate exceeds this fraction of the sum.
@@ -86,6 +88,10 @@ def _series(n: int, s: float, k_min: int) -> tuple[float, float]:
         peak = max(peak, lm)
         # a term's relative error grows with the magnitude of its log parts
         terms.append((lm, _TERM_EPS * (1.0 + abs(log_binom) + abs(power))))
+    if peak < _LOG_UNDERFLOW:
+        raise CancellationError(
+            f"inclusion-exclusion terms underflow for n={n}, s={s}: every term is below "
+            f"the float range, peak exp({peak:.2f}), so log P is about {peak:.2f}")
     scaled = [(-1.0) ** i * math.exp(lm - peak) for i, (lm, _) in enumerate(terms)]
     round_err = math.fsum(abs(t) * e for t, (_, e) in zip(scaled, terms)) * math.exp(peak)
     value = math.fsum(scaled) * math.exp(peak)

@@ -31,10 +31,6 @@ import numpy as np
 from .constants import moment_constants
 
 
-class DegenerateVarianceError(ValueError):
-    """The central-moment CLT variance is not strictly positive."""
-
-
 # ---------------------------------------------------------------------------
 # reference CDFs
 
@@ -258,7 +254,8 @@ class Uniform01Dist:
 
     |X - 1/2| is uniform on [0, 1/2] and d = 0 by symmetry, so
     m_q = 2**-q / (q + 1) and the variance is
-    4**-q / (2q + 1) - m_q**2 = q**2 / (4**q (2q + 1) (q + 1)**2).
+    4**-q / (2q + 1) - m_q**2 = q**2 4**-q / ((2q + 1) (q + 1)**2), written
+    so that it underflows (above q = 506.00) rather than overflows.
     """
 
     @staticmethod
@@ -267,7 +264,7 @@ class Uniform01Dist:
 
     @staticmethod
     def clt_constants(q: float) -> tuple[float, float]:
-        return 2.0**-q / (q + 1.0), q * q / (4.0**q * (2.0 * q + 1.0) * (q + 1.0) ** 2)
+        return 2.0**-q / (q + 1.0), q * q * 0.25**q / ((2.0 * q + 1.0) * (q + 1.0) * (q + 1.0))
 
 
 SOURCE_DISTRIBUTIONS = {"exponential": ExponentialDist, "uniform01": Uniform01Dist}
@@ -280,10 +277,16 @@ def abs_moment(dist, q: float) -> float:
 
 def general_clt_variance(dist, q: float) -> float:
     """Variance Var(d * X + |X - mu|**q) with d the derivative of
-    t -> E|X - t|**q at the mean."""
+    t -> E|X - t|**q at the mean.
+
+    Each source's closed form is positive at every q >= 1, so only the float
+    range bounds it: a variance below the smallest normal float (the
+    uniform01 one above q = 506.00) raises OverflowError.
+    """
     if not q >= 1.0:
         raise ValueError(f"moment order must satisfy q >= 1, got {q}")
     var = dist.clt_constants(q)[1]
-    if var <= 0.0:
-        raise DegenerateVarianceError(f"central-moment CLT variance {var} is not positive")
+    if not var >= np.finfo(np.float64).tiny:  # NaN too: inf * 0 above q = 1.3e154
+        raise OverflowError(f"general_clt variance at q={q:g} falls below the float range "
+                            "(smallest normal float 2.2e-308; for uniform01 above q = 506.00)")
     return var

@@ -142,17 +142,24 @@ def c_p(p: float) -> float:
     return 1.0 / (2.0 * p ** (1.0 / p) * math.gamma(1.0 + 1.0 / p))
 
 
+def _gamma_arg(x: float, p: float) -> np.float64:
+    """x**p / p in numpy float64, which overflows to inf rather than raising."""
+    with np.errstate(over="ignore"):
+        return np.float64(x) ** p / p
+
+
 def pgen_tail_integral(p: float, x: float) -> float:
     """int_x^inf exp(-y**p / p) dy = p**(1/p - 1) Gamma(1/p) Q(1/p, x**p / p),
     with scipy's regularized upper incomplete gamma Q."""
-    return p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * float(gammaincc(1.0 / p, x**p / p))
+    q = float(gammaincc(1.0 / p, _gamma_arg(x, p)))
+    return p ** (1.0 / p - 1.0) * math.gamma(1.0 / p) * q
 
 
 def m_n_brentq(p: float, n: int) -> float:
     """The 1/n two-sided tail quantile of the p-generalized Gaussian: brentq on
     P[|Y| > m] = Q(1/p, m**p / p), with scipy's Q, to full float precision."""
     hi = 2.0 * p ** (1.0 / p) * math.log(n) ** (1.0 / p) + 10.0
-    return brentq(lambda m: float(gammaincc(1.0 / p, m**p / p)) - 1.0 / n, 1e-6, hi,
+    return brentq(lambda m: float(gammaincc(1.0 / p, _gamma_arg(m, p))) - 1.0 / n, 1e-6, hi,
                   xtol=1e-15, rtol=1e-15, maxiter=500)
 
 

@@ -234,6 +234,18 @@ def test_q_past_the_float_range_fails_the_same_way_at_any_q(monkeypatch, capsys,
         capsys.readouterr().err)
 
 
+def test_a_general_clt_variance_past_the_float_range_exits_1_before_any_draw(monkeypatch,
+                                                                           capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the variance was checked")
+
+    monkeypatch.setattr(sampling.RowReduction, "__call__", must_not_sample)
+    assert run_cli(["general-clt", "--source", "uniform01", "--q", "600"]) == 1
+    assert capsys.readouterr().err == (
+        "error: general_clt variance at q=600 falls below the float range (smallest normal "
+        "float 2.2e-308; for uniform01 above q = 506.00)\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

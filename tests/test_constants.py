@@ -212,6 +212,19 @@ def test_m_n_matches_brentq_on_scipy(p, n):
     assert abs(constants.m_n(p, n) - expected) <= 1e-12 * expected
 
 
+@pytest.mark.parametrize("n", [10, 10**3, 10**6])
+def test_m_n_at_a_large_p_matches_brentq_on_scipy(n):
+    # m**400 leaves the float range above m = 5.9, where the tail is 0.0
+    expected = ref.m_n_brentq(400.0, n)
+    assert abs(constants.m_n(400.0, n) - expected) <= 1e-12 * expected
+
+
+def test_tails_past_the_float_range_of_m_to_the_p_are_zero():
+    assert constants.pgen_two_sided_tail(400.0, 6.0) == 0.0
+    assert constants.tail_sandwich(400.0, 6.0) == (0.0, 0.0, 0.0)
+    assert ref.pgen_tail_integral(400.0, 6.0) == 0.0
+
+
 def test_tail_sandwich_value_is_the_closed_form():
     # relative accuracy where the integral is tiny: 1.1e-70 at (4, 5)
     for p, x in ((4.0, 5.0), (1.5, 0.5), (2.0, 5.0), (8.0, 1.2)):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,16 +155,38 @@ def test_a_rejected_config_fails_before_any_draw(monkeypatch, config):
         ex.run(ex.ExperimentConfig(replicates=10, seed=0, **config))
 
 
-def test_a_degenerate_general_clt_variance_is_one_failed_row_without_a_draw(monkeypatch):
-    # mu_q = mu_2q = 1 with no covariance: the exponential source's limit
-    # variance is 0
-    monkeypatch.setattr(stats, "moment_constants",
-                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
+@pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 507.0),
+                                       ("uniform01", 600.0)])
+def test_a_general_clt_variance_below_the_float_range_fails_before_any_draw(monkeypatch,
+                                                                          source, q):
+    if source == "exponential":
+        # mu_q = mu_2q = 1 with no covariance: the limit variance is 0
+        monkeypatch.setattr(stats, "moment_constants",
+                            lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
     _forbid_draws(monkeypatch)
-    report = ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(10, 20), q=2.0,
-                                        replicates=10, seed=0))
-    assert [(r.experiment, r.n, r.passed) for r in report.rows] == [
-        ("general_clt:variance", 0, False)]
+    with pytest.raises(OverflowError, match=re.escape(
+            f"general_clt variance at q={q:g} falls below the float range")):
+        ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(10, 20), q=q, source=source,
+                                   replicates=10, seed=0))
+
+
+def test_uniform01_at_q500_yields_the_three_gaussian_rows():
+    # its variance, 9.3e-305, is a normal float though 4**q overflows
+    report = ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(10,), q=500.0,
+                                        source="uniform01", replicates=50, seed=0))
+    assert [(r.experiment, r.n) for r in report.rows] == [
+        ("general_clt:ks", 10), ("general_clt:mean", 10), ("general_clt:variance", 10)]
+    assert report.rows[2].theory == stats.general_clt_variance(stats.Uniform01Dist, 500.0)
+
+
+@pytest.mark.parametrize("z", [-3.0, -3.8])
+def test_an_exact_lower_tail_of_probability_zero_reads_as_an_infinite_rate(z):
+    # at n = 1e6 the product bound at x = -3 underflows (about e^-26000), and
+    # x = -3.8 asks about s <= 1/n, where the CDF is 0 by pigeonhole
+    report = ex.run(ex.ExperimentConfig(kind="mdp", n_list=(), oracle_n_list=(10**6,),
+                                        thresholds=(z,), replicates=1, seed=0))
+    assert [(r.experiment, r.estimate, r.theory, r.std_error, r.passed)
+            for r in report.rows] == [("mdp:oracle", math.inf, math.inf, 0.0, True)]
 
 
 def test_a_general_clt_plan_quadratures_each_moment_once(monkeypatch):

@@ -107,6 +107,13 @@ def test_cancellation_raises_with_diagnostic():
         oracle.max_spacing_cdf(10**6, (1.0 + 0.5 * math.log(10**6)) / 10**6)
 
 
+def test_a_series_below_the_float_range_is_named_underflow():
+    # every term lies below 5e-324: the k = 1 term is n (1 - s)**(n - 1) = exp(-1988.19)
+    with pytest.raises(oracle.CancellationError,
+                       match=r"underflow .* so log P is about -1988\.19"):
+        oracle.max_spacing_sf(10**6, 0.002)
+
+
 def test_certified_upper_bound_dominates_cdf():
     for n, s in ((5, 0.3), (10, 0.2), (100, 0.05), (1000, 0.008), (1000, 0.0044539)):
         bound = oracle.max_spacing_cdf_upper(n, s)

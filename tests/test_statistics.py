@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -391,9 +392,21 @@ def test_general_clt_constants_match_quadrature(source, q):
     assert stats.general_clt_variance(dist, q) == pytest.approx(var, rel=1e-10)
 
 
-def test_degenerate_variance_raises(monkeypatch):
-    # mu_q = mu_2q = 1 with no covariance: d = 0 and Var |E - 1|**q = 0
-    monkeypatch.setattr(stats, "moment_constants",
-                        lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
-    with pytest.raises(stats.DegenerateVarianceError):
-        stats.general_clt_variance(stats.ExponentialDist, 2.0)
+@pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 507.0),
+                                       ("uniform01", 600.0), ("uniform01", 1e200)])
+def test_a_variance_below_the_float_range_is_one_named_overflow(monkeypatch, source, q):
+    if source == "exponential":
+        # mu_q = mu_2q = 1 with no covariance: d = 0 and Var |E - 1|**q = 0
+        monkeypatch.setattr(stats, "moment_constants",
+                            lambda q: MomentConstants(q, 1.0, 1.0, 1.0, 0.0))
+    with pytest.raises(OverflowError, match=re.escape(
+            f"general_clt variance at q={q:g} falls below the float range")):
+        stats.general_clt_variance(stats.SOURCE_DISTRIBUTIONS[source], q)
+
+
+def test_the_uniform01_variance_underflows_rather_than_overflows():
+    # q**2 4**-q / ((2q + 1) (q + 1)**2) is a normal float up to q = 506.00;
+    # 4**q itself overflows from q = 498.5
+    assert stats.general_clt_variance(stats.Uniform01Dist, 500.0) == pytest.approx(
+        500.0**2 / (1001.0 * 501.0**2) * 2.0**-1000, rel=1e-14)
+    assert stats.general_clt_variance(stats.Uniform01Dist, 506.0) > 0.0
