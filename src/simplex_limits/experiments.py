@@ -648,9 +648,9 @@ class SupTheorem:
 
     :meth:`exact` is the one rule of an exact row: the same check, on the
     max-spacing oracle's probability at one dimension and threshold instead
-    of a sample's.  ``spacing`` maps a deviation threshold to the spacing
-    bound that the oracle is asked about, and ``oracle`` lays the exact
-    rows out over the config's oracle dimensions.
+    of a sample's.  ``spacing`` maps a threshold to the spacing bound that
+    the oracle is asked about, and ``oracle`` lays the exact rows out over
+    the config's oracle dimensions.
     """
 
     #: (config, n) -> (sample, largest lp-norm seen or None); a norm adds a
@@ -671,16 +671,19 @@ class SupTheorem:
         A Gumbel theorem compares the exact CDF with the Gumbel CDF; a
         deviation theorem compares the normalized rate -log(P) / speed of the
         exact tail probability, on the side where the rate is finite, with
-        the rate function.
+        the rate function.  The CDF is 0 at every spacing bound s <= 1/n
+        (pigeonhole), so it is asked at 1/n there: a bound s <= 0, outside
+        the oracle's domain (0, 1), is probability 0 with no error.
         """
+        s = self.spacing(config, n, z)
+        cdf_at = max(s, 1.0 / n)
         if self.rate is None:
-            res = oracle.gumbel_surrogate_cdf(n, z)
+            res = oracle.max_spacing_cdf(n, cdf_at)
             theory = float(gumbel_cdf(z))
             return ReportRow(f"{config.kind}:oracle", n, param, z, res.value, theory,
                              res.error_bound,
                              abs(res.value - theory) <= TOLERANCES["gumbel_oracle_abs"])
         theory = rate_function(self.rate, z, p=config.p)
-        s = self.spacing(config, n, z)
         if math.isfinite(theory):
             res = oracle.max_spacing_sf(n, s)
         else:
@@ -688,9 +691,9 @@ class SupTheorem:
             # exact series cancels; its -log is a lower bound on the
             # normalized magnitude, which is all the super-decay floor needs
             try:
-                res = oracle.max_spacing_cdf(n, s)
+                res = oracle.max_spacing_cdf(n, cdf_at)
             except oracle.CancellationError:
-                res = oracle.max_spacing_cdf_upper(n, s)
+                res = oracle.max_spacing_cdf_upper(n, cdf_at)
         speed = self.speed(config, n)
         if res.value == 0.0:
             # a tail below the float range (or empty, s <= 1/n) reads as an
@@ -743,7 +746,8 @@ SUP_THEOREMS = {
     "gumbel": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0, -(math.log(n) - 1.0)),
         tol="gumbel_ks", rate=None, speed=None, thresholds=(-1.0, 0.0, 1.0, 2.0),
-        param=lambda c: "", oracle=_oracle_grid),
+        param=lambda c: "", spacing=lambda c, n, x: (x + math.log(n)) / n,
+        oracle=_oracle_grid),
     # (n / log n) * ||Z_n||_inf: LDP at speed log n, rate z - 1
     "ldp": SupTheorem(
         sample=_simplex_sup, affine=lambda c, n: (1.0 / math.log(n), 0.0),

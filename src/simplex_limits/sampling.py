@@ -13,23 +13,25 @@ rows at a time (:func:`_row_chunks`), and each chunk a *leaf* at a time:
 the leaves are the nodes of at most :data:`_CHUNK_ELEMS` elements of
 numpy's pairwise row-sum tree (:func:`_tree_sum`), so for n <= 2**16 the
 leaf is the whole chunk and for longer rows it is a cache-sized piece of
-one row.  Each leaf is drawn by :func:`_guarded_fill`, which draws an exact
-0.0 again right after its leaf.  There are two loops over the chunks.  A
-built block is drawn chunk by chunk into the rows of the output
-(:func:`_built_block`).  A :class:`RowReduction` owns the one reducing loop:
-it draws each leaf into one reused buffer, takes the leaf's sums while it
-is in L2 and adds them as numpy adds the tree's nodes.  Only a centred
-power sum at q != 2 reads a row back from memory, once; at q = 2 each
-leaf's squares are taken about its own mean while it is in L2 and merged at
-the row mean, so no row is stored.  :func:`exponential_block` hands it the
-guarded exponential fill; the general-CLT sources hand it their own fill,
-unguarded; the ``sup`` pass of :func:`lp_ball_block` hands it a guarded
-magnitude fill that keeps each leaf's row max and leaves the leaf's p-th
-powers to be summed, and its membership redraw a guarded fill that scales
-the leaf and leaves its p-th powers.  Either way the reduced values are the
-built block's, bit for bit, but for the q = 2 power sum of a row of more
-than one leaf (n > 2**16), which is the merge of its leaves (see
-:class:`RowReduction`).
+one row.  Each leaf is filled by one ``fill(rng, leaf)`` call, and its
+values are kept as numpy drew them, an exact 0.0 included (about one
+exponential or gamma variate in 2**53, one normal in 2**52): a normalizing
+sum is 0.0 only when its whole row is, and the reductions take a 0.0 as any
+other value.  There are two loops over the chunks.  A built block is drawn
+chunk by chunk into the rows of the output (:func:`_built_block`).  A
+:class:`RowReduction` owns the one reducing loop: it draws each leaf into
+one reused buffer, takes the leaf's sums while it is in L2 and adds them as
+numpy adds the tree's nodes.  Only a centred power sum at q != 2 reads a
+row back from memory, once; at q = 2 each leaf's squares are taken about
+its own mean while it is in L2 and merged at the row mean, so no row is
+stored.  :func:`exponential_block` hands it the exponential fill; the
+general-CLT sources hand it their own fill; the ``sup`` pass of
+:func:`lp_ball_block` hands it a magnitude fill that keeps each leaf's row
+max and leaves the leaf's p-th powers to be summed, and its membership
+redraw a fill that scales the leaf and leaves its p-th powers.  Either way
+the reduced values are the built block's, bit for bit, but for the q = 2
+power sum of a row of more than one leaf (n > 2**16), which is the merge of
+its leaves (see :class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
 builds one: each call holds one buffer while it runs, a row chunk of about
@@ -37,12 +39,12 @@ builds one: each call holds one buffer while it runs, a row chunk of about
 q != 2 stores the whole row there (8n bytes when n > 2**16), for its second
 pass to centre, power and sum each leaf in place.  The reduction's other
 arrays last one leaf and are at most one leaf: the q = 3 ``d*d`` temporary
-(:func:`pow_in_place`) and the zero guard's mask.  So a worker's reducing
-memory is one row chunk (one row at q != 2 when n > 2**16), whatever the
-number of blocks, plus a few values per row and leaf, and none of it
-outlives the block.  The lp-ball ``sup`` pass and its membership redraw
-are two calls of one reduction, each with its own leaf buffer (at p = 3
-with one leaf-sized ``d*d``), so no ball array grows with n.
+(:func:`pow_in_place`).  So a worker's reducing memory is one row chunk
+(one row at q != 2 when n > 2**16), whatever the number of blocks, plus a
+few values per row and leaf, and none of it outlives the block.  The
+lp-ball ``sup`` pass and its membership redraw are two calls of one
+reduction, each with its own leaf buffer (at p = 3 with one leaf-sized
+``d*d``), so no ball array grows with n.
 
 The p-generalized Gaussian magnitudes |Y| (:func:`_magnitudes_fill`) are
 drawn per p: standard exponentials at p=1 (the exponential samplers' one
@@ -67,7 +69,7 @@ from .rng import RandomStream
 SUM_TOL = 1e-12
 
 #: Elements per chunk (512 KiB of float64, a quarter of a 2 MiB L2 cache): the
-#: samplers draw, guard and reduce a block, and draw its fair signs, this many
+#: samplers draw and reduce a block, and draw its fair signs, this many
 #: elements at a time (a row chunk is one row when n is larger).
 _CHUNK_ELEMS = 1 << 16
 
@@ -79,34 +81,15 @@ def _check_dimension(n: int) -> None:
 
 #: Largest ball exponent.  numpy draws Gamma(1/p) as U**p, which underflows
 #: to an exact 0.0 with probability about exp(-1074 ln 2 / p); above this p
-#: that exceeds the 2**-53 the zero guard is made for, and the redraws would
-#: change the law (at p = 64 it is 7.7e-6 per variate).
+#: that exceeds the 2**-53 of an exponential draw, and the 0.0s, in place of
+#: positive values, would change the law (at p = 64 they are 7.7e-6 per
+#: variate).
 _P_MAX = 1074 / 53
 
 
 def _check_p(p: float) -> None:
     if not 1.0 <= p <= _P_MAX:
         raise ValueError(f"ball exponent p must satisfy 1 <= p <= {_P_MAX:.4f}, got {p}")
-
-
-def _guarded_fill(rng: np.random.Generator, fill, out: np.ndarray) -> np.ndarray:
-    """``fill(rng, out)``, then draw each exact 0.0 of ``out`` again, before
-    anything else is drawn, until none is left; return ``out``.
-
-    This is the one draw rule of the samplers: ``out`` is one leaf of a row
-    chunk (:func:`_built_block`, :class:`RowReduction`), so a 0.0 is drawn
-    again right after its leaf.  A coordinate of exactly 0.0 would break the
-    strict positivity the normalizing sums rely on.  It is rare: an
-    exponential or gamma variate is 0.0 when its raw 64-bit draw is below
-    2**11 (about 2**-53 per variate), a normal when 52 of its bits are zero
-    (about 2**-52); the guard makes it impossible.  Testing the minimum
-    first spares the usual call a leaf-sized mask.
-    """
-    fill(rng, out)
-    while not out.min() > 0.0:
-        zeros = out == 0.0
-        out[zeros] = fill(rng, np.empty(int(zeros.sum())))
-    return out
 
 
 def _chunk_rows(n: int) -> int:
@@ -138,12 +121,12 @@ def _tree_sum(n: int, leaf, start: int = 0):
 
 def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
     """A ``rows`` x ``n`` block drawn a row chunk at a time into its own
-    rows, each chunk a leaf of :func:`_tree_sum` at a time by
-    :func:`_guarded_fill`."""
+    rows, each chunk a leaf of :func:`_tree_sum` at a time by one
+    ``fill(rng, leaf)``."""
     out = np.empty((rows, n))
     for chunk in _row_chunks(rows, n):
         # the leaf sizes are added only to walk the tree
-        _tree_sum(n, lambda cols: _guarded_fill(rng, fill, out[chunk, cols]).size)
+        _tree_sum(n, lambda cols: fill(rng, out[chunk, cols]).size)
     return out
 
 
@@ -151,16 +134,16 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``.
 
     Given a :class:`RowReduction` ``reduce``, the block is never built: the
-    result is the vector of its ``rows`` values, each leaf drawn by
-    :func:`_guarded_fill` as the built block's is, so the values are those
-    of the built block, bit for bit.
+    result is the vector of its ``rows`` values, each leaf drawn by the
+    same fill as the built block's, so the values are those of the built
+    block, bit for bit.
     """
     _check_dimension(n)
     rng = stream.generator()
     fill = functools.partial(_magnitudes_fill, p=1.0)
     if reduce is None:
         return _built_block(rng, fill, rows, n)
-    return reduce(functools.partial(_guarded_fill, rng, fill), rows, n)
+    return reduce(functools.partial(fill, rng), rows, n)
 
 
 #: Rows shorter than this take their min and max a column at a time:
@@ -313,7 +296,9 @@ def simplex_block(stream: RandomStream, rows: int, n: int, centered: bool = True
     """Matrix of ``rows`` uniform simplex points, normalized exponentials
     (O(n), no sort), shifted by the barycenter 1/n when ``centered``.
 
-    :func:`spacings_block` samples the same law by uniform spacings.
+    :func:`spacings_block` samples the same law by uniform spacings.  At
+    n = 1 a row is one draw divided by itself, so a draw of exactly 0.0
+    (about one row in 2**53) gives NaN.
     """
     x = exponential_block(stream, rows, n)
     x = x / x.sum(axis=1)[:, None]
@@ -409,7 +394,9 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     Gaussians and U an independent uniform radius factor.  The magnitudes |Y|
     are drawn as a built block (:func:`_built_block`) and each row's power
     sum is taken a row chunk at a time, from magnitudes that are |Y|
-    exactly; then come the fair signs and the radius.
+    exactly; then come the fair signs and the radius.  At n = 1 a row is one
+    draw divided by its own norm, so a draw of exactly 0.0 (at most about
+    one row in 2**53, or 2**52 at p = 2) gives NaN.
 
     With ``sup``, the block is never built and the result is a ``rows`` x 2
     array.  Column 0 holds each point's largest absolute coordinate.  Column
@@ -458,7 +445,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
 
     def draw(leaf: np.ndarray) -> None:
         states.append(rng.bit_generator.state)
-        highs.append(_row_extreme(np.maximum, _guarded_fill(rng, fill, leaf)))
+        highs.append(_row_extreme(np.maximum, fill(rng, leaf)))
         if p != 1.0:
             leaf **= p
 
@@ -487,7 +474,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
             rng.bit_generator.state = states[i * leaves]
 
             def redraw(leaf: np.ndarray) -> None:
-                _guarded_fill(rng, fill, leaf)
+                fill(rng, leaf)
                 leaf *= scale[chunk, None]
                 pow_in_place(leaf, p)
 
@@ -506,7 +493,7 @@ def _norm_rounding_bound(n: int) -> float:
     root is within e = 4 eps of exact (squares and square roots are correctly
     rounded).  With S the sum of |Y_i|**p, the computed norm of Y is
     S**(1/p) (1 + d1), |d1| <= ((n - 1) u + e) / p + e: the powers, a sum of
-    n positive terms, the root.  The scale c = U**(1/n) / norm rounds once
+    n nonnegative terms, the root.  The scale c = U**(1/n) / norm rounds once
     (u).  Each coordinate |Y_i| c rounds once (u, which its p-th power turns
     into p u), and the point's norm is c S**(1/p) (1 + d2),
     |d2| <= u + ((n - 1) u + e) / p + e.  So to first order, for p >= 1,

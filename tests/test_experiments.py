@@ -179,14 +179,21 @@ def test_uniform01_at_q500_yields_the_three_gaussian_rows():
     assert report.rows[2].theory == stats.general_clt_variance(stats.Uniform01Dist, 500.0)
 
 
-@pytest.mark.parametrize("z", [-3.0, -3.8])
-def test_an_exact_lower_tail_of_probability_zero_reads_as_an_infinite_rate(z):
+@pytest.mark.parametrize("kind, n, z, cell", [
     # at n = 1e6 the product bound at x = -3 underflows (about e^-26000), and
     # x = -3.8 asks about s <= 1/n, where the CDF is 0 by pigeonhole
-    report = ex.run(ex.ExperimentConfig(kind="mdp", n_list=(), oracle_n_list=(10**6,),
+    pytest.param("mdp", 10**6, -3.0, math.inf, id="-3.0"),
+    pytest.param("mdp", 10**6, -3.8, math.inf, id="-3.8"),
+    # a spacing bound s <= 0, outside the oracle's domain: the CDF is 0, a
+    # +inf rate for mdp and a CDF of 0 against Gumbel's 0 for gumbel
+    pytest.param("mdp", 10**6, -4.0, math.inf, id="mdp-s-below-0"),
+    pytest.param("gumbel", 10**4, -20.0, 0.0, id="gumbel-s-below-0"),
+])
+def test_an_exact_lower_tail_of_probability_zero_reads_as_an_infinite_rate(kind, n, z, cell):
+    report = ex.run(ex.ExperimentConfig(kind=kind, n_list=(), oracle_n_list=(n,),
                                         thresholds=(z,), replicates=1, seed=0))
     assert [(r.experiment, r.estimate, r.theory, r.std_error, r.passed)
-            for r in report.rows] == [("mdp:oracle", math.inf, math.inf, 0.0, True)]
+            for r in report.rows] == [(f"{kind}:oracle", cell, cell, 0.0, True)]
 
 
 def test_a_general_clt_plan_quadratures_each_moment_once(monkeypatch):

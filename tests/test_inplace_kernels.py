@@ -4,8 +4,8 @@ or draw and reduce it by cache-sized row chunks without building it.
 Each kernel must give exactly the bits of the allocating whole-block
 expression it replaced, which is kept here as the reference; each sample
 function must peak at about one block of memory, or one chunk when it reduces
-by chunks; and the exact-zero guard of the samplers must replace an
-underflowed draw right after its leaf, on every path alike.
+by chunks; and a draw of exactly 0.0 must be kept as drawn, with the same
+bits on every path, and each leaf filled once.
 """
 
 import math
@@ -83,15 +83,13 @@ def _ref_power_sum(x, q):
 def _ref_pgen(rng, rows, n, p):
     # the magnitudes by row chunks of _CHUNK_ELEMS elements (one row when n is
     # larger), each chunk by the leaves of its rows (the whole chunk when n is
-    # no larger); each exact 0.0 is drawn again right after its leaf
+    # no larger); an exact 0.0 is kept as drawn
     step = max(1, sampling._CHUNK_ELEMS // n)
     y = np.empty((rows, n))
     for start in range(0, rows, step):
         for cols in _ref_leaves(n):
-            leaf = _ref_magnitudes(rng, (min(step, rows - start), cols.stop - cols.start), p)
-            while (leaf == 0.0).any():
-                leaf[leaf == 0.0] = _ref_magnitudes(rng, int((leaf == 0.0).sum()), p)
-            y[start:start + step, cols] = leaf
+            y[start:start + step, cols] = _ref_magnitudes(
+                rng, (min(step, rows - start), cols.stop - cols.start), p)
     signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
     return signs * y
 
@@ -570,7 +568,7 @@ def test_ball_sup_sample_peaks_under_two_mib(name, call):
 
 
 # ---------------------------------------------------------------------------
-# exact-zero guard
+# an exact 0.0 is kept as drawn
 
 _ZERO_AT = 5  # flat index of the injected 0.0 in a (3, 4) block
 
@@ -580,9 +578,10 @@ class _ZeroAt:
     calls, have an exact 0.0 at stream position ``at``; all else is real.
 
     The generator state before the call that holds position ``at`` is kept,
-    and any later call that starts from that state (a redraw from a saved
-    state) gets the same 0.0 at the same offset.  ``injected`` counts the
-    zeros put in."""
+    and any later call that starts from that state (a replay from a saved
+    state, as the lp-ball membership pass makes) gets the same 0.0 at the
+    same offset.  ``injected`` counts the zeros put in, ``calls`` the calls
+    of ``method``."""
 
     def __init__(self, rng, method, at):
         self._rng = rng
@@ -591,6 +590,7 @@ class _ZeroAt:
         self._drawn = 0
         self._key = None  # (state before the call holding `at`, offset in it)
         self.injected = 0
+        self.calls = 0
 
     def __getattr__(self, name):
         real = getattr(self._rng, name)
@@ -598,6 +598,7 @@ class _ZeroAt:
             return real
 
         def draw(*args, **kwargs):
+            self.calls += 1
             state = self._rng.bit_generator.state
             x = real(*args, **kwargs)
             if 0 <= self._at - self._drawn < x.size:
@@ -625,26 +626,27 @@ def _inject_zero(monkeypatch, method, at=_ZERO_AT):
     return made
 
 
-def test_exponential_block_redraws_an_exact_zero(monkeypatch):
+def test_exponential_block_keeps_an_exact_zero(monkeypatch):
     clean = sampling.exponential_block(RandomStream(46), 3, 4)
     _inject_zero(monkeypatch, "standard_exponential")
     x = sampling.exponential_block(RandomStream(46), 3, 4)
-    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
-    assert x.flat[_ZERO_AT] != clean.flat[_ZERO_AT]
+    assert x.flat[_ZERO_AT] == 0.0
     others = np.arange(x.size) != _ZERO_AT
     assert np.array_equal(x.ravel()[others], clean.ravel()[others])
 
 
 @pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
-def test_lp_ball_block_redraws_an_exact_zero(monkeypatch, p):
+def test_lp_ball_block_keeps_an_exact_zero(monkeypatch, p):
     clean = sampling.lp_ball_block(RandomStream(47), 3, 4, p)
     _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p])
     c = sampling.lp_ball_block(RandomStream(47), 3, 4, p)
-    assert not np.array_equal(c, clean)  # the zero was drawn, and replaced
-    assert np.all(np.isfinite(c))
-    assert abs(c.flat[_ZERO_AT]) > 0.0
-    for row in c:
-        reference.check_ball_invariants(row, p)
+    assert c.flat[_ZERO_AT] == 0.0
+    # the zero's row is scaled by its own new norm; every other row is as drawn
+    row = _ZERO_AT // 4
+    assert np.array_equal(np.delete(c, row, axis=0), np.delete(clean, row, axis=0))
+    assert not np.array_equal(c[row], clean[row])
+    for point in c:
+        reference.check_ball_invariants(point, p)
 
 
 # n=1000 draws 65-row chunks: this position lies in the second chunk
@@ -652,19 +654,19 @@ _SECOND_CHUNK_AT = 65 * 1000 + 1234
 
 
 def test_zero_in_second_chunk_gives_the_same_bits_on_built_and_reducing_paths(monkeypatch):
-    row_sums = sampling.RowReduction(lambda s: s.total)
     clean = sampling.exponential_block(RandomStream(59), 200, 1000)
     _inject_zero(monkeypatch, "standard_exponential", _SECOND_CHUNK_AT)
     built = sampling.exponential_block(RandomStream(59), 200, 1000)
-    assert built.min() > 0.0
-    got = sampling.exponential_block(RandomStream(59), 200, 1000, row_sums)
-    assert np.array_equal(got, built.sum(axis=1))
-    # the zero is drawn again right after its chunk: only the zero's own
-    # element and every element of the rows drawn after its chunk change
-    changed = built != clean
-    after = 2 * 65
-    assert np.flatnonzero(changed[:after]).tolist() == [_SECOND_CHUNK_AT]
-    assert changed[after:].all()
+    # the zero is kept as drawn: no other element moves
+    assert np.flatnonzero(built != clean).tolist() == [_SECOND_CHUNK_AT]
+    assert built.flat[_SECOND_CHUNK_AT] == 0.0
+    row_sums = sampling.exponential_block(RandomStream(59), 200, 1000,
+                                          sampling.RowReduction(lambda s: s.total))
+    assert np.array_equal(row_sums, built.sum(axis=1))
+    lows = sampling.exponential_block(RandomStream(59), 200, 1000,
+                                      sampling.RowReduction(lambda s: s.low, extremes=True))
+    assert np.array_equal(lows, built.min(axis=1))
+    assert lows[_SECOND_CHUNK_AT // 1000] == 0.0
 
 
 @pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
@@ -672,7 +674,7 @@ def test_pgen_and_ball_zero_in_second_chunk_match_the_references(monkeypatch, p)
     _inject_zero(monkeypatch, _MAGNITUDE_DRAW[p], _SECOND_CHUNK_AT)
     got = sampling.pgen_gaussian_block(RandomStream(68), 200, 1000, p)
     assert np.array_equal(got, _ref_pgen(RandomStream(68).generator(), 200, 1000, p))
-    assert got.flat[_SECOND_CHUNK_AT] != 0.0
+    assert got.flat[_SECOND_CHUNK_AT] == 0.0
     got = sampling.lp_ball_block(RandomStream(69), 200, 1000, p)
     assert np.array_equal(got, _ref_lp_ball_block(RandomStream(69), 200, 1000, p))
 
@@ -713,8 +715,6 @@ def test_ball_sup_zero_in_second_chunk_matches_the_whole_block_path(monkeypatch,
     assert not np.array_equal(got.values, clean.values)
 
 
-_SECOND_LEAF_END = _LONG_N + 98_304
-
 # every built sampler, by the magnitude draw it makes; a zero in a long row's
 # second leaf
 _LONG_ROW_BLOCKS = [
@@ -727,18 +727,13 @@ _LONG_ROW_BLOCKS = [
 
 
 @pytest.mark.parametrize("method, block", _LONG_ROW_BLOCKS)
-def test_zero_in_a_long_rows_second_leaf_is_drawn_again_after_its_leaf(monkeypatch, method,
-                                                                        block):
-    clean = np.abs(block(RandomStream(72))).ravel()
+def test_zero_in_a_long_rows_second_leaf_is_kept_as_drawn(monkeypatch, method, block):
+    clean = block(RandomStream(72)).ravel()
     _inject_zero(monkeypatch, method, _SECOND_LEAF_AT)
-    got = np.abs(block(RandomStream(72))).ravel()
-    assert got.min() > 0.0
-    # the zero takes the draw right after its leaf, not after its row, and
-    # every later magnitude moves up by one draw
-    assert got[_SECOND_LEAF_AT] == clean[_SECOND_LEAF_END]
-    changed = np.flatnonzero(got[:_SECOND_LEAF_END] != clean[:_SECOND_LEAF_END])
-    assert changed.tolist() == [_SECOND_LEAF_AT]
-    assert np.array_equal(got[_SECOND_LEAF_END:-1], clean[_SECOND_LEAF_END + 1:])
+    got = block(RandomStream(72)).ravel()
+    # no later draw moves, the fair signs included
+    assert np.flatnonzero(got != clean).tolist() == [_SECOND_LEAF_AT]
+    assert got[_SECOND_LEAF_AT] == 0.0
 
 
 @pytest.mark.parametrize("p", sorted(_MAGNITUDE_DRAW))
@@ -749,12 +744,40 @@ def test_pgen_and_ball_zero_in_a_long_rows_second_leaf_match_the_references(monk
     got = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p)
     ref = _ref_lp_ball_block(RandomStream(74), 3, _LONG_N, p)
     assert np.array_equal(got, ref)
-    # with every row a candidate, the membership redraw rewinds the generator
-    # to the zero's row and must draw and guard its leaves as the first pass did
+    # with every row a candidate, the membership pass rewinds the generator
+    # to the zero's row and must draw its leaves, the zero included, as the
+    # first pass did
     monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     sup = sampling.lp_ball_block(RandomStream(74), 3, _LONG_N, p, sup=True)
     assert np.array_equal(sup, _ref_sup_columns(ref, p))
     assert made[-1].injected == 2
+
+
+def _reduced_exponential_block(stream, rows, n):
+    return sampling.exponential_block(stream, rows, n, sampling.RowReduction(lambda s: s.total))
+
+
+@pytest.mark.parametrize("rows, n, at, leaves", [
+    pytest.param(200, 1000, _SECOND_CHUNK_AT, 4, id="four_chunks"),
+    pytest.param(3, _LONG_N, _SECOND_LEAF_AT, 9, id="three_long_rows"),
+])
+@pytest.mark.parametrize("method, block, passes", [
+    pytest.param("standard_exponential", sampling.exponential_block, 1, id="exponential"),
+    pytest.param("standard_exponential", _reduced_exponential_block, 1,
+                 id="exponential_reduced"),
+    pytest.param("standard_gamma", lambda s, rows, n: sampling.pgen_gaussian_block(
+        s, rows, n, 1.5), 1, id="pgen_p1.5"),
+    # every row a candidate: the membership pass draws each leaf once more
+    pytest.param("standard_gamma", lambda s, rows, n: sampling.lp_ball_block(
+        s, rows, n, 1.5, sup=True), 2, id="ball_sup_p1.5"),
+])
+def test_each_leaf_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves, method,
+                                                    block, passes):
+    monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
+    made = _inject_zero(monkeypatch, method, at)
+    block(RandomStream(75), rows, n)
+    assert made[-1].injected == passes
+    assert made[-1].calls == passes * leaves
 
 
 # numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then
@@ -771,18 +794,18 @@ def _generator_whose_next_raw_draw_is_zero():
     return rng
 
 
-def test_exponential_block_redraws_a_real_zero_draw(monkeypatch):
+def test_exponential_block_keeps_a_real_zero_draw(monkeypatch):
     # a raw 64-bit draw below 2**11 is an exponential of exactly 0.0
     assert _generator_whose_next_raw_draw_is_zero().bit_generator.random_raw() == 0
-    draws = _generator_whose_next_raw_draw_is_zero().standard_exponential(13)
+    draws = _generator_whose_next_raw_draw_is_zero().standard_exponential(12)
     assert draws[0] == 0.0 and draws[1:].min() > 0.0
     monkeypatch.setattr(RandomStream, "generator",
                         lambda self: _generator_whose_next_raw_draw_is_zero())
     x = sampling.exponential_block(RandomStream(70), 3, 4)
-    # the zero is drawn again right after its chunk, the whole (3, 4) block
-    assert x.min() > 0.0
-    assert x.flat[0] == draws[12]
-    assert np.array_equal(x.ravel()[1:], draws[1:12])
+    assert np.array_equal(x.ravel(), draws)
     row_sums = sampling.exponential_block(RandomStream(70), 3, 4,
                                           sampling.RowReduction(lambda s: s.total))
     assert np.array_equal(row_sums, x.sum(axis=1))
+    # every block starts with the zero, and the statistics finish it
+    assert np.all(np.isfinite(ex.sup_norm_sample(70, 1000, 500).values))
+    assert all(map(math.isfinite, ex.equivalence_frequency(70, 5, 500)))

@@ -224,7 +224,7 @@ def test_ball_deterministic():
 def test_ball_sup_membership_pass_redraws_a_real_zero(monkeypatch):
     # at p=1 the first magnitude of the first chunk is an exact 0.0; with every
     # row a candidate, the membership pass draws that chunk again from its
-    # saved state, zero and guard included
+    # saved state, the zero included, and keeps it as the first pass did
     rows, n = 200, 1000  # three 65-row chunks and a partial one
     assert _generator_whose_next_raw_draw_is_zero().standard_exponential() == 0.0
     monkeypatch.setattr(RandomStream, "generator",
@@ -232,7 +232,7 @@ def test_ball_sup_membership_pass_redraws_a_real_zero(monkeypatch):
     monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     built = np.abs(lp_ball_block(RandomStream(0), rows, n, 1.0))
     got = lp_ball_block(RandomStream(0), rows, n, 1.0, sup=True)
-    assert built.min() > 0.0
+    assert built[0, 0] == 0.0 and built.ravel()[1:].min() > 0.0
     assert np.array_equal(got[:, 0], built.max(axis=1))
     assert np.array_equal(got[:, 1], built.sum(axis=1))
 
