@@ -147,12 +147,6 @@ def max_spacing_cdf_upper(n: int, s: float) -> OracleResult:
     return OracleResult(value=math.exp(n * log_one), method="closed_form", error_bound=0.0)
 
 
-def gumbel_surrogate_cdf(n: int, x: float) -> OracleResult:
-    """Exact CDF of n * max_i G_{n,i} - log n at x, no sampling involved."""
-    s = (x + math.log(n)) / n
-    return max_spacing_cdf(n, s)
-
-
 def small_n_norm_cdf(n: int, q: float, t: float) -> OracleResult:
     """Closed-form P[||Z_2||_q <= t]; only n = 2 has a tractable form.
 

@@ -8,30 +8,29 @@ replicates, one per row, from a single stream and is the unit of work for the
 parallel experiment engine: the per-replicate draw order inside a block is
 fixed, so the output never depends on worker scheduling.
 
-Every sampler has one draw rule.  A block is drawn a cache-sized chunk of
-rows at a time (:func:`_row_chunks`), and each chunk a *leaf* at a time:
-the leaves are the nodes of at most :data:`_CHUNK_ELEMS` elements of
-numpy's pairwise row-sum tree (:func:`_tree_sum`), so for n <= 2**16 the
-leaf is the whole chunk and for longer rows it is a cache-sized piece of
-one row.  Each leaf is filled by one ``fill(rng, leaf)`` call, and its
-values are kept as numpy drew them, an exact 0.0 included (about one
+Every sampler has one draw rule: a block's variates are one stream, drawn
+in C order, and kept as numpy drew them, an exact 0.0 included (about one
 exponential or gamma variate in 2**53, one normal in 2**52): a normalizing
 sum is 0.0 only when its whole row is, and the reductions take a 0.0 as any
-other value.  There are two loops over the chunks.  A built block is drawn
-chunk by chunk into the rows of the output (:func:`_built_block`).  A
-:class:`RowReduction` owns the one reducing loop: it draws each leaf into
-one reused buffer, takes the leaf's sums while it is in L2 and adds them as
-numpy adds the tree's nodes.  Only a centred power sum at q != 2 reads a
-row back from memory, once; at q = 2 each leaf's squares are taken about
-its own mean while it is in L2 and merged at the row mean, so no row is
-stored.  :func:`exponential_block` hands it the exponential fill; the
-general-CLT sources hand it their own fill; the ``sup`` pass of
-:func:`lp_ball_block` hands it a magnitude fill that keeps each leaf's row
-max and leaves the leaf's p-th powers to be summed, and its membership
-redraw a fill that scales the leaf and leaves its p-th powers.  Either way
-the reduced values are the built block's, bit for bit, but for the q = 2
-power sum of a row of more than one leaf (n > 2**16), which is the merge of
-its leaves (see :class:`RowReduction`).
+other value.  numpy draws each variate from the generator in turn, so the
+stream does not depend on how it is split into calls: a built block is one
+``fill(rng, block)`` call.  A :class:`RowReduction` draws the same stream a
+*leaf* at a time, into one reused buffer: a cache-sized chunk of rows
+(:func:`_row_chunks`), each chunk by the nodes of at most
+:data:`_CHUNK_ELEMS` elements of numpy's pairwise row-sum tree
+(:func:`_tree_sum`), so for n <= 2**16 the leaf is the whole chunk and for
+longer rows it is a cache-sized piece of one row.  It takes each leaf's sums
+while the leaf is in L2 and adds them as numpy adds the tree's nodes.  Only
+a centred power sum at q != 2 reads a row back from memory, once; at q = 2
+each leaf's squares are taken about its own mean while it is in L2 and
+merged at the row mean, so no row is stored.  :func:`exponential_block`
+hands it the exponential fill; the general-CLT sources hand it their own
+fill; the ``sup`` pass of :func:`lp_ball_block` hands it a magnitude fill
+that keeps each leaf's row max and leaves the leaf's p-th powers to be
+summed, and its membership redraw a fill that scales the leaf and leaves
+its p-th powers.  The reduced values are the built block's, bit for bit,
+but for the q = 2 power sum of a row of more than one leaf (n > 2**16),
+which is the merge of its leaves (see :class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
 builds one: each call holds one buffer while it runs, a row chunk of about
@@ -119,31 +118,19 @@ def _tree_sum(n: int, leaf, start: int = 0):
     return _tree_sum(half, leaf, start) + _tree_sum(n - half, leaf, start + half)
 
 
-def _built_block(rng: np.random.Generator, fill, rows: int, n: int) -> np.ndarray:
-    """A ``rows`` x ``n`` block drawn a row chunk at a time into its own
-    rows, each chunk a leaf of :func:`_tree_sum` at a time by one
-    ``fill(rng, leaf)``."""
-    out = np.empty((rows, n))
-    for chunk in _row_chunks(rows, n):
-        # the leaf sizes are added only to walk the tree
-        _tree_sum(n, lambda cols: fill(rng, out[chunk, cols]).size)
-    return out
-
-
 def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> np.ndarray:
     """Matrix of ``rows`` i.i.d. standard-exponential vectors of length ``n``.
 
     Given a :class:`RowReduction` ``reduce``, the block is never built: the
     result is the vector of its ``rows`` values, each leaf drawn by the
-    same fill as the built block's, so the values are those of the built
+    same fill as the built block, so the values are those of the built
     block, bit for bit.
     """
     _check_dimension(n)
-    rng = stream.generator()
-    fill = functools.partial(_magnitudes_fill, p=1.0)
+    fill = functools.partial(_magnitudes_fill, stream.generator(), p=1.0)
     if reduce is None:
-        return _built_block(rng, fill, rows, n)
-    return reduce(functools.partial(fill, rng), rows, n)
+        return fill(np.empty((rows, n)))
+    return reduce(fill, rows, n)
 
 
 #: Rows shorter than this take their min and max a column at a time:
@@ -382,8 +369,7 @@ def pgen_gaussian_block(stream: RandomStream, rows: int, n: int, p: float) -> np
     _check_dimension(n)
     _check_p(p)
     rng = stream.generator()
-    return _apply_fair_signs(rng, _built_block(rng, functools.partial(_magnitudes_fill, p=p),
-                                               rows, n))
+    return _apply_fair_signs(rng, _magnitudes_fill(rng, np.empty((rows, n)), p))
 
 
 def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
@@ -392,7 +378,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
 
     Each row is U**(1/n) * Y / ||Y||_p with Y a vector of i.i.d. p-generalized
     Gaussians and U an independent uniform radius factor.  The magnitudes |Y|
-    are drawn as a built block (:func:`_built_block`) and each row's power
+    are drawn as a built block, one fill of the stream, and each row's power
     sum is taken a row chunk at a time, from magnitudes that are |Y|
     exactly; then come the fair signs and the radius.  At n = 1 a row is one
     draw divided by its own norm, so a draw of exactly 0.0 (at most about
@@ -431,7 +417,7 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     # because the references pin both: at p = 3 the two differ on about a
     # quarter of inputs, so one op for both would change the p = 3 sample.
     if not sup:
-        y = _built_block(rng, fill, rows, n)
+        y = fill(rng, np.empty((rows, n)))
         power_sums = np.empty(rows)
         for chunk in _row_chunks(rows, n):
             power_sums[chunk] = (y[chunk] ** p).sum(axis=1)

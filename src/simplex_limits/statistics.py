@@ -202,8 +202,10 @@ def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
     The standard error is the delta-method binomial error on the normalized
     value: (1/speed) * sqrt((1 - phat) / (phat * replicates)).
     """
-    if speed <= 0:
-        raise ValueError(f"speed must be positive, got {speed}")
+    if not 0.0 < speed < math.inf:  # NaN fails this too
+        raise ValueError(f"speed must be positive and finite, got {speed}")
+    if math.isnan(z):
+        raise ValueError("threshold must not be NaN")
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
     m = sample.replicates

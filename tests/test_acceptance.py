@@ -115,7 +115,7 @@ def test_criterion_05_gumbel_limit(sup_samples):
     d = stats.ks_distance(gum, stats.gumbel_cdf)
     checks = [(f"ks_n1e4={d:.4f}", d <= 0.05)]
     for x in (-1.0, 0.0, 1.0, 2.0):
-        res = oracle.gumbel_surrogate_cdf(10**6, x)
+        res = oracle.max_spacing_cdf(10**6, (x + math.log(10**6)) / 10**6)
         gap = abs(res.value - math.exp(-math.exp(-x)))
         checks.append((f"oracle_x={x:+.0f}_gap={gap:.1e}", gap <= 0.01))
     _criterion(5, "Gumbel KS <= 0.05 at n=1e4 and exact oracle curve at n=1e6", checks)

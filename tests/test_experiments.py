@@ -461,7 +461,7 @@ def _rate_row(res, speed: float, theory: float, passed: bool) -> tuple:
 
 def test_gumbel_exact_row_is_the_exact_cdf_against_the_gumbel_cdf():
     row = _exact_row("gumbel", 1000, 0.0)
-    res = oracle.gumbel_surrogate_cdf(1000, 0.0)
+    res = oracle.max_spacing_cdf(1000, math.log(1000) / 1000)
     theory = float(stats.gumbel_cdf(0.0))
     assert (row.estimate, row.theory, row.std_error, row.passed) == (
         res.value, theory, res.error_bound,

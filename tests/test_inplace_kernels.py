@@ -5,7 +5,7 @@ Each kernel must give exactly the bits of the allocating whole-block
 expression it replaced, which is kept here as the reference; each sample
 function must peak at about one block of memory, or one chunk when it reduces
 by chunks; and a draw of exactly 0.0 must be kept as drawn, with the same
-bits on every path, and each leaf filled once.
+bits on every path, and each built block or reduced leaf filled once.
 """
 
 import math
@@ -18,6 +18,7 @@ from simplex_limits import experiments as ex
 from simplex_limits import sampling
 from simplex_limits.constants import moment_constants
 from simplex_limits.rng import RandomStream
+from simplex_limits.statistics import SOURCE_DISTRIBUTIONS
 
 import reference
 
@@ -57,11 +58,6 @@ def _ref_tree(n, leaf, start=0):
     return _ref_tree(half, leaf, start) + _ref_tree(n - half, leaf, start + half)
 
 
-def _ref_leaves(n):
-    # the leaves of a row of n elements, in order
-    return _ref_tree(n, lambda cols: [cols])
-
-
 def _ref_power_sum(x, q):
     # the sum of |x - mean|**q of each row; at q = 2 a row of more than one
     # leaf adds each leaf's squares about its own mean m_L and n_L (m_L - m)**2
@@ -81,15 +77,8 @@ def _ref_power_sum(x, q):
 
 
 def _ref_pgen(rng, rows, n, p):
-    # the magnitudes by row chunks of _CHUNK_ELEMS elements (one row when n is
-    # larger), each chunk by the leaves of its rows (the whole chunk when n is
-    # no larger); an exact 0.0 is kept as drawn
-    step = max(1, sampling._CHUNK_ELEMS // n)
-    y = np.empty((rows, n))
-    for start in range(0, rows, step):
-        for cols in _ref_leaves(n):
-            y[start:start + step, cols] = _ref_magnitudes(
-                rng, (min(step, rows - start), cols.stop - cols.start), p)
+    # the magnitudes in one draw, an exact 0.0 kept as drawn, then the signs
+    y = _ref_magnitudes(rng, (rows, n), p)
     signs = 2.0 * rng.integers(0, 2, (rows, n)).astype(np.float64) - 1.0
     return signs * y
 
@@ -202,6 +191,29 @@ def test_lp_ball_block_matches_allocating_reference(p, rows, n):
 def test_pgen_gaussian_block_matches_allocating_reference(p, rows, n):
     got = sampling.pgen_gaussian_block(RandomStream(45, n), rows, n, p)
     assert np.array_equal(got, _ref_pgen(RandomStream(45, n).generator(), rows, n, p))
+
+
+# every fill a sampler hands a block or a leaf
+_FILLS = {
+    **{f"magnitudes_p{p}": lambda rng, out, p=p: sampling._magnitudes_fill(rng, out, p)
+       for p in (1.0, 1.5, 2.0, 3.0)},
+    **{name: lambda rng, out, dist=dist: dist.sample(rng, out.shape, out=out)
+       for name, dist in SOURCE_DISTRIBUTIONS.items()},
+}
+
+
+@pytest.mark.parametrize("fill", _FILLS.values(), ids=_FILLS.keys())
+def test_each_fill_is_one_stream_however_it_is_split(fill):
+    # a built block is one fill and a reduction fills it leaf by leaf: both
+    # hold the same bits only if the draws are one stream across calls
+    size = 2**17 + 3
+    whole_rng, split_rng = RandomStream(76).generator(), RandomStream(76).generator()
+    whole = fill(whole_rng, np.empty(size))
+    split = np.empty(size)
+    for piece in np.split(split, [1, 8, 2**16 + 5]):
+        fill(split_rng, piece)
+    assert np.array_equal(whole, split)
+    assert whole_rng.bit_generator.state == split_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -761,23 +773,25 @@ def _reduced_exponential_block(stream, rows, n):
     pytest.param(200, 1000, _SECOND_CHUNK_AT, 4, id="four_chunks"),
     pytest.param(3, _LONG_N, _SECOND_LEAF_AT, 9, id="three_long_rows"),
 ])
-@pytest.mark.parametrize("method, block, passes", [
-    pytest.param("standard_exponential", sampling.exponential_block, 1, id="exponential"),
-    pytest.param("standard_exponential", _reduced_exponential_block, 1,
+# a built block is one fill; a reduction fills each leaf, once per pass
+@pytest.mark.parametrize("method, block, passes, per_leaf", [
+    pytest.param("standard_exponential", sampling.exponential_block, 1, False,
+                 id="exponential"),
+    pytest.param("standard_exponential", _reduced_exponential_block, 1, True,
                  id="exponential_reduced"),
     pytest.param("standard_gamma", lambda s, rows, n: sampling.pgen_gaussian_block(
-        s, rows, n, 1.5), 1, id="pgen_p1.5"),
+        s, rows, n, 1.5), 1, False, id="pgen_p1.5"),
     # every row a candidate: the membership pass draws each leaf once more
     pytest.param("standard_gamma", lambda s, rows, n: sampling.lp_ball_block(
-        s, rows, n, 1.5, sup=True), 2, id="ball_sup_p1.5"),
+        s, rows, n, 1.5, sup=True), 2, True, id="ball_sup_p1.5"),
 ])
-def test_each_leaf_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves, method,
-                                                    block, passes):
+def test_each_block_or_leaf_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves,
+                                                             method, block, passes, per_leaf):
     monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     made = _inject_zero(monkeypatch, method, at)
     block(RandomStream(75), rows, n)
     assert made[-1].injected == passes
-    assert made[-1].calls == passes * leaves
+    assert made[-1].calls == passes * (leaves if per_leaf else 1)
 
 
 # numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then

@@ -93,8 +93,9 @@ def test_max_spacing_cdf_against_monte_carlo(n, s):
 
 
 @pytest.mark.parametrize("x", [-1.0, 0.0, 1.0, 2.0])
-def test_gumbel_surrogate_converges(x):
-    got = oracle.gumbel_surrogate_cdf(10**6, x).value
+def test_max_spacing_cdf_at_the_gumbel_spacing_converges(x):
+    # the exact CDF of n * max_i G_{n,i} - log n at x
+    got = oracle.max_spacing_cdf(10**6, (x + math.log(10**6)) / 10**6).value
     assert abs(got - math.exp(-math.exp(-x))) <= 0.01
 
 

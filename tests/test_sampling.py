@@ -117,7 +117,7 @@ def test_pgen_rejects_bad_p():
 
 @pytest.mark.parametrize("p", [math.inf, 64.0])
 @pytest.mark.parametrize("sampler", [pgen_gaussian_block, lp_ball_block])
-def test_p_beyond_the_zero_guard_is_rejected(sampler, p):
+def test_p_beyond_the_gamma_underflow_bound_is_rejected(sampler, p):
     # past p = 1074/53 numpy's Gamma(1/p) is an exact 0.0 more often than 2**-53,
     # and p = inf is no gamma draw at all
     with pytest.raises(ValueError, match="ball exponent"):

@@ -310,6 +310,11 @@ def test_tail_log_prob_validation():
         stats.tail_log_prob(_sample([0.0]), 1.0, speed=0.0)
     with pytest.raises(ValueError):
         stats.tail_log_prob(_sample([0.0]), 1.0, speed=1.0, direction="sideways")
+    for speed in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="speed"):
+            stats.tail_log_prob(_sample([0.0]), 1.0, speed=speed)
+    with pytest.raises(ValueError, match="threshold"):
+        stats.tail_log_prob(_sample([0.0]), math.nan, speed=1.0)
 
 
 # ---------------------------------------------------------------------------
