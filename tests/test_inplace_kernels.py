@@ -769,29 +769,42 @@ def _reduced_exponential_block(stream, rows, n):
     return sampling.exponential_block(stream, rows, n, sampling.RowReduction(lambda s: s.total))
 
 
-@pytest.mark.parametrize("rows, n, at, leaves", [
+_FOUR_CHUNKS_AND_THREE_LONG_ROWS = pytest.mark.parametrize("rows, n, at, leaves", [
     pytest.param(200, 1000, _SECOND_CHUNK_AT, 4, id="four_chunks"),
     pytest.param(3, _LONG_N, _SECOND_LEAF_AT, 9, id="three_long_rows"),
 ])
-# a built block is one fill; a reduction fills each leaf, once per pass
-@pytest.mark.parametrize("method, block, passes, per_leaf", [
-    pytest.param("standard_exponential", sampling.exponential_block, 1, False,
-                 id="exponential"),
-    pytest.param("standard_exponential", _reduced_exponential_block, 1, True,
-                 id="exponential_reduced"),
+
+
+@_FOUR_CHUNKS_AND_THREE_LONG_ROWS
+@pytest.mark.parametrize("method, block", [
+    pytest.param("standard_exponential", sampling.exponential_block, id="exponential"),
     pytest.param("standard_gamma", lambda s, rows, n: sampling.pgen_gaussian_block(
-        s, rows, n, 1.5), 1, False, id="pgen_p1.5"),
+        s, rows, n, 1.5), id="pgen_p1.5"),
+])
+def test_each_built_block_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves,
+                                                           method, block):
+    made = _inject_zero(monkeypatch, method, at)
+    block(RandomStream(75), rows, n)
+    assert made[-1].injected == 1
+    assert made[-1].calls == 1
+
+
+@_FOUR_CHUNKS_AND_THREE_LONG_ROWS
+# a reduction fills each leaf, once per pass
+@pytest.mark.parametrize("method, block, passes", [
+    pytest.param("standard_exponential", _reduced_exponential_block, 1,
+                 id="exponential_reduced"),
     # every row a candidate: the membership pass draws each leaf once more
     pytest.param("standard_gamma", lambda s, rows, n: sampling.lp_ball_block(
-        s, rows, n, 1.5, sup=True), 2, True, id="ball_sup_p1.5"),
+        s, rows, n, 1.5, sup=True), 2, id="ball_sup_p1.5"),
 ])
-def test_each_block_or_leaf_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves,
-                                                             method, block, passes, per_leaf):
+def test_each_leaf_is_filled_once_with_a_zero_in_it(monkeypatch, rows, n, at, leaves,
+                                                    method, block, passes):
     monkeypatch.setattr(sampling, "_norm_rounding_bound", lambda n: 1.0)
     made = _inject_zero(monkeypatch, method, at)
     block(RandomStream(75), rows, n)
     assert made[-1].injected == passes
-    assert made[-1].calls == passes * (leaves if per_leaf else 1)
+    assert made[-1].calls == passes * leaves
 
 
 # numpy's PCG64 steps its 128-bit LCG state, s -> s * M + inc mod 2**128, then
