@@ -13,11 +13,10 @@ at a time, so it holds a chunk's CDF values and discrepancies, never the
 sample's.
 
 No module of the package imports scipy; the tests keep it as the
-independent reference.  :func:`gaussian_cdf` is a numpy port of the Cephes
-``ndtr`` that ``scipy.special.ndtr`` evaluates, and returns its bits
-exactly; the central-moment CLT constants are closed forms, or for the
-exponential source at a non-integer q the series of
-:func:`constants.mu_q`.
+independent reference.  :func:`gaussian_cdf` evaluates libm's
+:func:`math.erfc` per value, so its bits do not depend on the CPU's SIMD
+level; the central-moment CLT constants are closed forms, or for the
+exponential source at a non-integer q the series of :func:`constants.mu_q`.
 """
 
 from __future__ import annotations
@@ -35,89 +34,28 @@ from .constants import moment_constants
 # reference CDFs
 
 
+def _per_value(f, x) -> np.ndarray:
+    """``f`` of each value of ``x``, one libm call per value, in the shape of
+    ``x`` (a numpy scalar for a scalar or 0-d input).
+
+    numpy's vectorized exp and erfc loops differ from libm in the last bits,
+    and from one SIMD level of the CPU to the next; a ``math`` call does not.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = np.ascontiguousarray(x).ravel()
+    return np.fromiter(map(f, memoryview(flat)), np.float64, flat.size).reshape(x.shape)[()]
+
+
 def gumbel_cdf(x):
     """Standard Gumbel CDF exp(-exp(-x)); accepts scalars or arrays."""
     return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
 
 
-# Cephes ndtr (S. L. Moshier, Methods and Programs for Mathematical Functions,
-# 1989), operation for operation as scipy.special.ndtr runs it: erf on
-# |x| < 1 is x * T(x^2) / U(x^2); erfc on 1 <= |x| < 8 is
-# exp(-x^2) * P(x) / Q(x), from 8 up the same with R and S, and 0 once x^2
-# exceeds MAXLOG.  Leading coefficient first; U, Q and S have an implied
-# leading 1.
-_SQRT1_2 = 0.7071067811865476
-_MAXLOG = 709.782712893384
-_T = (9.604973739870516, 90.02601972038427, 2232.005345946843, 7003.325141128051,
-      55592.30130103949)
-_U = (33.56171416475031, 521.3579497801527, 4594.323829709801, 22629.000061389095,
-      49267.39426086359)
-_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699, 48.63719709856814,
-      196.5208329560771, 526.4451949954773, 934.5285271719576, 1027.5518868951572,
-      557.5353353693994)
-_Q = (13.228195115474499, 86.70721408859897, 354.9377788878199, 975.7085017432055,
-      1823.9091668790973, 2246.3376081871097, 1656.6630919416134, 557.5353408177277)
-_R = (0.5641895835477551, 1.275366707599781, 5.019050422511805, 6.160210979930536,
-      7.4097426995044895, 2.9788666537210022)
-_S = (2.2605286322011726, 9.396035249380015, 12.048953980809666, 17.08144507475659,
-      9.608968090632859, 3.369076451000815)
-
-
-def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    """Horner's rule from the leading coefficient, one rounding per step."""
-    ans = coef[0] * x
-    ans += coef[1]
-    for c in coef[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
-    return _polevl(x, (1.0, *coef))
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """Cephes erf for |x| < 1."""
-    xx = x * x
-    return x * _polevl(xx, _T) / _p1evl(xx, _U)
-
-
-def _erfc(z: np.ndarray) -> np.ndarray:
-    """Cephes erfc for z >= 1/sqrt(2).
-
-    exp(-z^2) is libm's, through :func:`math.exp`: numpy's vectorized exp
-    differs from it in the last bit on some arguments, and so would Phi.
-    """
-    y = np.zeros_like(z)
-    near = z < 1.0
-    y[near] = 1.0 - _erf(z[near])
-    with np.errstate(over="ignore"):  # z^2 overflows to inf past 1.3e154
-        zz = z * z
-    for band, num, den in ((~near & (z < 8.0), _P, _Q), ((z >= 8.0) & (zz <= _MAXLOG), _R, _S)):
-        w = z[band]
-        e = np.fromiter(map(math.exp, (-zz[band]).tolist()), np.float64, len(w))
-        y[band] = e * _polevl(w, num) / _p1evl(w, den)
-    return y
-
-
 def gaussian_cdf(a):
-    """Standard normal CDF; accepts scalars or arrays.
-
-    Bit for bit ``scipy.special.ndtr``, with its shape and return type (a
-    numpy scalar for a scalar or 0-d input), without importing scipy.
-    """
-    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
-    z = np.abs(x)
-    out = np.full_like(x, np.nan)  # nan in, nan out
-    inner = z < _SQRT1_2
-    out[inner] = 0.5 + 0.5 * _erf(x[inner])
-    outer = z >= _SQRT1_2
-    y = 0.5 * _erfc(z[outer])
-    upper = x[outer] > 0.0
-    y[upper] = 1.0 - y[upper]
-    out[outer] = y
-    return out[()]
+    """Standard normal CDF 0.5 * erfc(-a / sqrt(2)), with a / sqrt(2) rounded
+    as a * sqrt(1/2); accepts scalars or arrays, and returns the input's shape
+    (a numpy scalar for a scalar or 0-d input)."""
+    return 0.5 * _per_value(math.erfc, np.asarray(a, dtype=np.float64) * -math.sqrt(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ PINNED_DIGESTS = {
     "lp_ldp_n_in_config_order":
         "13df1dc2ac1a6ae8c3b6e18c4d48dab5928225b2314e3929d38f030fc2bc86d8",
     "general_clt_n_in_config_order":
-        "b0fcce68554da6daa5d594a7d3f6d7484957902c79a2d9d3e075bfcafeed224f",
+        "7eca94f55fced4cbdb51ecc910491a4a2f22b8bc38f99b738da67ebcd3f317e1",
 }
 
 
