@@ -13,10 +13,11 @@ at a time, so it holds a chunk's CDF values and discrepancies, never the
 sample's.
 
 No module of the package imports scipy; the tests keep it as the
-independent reference.  :func:`gaussian_cdf` evaluates libm's
-:func:`math.erfc` per value, so its bits do not depend on the CPU's SIMD
-level; the central-moment CLT constants are closed forms, or for the
-exponential source at a non-integer q the series of :func:`constants.mu_q`.
+independent reference.  Both reference CDFs evaluate libm per value
+(:func:`math.erfc` for :func:`gaussian_cdf`, :func:`math.exp` for
+:func:`gumbel_cdf`), so their bits do not depend on the CPU's SIMD level;
+the central-moment CLT constants are closed forms, or for the exponential
+source at a non-integer q the series of :func:`constants.mu_q`.
 """
 
 from __future__ import annotations
@@ -47,8 +48,13 @@ def _per_value(f, x) -> np.ndarray:
 
 
 def gumbel_cdf(x):
-    """Standard Gumbel CDF exp(-exp(-x)); accepts scalars or arrays."""
-    return np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
+    """Standard Gumbel CDF exp(-exp(-x)); accepts scalars or arrays.
+
+    The inner exponent is capped at 709, below :func:`math.exp`'s overflow:
+    exp(-exp(709)) is already 0.0.
+    """
+    inner = np.minimum(-np.asarray(x, dtype=np.float64), 709.0)
+    return _per_value(math.exp, -_per_value(math.exp, inner))
 
 
 def gaussian_cdf(a):

@@ -81,7 +81,7 @@ PINNED_DIGESTS = {
     "mdp_oracle_only":
         "0b8c4c263d83f2a4e196f7c4bcde373bea9af792ba0e17d3f7abbab58074494c",
     "gumbel_n_in_config_order":
-        "816e6edd575f9b11a53bf194a4630b1e3fae4439d2fa85723d8359ccf4a45b93",
+        "6332d35374564f4c6e77892d860a944d2292296257796c33dfa80603a5f6851d",
     "lp_ldp_n_in_config_order":
         "13df1dc2ac1a6ae8c3b6e18c4d48dab5928225b2314e3929d38f030fc2bc86d8",
     "general_clt_n_in_config_order":
