@@ -179,6 +179,17 @@ def test_uniform01_at_q500_yields_the_three_gaussian_rows():
     assert report.rows[2].theory == stats.general_clt_variance(stats.Uniform01Dist, 500.0)
 
 
+def test_a_mean_row_whose_sample_se_a_heavy_tail_inflates_fails():
+    # `general-clt --source uniform01 --q 500 --n 1000 --replicates 2000`: the
+    # studentized sample's own SE (4.3e9) would cover its mean (9.4e9); the
+    # limit law's 1/sqrt(m) does not
+    report = ex.run(ex.ExperimentConfig(kind="general_clt", n_list=(1000,), q=500.0,
+                                        source="uniform01", replicates=2000, seed=0))
+    mean = report.rows[1]
+    assert mean.experiment == "general_clt:mean" and mean.estimate > mean.std_error > 1e9
+    assert not mean.passed
+
+
 @pytest.mark.parametrize("kind, n, z, cell", [
     # at n = 1e6 the product bound at x = -3 underflows (about e^-26000), and
     # x = -3.8 asks about s <= 1/n, where the CDF is 0 by pigeonhole
