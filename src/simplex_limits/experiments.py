@@ -178,10 +178,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         fields = {f.name: f for f in dataclasses.fields(cls)}
         _require_keys(d, [k for k, f in fields.items() if f.default is dataclasses.MISSING],
-                      "config")
-        unknown = sorted(set(d) - set(fields))
-        if unknown:
-            raise ValueError(f"config has unknown keys {', '.join(map(repr, unknown))}")
+                      "config", known=fields)
         return cls(**d)
 
 
@@ -298,12 +295,17 @@ def _json_float(x):
     return x
 
 
-def _require_keys(obj, keys, what: str) -> None:
+def _require_keys(obj, keys, what: str, known=None) -> None:
+    """``obj`` is a dict with every key of ``keys`` and, if ``known`` is
+    given, no key outside ``known``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{what} has no key {', '.join(map(repr, missing))}")
+    unknown = sorted(set(obj).difference(known or obj))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {', '.join(map(repr, unknown))}")
 
 
 def _cell_value(column: str, value, row: str):
@@ -331,7 +333,7 @@ def report_from_json(text: str) -> ExperimentReport:
         raise ValueError("report key 'rows' must be a list")
     rows = []
     for i, row in enumerate(payload["rows"]):
-        _require_keys(row, REPORT_COLUMNS, f"report row {i}")
+        _require_keys(row, REPORT_COLUMNS, f"report row {i}", known=REPORT_COLUMNS)
         rows.append(ReportRow(*(_cell_value(c, row[c], f"report row {i}")
                                 for c in REPORT_COLUMNS)))
     return ExperimentReport(rows=rows, config=ExperimentConfig.from_dict(payload["config"]))

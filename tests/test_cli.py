@@ -143,9 +143,12 @@ def _with_row(report, **values):
      "report row 0 column 'pass' must be true or false, got 'yes'"),
     (lambda r: _with_row(r, experiment=1), "report row 0 column 'experiment' must be a string"),
     (lambda r: _with_row(r, theory="nan"), "report row 0 column 'theory' must be a number"),
+    (lambda r: _with_row(r, bogus=1, estimat=5),
+     "report row 0 has unknown keys 'bogus', 'estimat'"),
 ], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key",
         "replicates_string", "workers_null", "n_list_number", "q_string", "seed_string",
-        "estimate_list", "n_string", "pass_string", "experiment_number", "theory_nan_string"])
+        "estimate_list", "n_string", "pass_string", "experiment_number", "theory_nan_string",
+        "unknown_row_keys"])
 def test_report_from_malformed_json_is_a_usage_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"
     assert run_cli(["equivalence", "--n", "5", "--replicates", "100", "--format", "json",
