@@ -39,12 +39,12 @@ def _per_value(f, x) -> np.ndarray:
     """``f`` of each value of ``x``, one libm call per value, in the shape of
     ``x`` (a numpy scalar for a scalar or 0-d input).
 
-    numpy's vectorized exp and erfc loops differ from libm in the last bits,
-    and from one SIMD level of the CPU to the next; a ``math`` call does not.
+    numpy's vectorized exp differs from libm in the last bits, and from one
+    SIMD level of the CPU to the next; a ``math`` call gives the same bits at
+    every level.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = np.ascontiguousarray(x).ravel()
-    return np.fromiter(map(f, memoryview(flat)), np.float64, flat.size).reshape(x.shape)[()]
+    return np.fromiter(map(f, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)[()]
 
 
 def gumbel_cdf(x):

@@ -18,6 +18,7 @@ import numpy as np
 
 from simplex_limits import experiments as ex
 from simplex_limits import statistics as stats
+from test_report_digests import CONFIGS
 
 HERE = Path(__file__).resolve().parent
 
@@ -31,8 +32,7 @@ def cdf_and_report_digest() -> str:
               np.sort(rng.gumbel(size=100_000))):
         h.update(stats.gaussian_cdf(x).tobytes())
         h.update(stats.gumbel_cdf(x).tobytes())
-    report = ex.run(ex.ExperimentConfig(kind="gumbel", n_list=(200, 50), replicates=1000,
-                                        seed=25))
+    report = ex.run(CONFIGS["gumbel_n_in_config_order"])
     h.update((report.to_csv() + report.to_json()).encode())
     return h.hexdigest()
 
@@ -43,5 +43,5 @@ def test_cdfs_and_gumbel_report_are_the_same_bytes_without_avx512():
     child = subprocess.run(
         [sys.executable, "-c",
          "import test_simd_dispatch as t; print(t.cdf_and_report_digest())"],
-        env=env, capture_output=True, text=True, check=True)
+        env=env, capture_output=True, text=True, check=True, timeout=300)
     assert child.stdout.strip() == cdf_and_report_digest()
