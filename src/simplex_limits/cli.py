@@ -137,25 +137,17 @@ def _experiment_config(kind: str, defaults: dict,
                        args: argparse.Namespace) -> experiments.ExperimentConfig:
     file_values = {}
     if args.config is not None:
+        what = f"config file {args.config}"
         file_values = json.loads(_read_input(args.config, "--config"))
-        if not isinstance(file_values, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_values) - set(_FLAGS))
-        if unknown:
-            raise ValueError(f"config file {args.config} has unknown keys "
-                             f"{', '.join(unknown)}; known keys: {', '.join(_FLAGS)}")
-        file_values = {key: experiments.field_value(_FLAGS[key][0], value,
-                                                    f"config file {args.config}: key {key!r}")
-                       for key, value in file_values.items() if value is not None}
+        experiments._require_keys(file_values, (), what, known=_FLAGS)
+        file_values = {field: experiments.json_value(
+            experiments._FIELD_TYPES[field], file_values[key], f"{what}: key {key!r}")
+            for key, (field, _) in _FLAGS.items() if file_values.get(key) is not None}
     # an explicit flag beats the file, which beats the defaults
-    fields = {"replicates": 10_000, "seed": 0, **defaults}
-    for key, (field, _) in _FLAGS.items():
-        value = getattr(args, key)
-        if value is None:
-            value = file_values.get(key)
-        if value is not None:
-            fields[field] = value
-    return experiments.ExperimentConfig(kind=kind, **fields)
+    flags = {field: getattr(args, key) for key, (field, _) in _FLAGS.items()
+             if getattr(args, key) is not None}
+    return experiments.ExperimentConfig(
+        kind=kind, **{"replicates": 10_000, "seed": 0, **defaults, **file_values, **flags})
 
 
 # Each handler returns the text to write and a status line for stderr, or None.

@@ -65,7 +65,7 @@ _BLOCK_ELEMS = 1 << 21
 # Finite-n acceptance bands.  Rationale per entry:
 #   clt_ks            KS at n=1e4 sits near c_q log(n)/sqrt(n) plus ~0.4% sampling noise
 #   clt_var_rel       variance of the scaled statistic converges at 1/sqrt(n)
-#   clt_mean_sigmas   mean bias is O(1/sqrt(n)); allowance is in the N(0, 1) limit's
+#   mean_sigmas       mean bias is O(1/sqrt(n)); allowance is in the N(0, 1) limit's
 #                     standard errors 1/sqrt(replicates), not the sample's own
 #   berry_esseen      only boundedness of D_n sqrt(n)/log n is claimed, not its constant
 #   gumbel            log-speed convergence: KS ~ (log n)^2/n at n=1e4 plus noise
@@ -77,7 +77,7 @@ _BLOCK_ELEMS = 1 << 21
 TOLERANCES = {
     "clt_ks": 0.02,
     "clt_var_rel": 0.05,
-    "clt_mean_sigmas": 4.0,
+    "mean_sigmas": 4.0,
     # the x -> x**(1/q) transform shifts the statistic's mean by O(1/sqrt(n));
     # measured coefficient <= 2.8 for q <= 3, so 4/sqrt(n) covers it
     "clt_mean_bias_coeff": 4.0,
@@ -94,7 +94,6 @@ TOLERANCES = {
     "equiv_final_freq": 1e-4,
     "general_var_rel": 0.10,
     "general_ks": 0.05,
-    "general_mean_sigmas": 4.0,
 }
 
 
@@ -105,7 +104,12 @@ S_N_RULES = {"sqrt_log": lambda n: math.sqrt(math.log(n)),
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.
+
+    Building one checks every field: its JSON type, its value, the dimension
+    rule (every n >= 2, no repeats) and the kind-field rule of
+    :data:`_KIND_FIELDS`, so a config states only what its run reads.
+    """
 
     kind: str
     n_list: tuple[int, ...]
@@ -123,7 +127,8 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if value is not None or f.default is not None:
-                object.__setattr__(self, f.name, field_value(f.name, value))
+                object.__setattr__(self, f.name, json_value(_FIELD_TYPES[f.name], value,
+                                                            f"config field {f.name!r}"))
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.replicates < 1:
@@ -140,26 +145,27 @@ class ExperimentConfig:
             raise ValueError(f"unknown s_n rule {self.s_n_rule!r}")
         if self.source not in SOURCE_DISTRIBUTIONS:
             raise ValueError(f"unknown source distribution {self.source!r}")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError(f"every n in n_list must be >= 1, got {self.n_list}")
         if not all(math.isfinite(z) for z in self.thresholds):
             raise ValueError(f"thresholds must be finite, got {self.thresholds}")
-        # log n > 0, two coordinates to compare and a nonconstant statistic
-        if any(n < 2 for n in self.n_list):
-            raise ValueError(f"{self.kind} experiments require every n >= 2")
+        # log n > 0, two coordinates (spacings, for the oracle) to compare and
+        # a nonconstant statistic; each n is one substream
         for name in ("n_list", "oracle_n_list"):
             ns = getattr(self, name)
+            if any(n < 2 for n in ns):
+                raise ValueError(f"{self.kind} experiments require every n >= 2 in {name}, "
+                                 f"got {ns}")
             if len(set(ns)) < len(ns):
                 raise ValueError(f"{name} repeats a dimension, got {ns}: each n is one "
                                  f"substream, so a repeat would only copy its rows")
-        if any(n < 2 for n in self.oracle_n_list):
-            raise ValueError(f"the max-spacing oracle requires every n >= 2 in oracle_n_list, "
-                             f"got {self.oracle_n_list}")
-        if self.oracle_n_list and getattr(THEOREMS[self.kind], "oracle", None) is None:
-            raise ValueError(f"{self.kind} experiments have no exact oracle rows, "
-                             f"got oracle_n_list={self.oracle_n_list}")
-        if self.kind == "equivalence_decay" and any(not 2 <= n <= 200 for n in self.n_list):
+        if self.kind == "equivalence_decay" and any(n > 200 for n in self.n_list):
             raise ValueError("equivalence_decay expects n in [2, 200]")
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for name in _OPTIONAL_FIELDS:
+            value, reads = getattr(self, name), name in _KIND_FIELDS[self.kind]
+            if not reads and value != defaults[name]:
+                raise ValueError(f"{self.kind} experiments do not read {name}, got {value!r}")
+            if reads and defaults[name] is None and (value is None or not math.isfinite(value)):
+                raise ValueError(f"experiment {self.kind!r} requires a finite {name}")
 
     def s_n(self, n: int) -> float:
         value = S_N_RULES[self.s_n_rule](n)
@@ -182,39 +188,53 @@ class ExperimentConfig:
         return cls(**d)
 
 
+#: The fields a config may leave at their defaults, and kind -> the ones of
+#: them that the kind reads.  A read field whose default is None must be set
+#: and finite; every other one must keep its default, so that a report's
+#: config states only what the run read.
+_OPTIONAL_FIELDS = ("q", "p", "thresholds", "s_n_rule", "source", "oracle_n_list")
+_KIND_FIELDS = {
+    "clt": ("q",), "berry_esseen_sweep": ("q",), "general_clt": ("q", "source"),
+    "equivalence_decay": (),
+    "gumbel": ("thresholds", "oracle_n_list"), "ldp": ("thresholds", "oracle_n_list"),
+    "mdp": ("thresholds", "s_n_rule", "oracle_n_list"),
+    "lp_ldp": ("p", "thresholds"), "lp_gumbel": ("p",),
+}
+
 #: config field -> the JSON type of its value, ``[t]`` for a list of ``t``;
 #: a field whose default is None may also be None
 _FIELD_TYPES = {"kind": str, "n_list": [int], "replicates": int, "seed": int, "q": float,
                 "p": float, "thresholds": [float], "s_n_rule": str, "source": str,
                 "oracle_n_list": [int], "workers": int}
 
-#: type -> (one value, several values), in the words of a usage error
+#: JSON type -> (one value, several values), in the words of a usage error;
+#: ``"cell"`` is a report's number cell, which may also be null, "inf" or "-inf"
 _TYPE_WORDS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
-               str: ("a string", "strings"), bool: ("true or false", "booleans")}
+               str: ("a string", "strings"), bool: ("true or false", "booleans"),
+               "cell": ('a number, null, "inf" or "-inf"', None)}
 
 
-def _is_json(value, kind: type) -> bool:
+def _is_json(value, kind) -> bool:
+    if kind == "cell":
+        return value is None or value in ("inf", "-inf") or _is_json(value, float)
     # JSON true/false are bools, which Python counts as ints
     if isinstance(value, bool):
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def field_value(field: str, value, what: str | None = None):
-    """``value`` as the config field ``field`` holds it: a list as a tuple, and
+def json_value(kind, value, what: str):
+    """``value`` as a field of JSON type ``kind`` holds it: a list as a tuple,
     an integer as a float in a number field (so a JSON 2 reads as the flag's
-    2.0).  A value of the wrong JSON type is a ``ValueError`` that names
-    ``what``, by default the field."""
-    kind = _FIELD_TYPES[field]
+    2.0), and a cell's "inf" as a float.  A value of another JSON type is a
+    ``ValueError`` that names ``what``."""
     if isinstance(kind, list):
         if isinstance(value, (list, tuple)) and all(_is_json(v, kind[0]) for v in value):
             return tuple(map(kind[0], value))
-        expected = f"a list of {_TYPE_WORDS[kind[0]][1]}"
-    elif _is_json(value, kind):
-        return kind(value)
-    else:
-        expected = _TYPE_WORDS[kind][0]
-    raise ValueError(f"{what or f'config field {field!r}'} must be {expected}, got {value!r}")
+        raise ValueError(f"{what} must be a list of {_TYPE_WORDS[kind[0]][1]}, got {value!r}")
+    if not _is_json(value, kind):
+        raise ValueError(f"{what} must be {_TYPE_WORDS[kind][0]}, got {value!r}")
+    return None if value is None else (float if kind == "cell" else kind)(value)
 
 
 @dataclass(frozen=True)
@@ -233,9 +253,8 @@ class ReportRow:
 REPORT_COLUMNS = ("experiment", "n", "param", "threshold", "estimate", "theory",
                   "std_error", "pass")
 
-#: report column -> the JSON type of its cell; a number cell may also be
-#: null, "inf" or "-inf"
-_CELL_TYPES = dict(zip(REPORT_COLUMNS, (str, int, str, float, float, float, float, bool)))
+#: report column -> the JSON type of its cell
+_CELL_TYPES = dict(zip(REPORT_COLUMNS, (str, int, str, "cell", "cell", "cell", "cell", bool)))
 
 
 @dataclass
@@ -282,11 +301,9 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
+    if isinstance(x, float) and math.isfinite(x):
         return f"{x:.17g}"
-    return str(x)
+    return str(_json_float(x))
 
 
 def _json_float(x):
@@ -295,46 +312,38 @@ def _json_float(x):
     return x
 
 
-def _require_keys(obj, keys, what: str, known=None) -> None:
-    """``obj`` is a dict with every key of ``keys`` and, if ``known`` is
-    given, no key outside ``known``."""
+def _require_keys(obj, keys, what: str, known) -> None:
+    """``obj`` is a dict with every key of ``keys`` and no key outside ``known``."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     missing = [k for k in keys if k not in obj]
     if missing:
         raise ValueError(f"{what} has no key {', '.join(map(repr, missing))}")
-    unknown = sorted(set(obj).difference(known or obj))
+    unknown = sorted(set(obj).difference(known))
     if unknown:
-        raise ValueError(f"{what} has unknown keys {', '.join(map(repr, unknown))}")
-
-
-def _cell_value(column: str, value, row: str):
-    """A saved report's cell as :class:`ReportRow` holds it (as ``field_value``
-    reads a config field); a cell of the wrong JSON type is a ``ValueError``
-    that names the row and the column."""
-    kind = _CELL_TYPES[column]
-    if kind is float and (value is None or value in ("inf", "-inf")):
-        return None if value is None else float(value)
-    if _is_json(value, kind):
-        return kind(value)
-    expected = _TYPE_WORDS[kind][0] + (', null, "inf" or "-inf"' if kind is float else "")
-    raise ValueError(f"{row} column {column!r} must be {expected}, got {value!r}")
+        raise ValueError(f"{what} has unknown keys {', '.join(map(repr, unknown))}; "
+                         f"known keys: {', '.join(known)}")
 
 
 def report_from_json(text: str) -> ExperimentReport:
     """Rebuild a report from its JSON serialization (for format conversion).
 
-    JSON that is not such a report is a ``ValueError`` that names the missing
-    or unknown key, or the row and column of a cell of the wrong type.
+    JSON that is not such a report, or that another tool version wrote, is a
+    ``ValueError`` that names the missing or unknown key, the row and column
+    of a cell of the wrong type, or the two versions.
     """
     payload = json.loads(text)
-    _require_keys(payload, ("rows", "config"), "report")
+    top = ("rows", "config", "tool_version")
+    _require_keys(payload, top, "report", known=top)
+    if payload["tool_version"] != TOOL_VERSION:
+        raise ValueError(f"report tool_version {payload['tool_version']!r} is not this "
+                         f"version, {TOOL_VERSION!r}")
     if not isinstance(payload["rows"], list):
         raise ValueError("report key 'rows' must be a list")
     rows = []
     for i, row in enumerate(payload["rows"]):
         _require_keys(row, REPORT_COLUMNS, f"report row {i}", known=REPORT_COLUMNS)
-        rows.append(ReportRow(*(_cell_value(c, row[c], f"report row {i}")
+        rows.append(ReportRow(*(json_value(_CELL_TYPES[c], row[c], f"report row {i} column {c!r}")
                                 for c in REPORT_COLUMNS)))
     return ExperimentReport(rows=rows, config=ExperimentConfig.from_dict(payload["config"]))
 
@@ -507,13 +516,6 @@ class Plan(NamedTuple):
     finish: Callable[[list[ReportRow]], list[ReportRow]] = list
 
 
-def _require(config: ExperimentConfig, field: str) -> float:
-    value = getattr(config, field)
-    if value is None or not math.isfinite(value):
-        raise ValueError(f"experiment {config.kind!r} requires a finite {field}")
-    return value
-
-
 def _gaussian_plan(config: ExperimentConfig, param: str, var_display: float, tol: str,
                    studentized_at: Callable[[int], EmpiricalSample]) -> Plan:
     """KS / mean / variance rows per dimension for a studentized statistic.
@@ -535,7 +537,7 @@ def _gaussian_plan(config: ExperimentConfig, param: str, var_display: float, tol
         var_se = var * math.sqrt(2.0 / (m - 1))
         # in units of the limit law's SE, 1/sqrt(m): a heavy tail inflates
         # the sample's own SE, which would pass a mean on no evidence
-        mean_tol = (TOLERANCES[f"{tol}_mean_sigmas"] / math.sqrt(m)
+        mean_tol = (TOLERANCES["mean_sigmas"] / math.sqrt(m)
                     + TOLERANCES["clt_mean_bias_coeff"] / math.sqrt(n))
         return [
             ReportRow(f"{config.kind}:ks", n, param, None, d, 0.0, None,
@@ -551,23 +553,21 @@ def _gaussian_plan(config: ExperimentConfig, param: str, var_display: float, tol
 
 def _clt(config: ExperimentConfig) -> Plan:
     """Gaussian-limit check of the scaled lq-norm statistic, per dimension."""
-    q = _require(config, "q")
-    mc = moment_constants(q)
+    mc = moment_constants(config.q)
     # clt_sample is already studentized; the variance row is displayed
     # against the limit variance sigma_q^2 of the unstudentized statistic
-    return _gaussian_plan(config, f"q={q:g}", mc.sigma_q_sq, "clt", lambda n: clt_sample(
-        config.seed, n, q, config.replicates, workers=config.workers))
+    return _gaussian_plan(config, f"q={config.q:g}", mc.sigma_q_sq, "clt", lambda n: clt_sample(
+        config.seed, n, config.q, config.replicates, workers=config.workers))
 
 
 def _berry_esseen_sweep(config: ExperimentConfig) -> Plan:
     """Boundedness of D_n * sqrt(n) / log n across a sweep of dimensions."""
-    q = _require(config, "q")
     if len(config.n_list) < 3:
         raise ValueError("berry_esseen_sweep needs at least 3 dimensions")
-    param = f"q={q:g}"
+    param = f"q={config.q:g}"
 
     def rows_at(n: int) -> list[ReportRow]:
-        sample = clt_sample(config.seed, n, q, config.replicates, workers=config.workers)
+        sample = clt_sample(config.seed, n, config.q, config.replicates, workers=config.workers)
         # a KS row always passes: the ratio rows carry the sweep's verdict
         return [ReportRow("berry_esseen:ks", n, param, None, ks_distance(sample, gaussian_cdf),
                           0.0, None, True)]
@@ -631,12 +631,8 @@ def _ball_sup(config: ExperimentConfig, n: int):
     return ball_sup_sample(config.seed, n, config.p, config.replicates, workers=config.workers)
 
 
-def _p_param(config: ExperimentConfig) -> str:
-    return f"p={_require(config, 'p'):g}"
-
-
 def _l1_param(config: ExperimentConfig) -> str:
-    if _require(config, "p") != 1.0:
+    if config.p != 1.0:
         raise ValueError("the lp Gumbel limit holds for the l1-ball only; use p=1")
     return "p=1"
 
@@ -769,7 +765,7 @@ SUP_THEOREMS = {
     "lp_ldp": SupTheorem(
         sample=_ball_sup, affine=lambda c, n: ((n / (c.p * math.log(n))) ** (1.0 / c.p), 0.0),
         tol="lp_ldp_band", rate="lp_sup", speed=lambda c, n: math.log(n), thresholds=(),
-        param=_p_param),
+        param=lambda c: f"p={c.p:g}"),
     # n * sup-coordinate of the l1-ball - log n -> Gumbel
     "lp_gumbel": SupTheorem(
         sample=_ball_sup, affine=lambda c, n: (float(n), -math.log(n)),
@@ -800,8 +796,7 @@ def _equivalence_decay(config: ExperimentConfig) -> Plan:
 
 def _general_clt(config: ExperimentConfig) -> Plan:
     """Central-moment CLT for a named source distribution."""
-    q = _require(config, "q")
-    dist = SOURCE_DISTRIBUTIONS[config.source]
+    q, dist = config.q, SOURCE_DISTRIBUTIONS[config.source]
     param = f"source={config.source};q={q:g}"
     mq, sigma_sq = abs_moment(dist, q), general_clt_variance(dist, q)
     return _gaussian_plan(config, param, sigma_sq, "general", lambda n: _affine_sample(

@@ -103,14 +103,30 @@ def _series(n: int, s: float, k_min: int) -> tuple[float, float]:
     return value, trunc + round_err
 
 
+def _pigeonhole_cdf_upper(n: int, s: float) -> float:
+    """An upper bound on P[max_i G_{n,i} <= s] for 0 < s <= 1/(n-1).
+
+    There the CDF is (ns - 1)^(n-1) exactly, 0 for s <= 1/n (pigeonhole): the
+    spacings lie in a simplex of side ns - 1 around the barycentre.  ns - 1 is
+    taken exactly from s's ratio, and the power rounded up; a power below the
+    float range reads 0.
+    """
+    a, b = s.as_integer_ratio()
+    power = (max(n * a - b, 0) / b) ** (n - 1)
+    # the rounded base carries (n - 1) rounding errors into the power, and one
+    # more float step covers a subnormal power's absolute error
+    return math.nextafter(power * (1.0 + n * 2.0**-52), math.inf) if power else 0.0
+
+
 def _max_spacing(name: str, n: int, s: float, k_min: int) -> OracleResult:
     """The series from k_min as the public function ``name``: the CDF from
     k = 0, the survival function from k = 1 (1 minus the CDF, term by term)."""
     _check_spacing_args(n, s)
     if s <= 1.0 / n:
         # pigeonhole: the maximum of n spacings summing to 1 is at least 1/n,
-        # so the CDF is 0 and the survival function 1
-        return OracleResult(value=float(k_min), method="closed_form", error_bound=0.0)
+        # so the CDF is 0 and the survival function 1, up to the rounding of 1/n
+        return OracleResult(value=float(k_min), method="closed_form",
+                            error_bound=_pigeonhole_cdf_upper(n, s))
     value, err = _series(n, s, k_min)
     if value > 1.0 + err:
         raise CancellationError(f"{name}({n}, {s}) = {value} exceeds 1 beyond its error bound")
@@ -142,7 +158,8 @@ def max_spacing_cdf_upper(n: int, s: float) -> OracleResult:
     """
     _check_spacing_args(n, s)
     if s <= 1.0 / n:
-        return OracleResult(value=0.0, method="closed_form", error_bound=0.0)
+        return OracleResult(value=_pigeonhole_cdf_upper(n, s), method="closed_form",
+                            error_bound=0.0)
     log_one = math.log(-math.expm1((n - 1) * math.log1p(-s)))  # log P[G_1 <= s]
     return OracleResult(value=math.exp(n * log_one), method="closed_form", error_bound=0.0)
 

@@ -70,11 +70,13 @@ def gaussian_cdf(a):
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """Replicated values of one statistic, sorted nondecreasing."""
+    """Replicated values of one statistic, at least one, sorted nondecreasing."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if len(self.values) < 1:
+            raise ValueError("a sample needs at least one value")
         if np.any(self.values[1:] < self.values[:-1]):
             raise ValueError("values must be sorted nondecreasing")
 
@@ -109,8 +111,6 @@ def ks_distance(sample: EmpiricalSample, cdf: Callable) -> float:
     then fails the [0, 1] check.
     """
     m = sample.replicates
-    if m < 1:
-        raise ValueError("ks_distance requires a nonempty sample")
     d = -math.inf
     for start in range(0, m, _KS_CHUNK):
         f = np.asarray(cdf(sample.values[start:start + _KS_CHUNK]), dtype=np.float64)
@@ -153,8 +153,6 @@ def tail_log_prob(sample: EmpiricalSample, z: float, speed: float,
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
     m = sample.replicates
-    if m < 1:
-        raise ValueError("tail_log_prob requires a nonempty sample")
     if direction == "above":
         hits = int(np.count_nonzero(sample.values > z))
     else:

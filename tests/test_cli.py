@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -145,10 +146,13 @@ def _with_row(report, **values):
     (lambda r: _with_row(r, theory="nan"), "report row 0 column 'theory' must be a number"),
     (lambda r: _with_row(r, bogus=1, estimat=5),
      "report row 0 has unknown keys 'bogus', 'estimat'"),
+    (lambda r: {**r, "bogus": 1}, "report has unknown keys 'bogus'"),
+    (lambda r: {**r, "tool_version": "9.9.9"},
+     f"report tool_version '9.9.9' is not this version, '{experiments.TOOL_VERSION}'"),
 ], ids=["empty", "list", "row_without_n", "config_without_seed", "unknown_config_key",
         "replicates_string", "workers_null", "n_list_number", "q_string", "seed_string",
         "estimate_list", "n_string", "pass_string", "experiment_number", "theory_nan_string",
-        "unknown_row_keys"])
+        "unknown_row_keys", "unknown_top_key", "foreign_tool_version"])
 def test_report_from_malformed_json_is_a_usage_error(tmp_path, capsys, edit, message):
     report = tmp_path / "r.json"
     assert run_cli(["equivalence", "--n", "5", "--replicates", "100", "--format", "json",
@@ -272,9 +276,18 @@ def test_config_yielding_no_rows_is_a_usage_error(capsys):
     (["ldp", "--n", "1000", "--replicates", "1000000", "--oracle-n", "10", "--z", "20"],
      "threshold must lie in (0, 1)"),
     (["lpball", "--law", "ldp", "--p", "2", "--n", "200", "--z", "1.3", "--replicates", "2000",
-      "--oracle-n", "1000"], "no exact oracle rows"),
+      "--oracle-n", "1000"], "lp_ldp experiments do not read oracle_n_list"),
+    # a report's config must not claim a value that its run never read
+    (["gumbel", "--q", "3"], "gumbel experiments do not read q, got 3.0"),
+    (["clt", "--source", "uniform01"], "clt experiments do not read source, got 'uniform01'"),
+    (["clt", "--z", "1"], "clt experiments do not read thresholds, got (1.0,)"),
+    (["lpball", "--law", "gumbel", "--p", "1", "--z", "5"],
+     "lp_gumbel experiments do not read thresholds, got (5.0,)"),
+    (["equivalence", "--sn", "log_log"],
+     "equivalence_decay experiments do not read s_n_rule, got 'log_log'"),
 ], ids=["gumbel_oracle_n_1", "mdp_oracle_n_2", "mdp_n_2", "gumbel_oracle_threshold",
-        "ldp_oracle_threshold", "lp_ldp_oracle_n"])
+        "ldp_oracle_threshold", "lp_ldp_oracle_n", "gumbel_q", "clt_source", "clt_z",
+        "lp_gumbel_z", "equivalence_sn"])
 def test_config_error_is_a_usage_error_before_sampling(monkeypatch, capsys, args, message):
     def must_not_sample(*args, **kwargs):
         raise AssertionError("sampled before the config was checked")
@@ -386,8 +399,8 @@ def test_config_file_integer_for_a_number_flag_reads_as_the_flag(tmp_path):
     # min(1, 2 * nan) would read 1.0
     (["oracle", "--op", "small-n-norm-cdf", "--n", "2", "--q", "2", "--t", "nan"],
      "threshold must be nonnegative, got nan"),
-    (["clt", "--n", "-5", "--replicates", "10"], "every n in n_list must be >= 1"),
-    (["clt", "--n", "100,0", "--replicates", "10"], "every n in n_list must be >= 1"),
+    (["clt", "--n", "-5", "--replicates", "10"], "every n >= 2 in n_list"),
+    (["clt", "--n", "100,0", "--replicates", "10"], "every n >= 2 in n_list"),
     (["sample", "--kind", "ball", "--n", "3", "--p", "inf"], "ball exponent p"),
     (["sample", "--kind", "pgen", "--n", "3", "--p", "64"], "ball exponent p"),
     # each would sample first and then fail in the oracle, or write NaN/Infinity
@@ -433,3 +446,18 @@ def test_repeated_dimension_is_a_usage_error(monkeypatch, capsys, args, field):
     monkeypatch.setattr(sampling, "exponential_block", must_not_sample)
     assert run_cli(args + ["--workers", "1"]) == 2
     assert f"error: {field} repeats a dimension" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse_and_build_their_configs():
+    # each `simplex-limits ...` line of README's CLI section; no example may
+    # set a field its experiment does not read
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in section.splitlines()
+                if line.startswith("simplex-limits ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.handler is cli._cmd_experiment:
+            kind, defaults = args.entry[args.law] if isinstance(args.entry, dict) else args.entry
+            cli._experiment_config(kind, defaults, args)  # builds, draws nothing

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -91,7 +92,8 @@ def test_batch_sup_matches_scalar_statistics(kind, n):
     else:
         points = [row / row.sum() - 1.0 / n
                   for row in exponential_block(_block0(seed, n), reps, n)]
-    config = ex.ExperimentConfig(kind=kind, n_list=(n,), replicates=reps, seed=seed, p=p)
+    config = ex.ExperimentConfig(kind=kind, n_list=(n,), replicates=reps, seed=seed,
+                                 p=p if kind == "lp_ldp" else None)
     th = ex.SUP_THEOREMS[kind]
     base, _ = th.sample(config, n)
     scale, shift = th.affine(config, n)
@@ -257,6 +259,15 @@ def test_oracle_dimension_below_two_is_rejected_at_construction(kind):
     with pytest.raises(ValueError, match="oracle_n_list"):
         ex.ExperimentConfig(kind=kind, n_list=(300,), replicates=10, seed=0,
                             thresholds=(1.5,), oracle_n_list=(1000, 1))
+
+
+def test_the_kind_field_table_lists_every_kind():
+    assert set(ex._KIND_FIELDS) == set(ex.THEOREMS)
+    defaulted = {f.name for f in dataclasses.fields(ex.ExperimentConfig)
+                 if f.default is not dataclasses.MISSING}
+    assert set(ex._OPTIONAL_FIELDS) <= defaulted
+    for fields in ex._KIND_FIELDS.values():
+        assert set(fields) <= set(ex._OPTIONAL_FIELDS)
 
 
 def test_config_roundtrip():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,41 @@ def test_a_series_below_the_float_range_is_named_underflow():
     with pytest.raises(oracle.CancellationError,
                        match=r"underflow .* so log P is about -1988\.19"):
         oracle.max_spacing_sf(10**6, 0.002)
+
+
+def _exact_cdf(n: int, s: float) -> Fraction:
+    # the inclusion-exclusion sum in exact rationals, at the float s
+    s = Fraction(s)
+    return sum((-1) ** k * math.comb(n, k) * (1 - k * s) ** (n - 1)
+               for k in range(n + 1) if k * s < 1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 25, 50, 100, 200])
+def test_max_spacing_error_bounds_hold_against_exact_sums(n):
+    """Every CDF and survival-function result lies within its error_bound of
+    the exact sum, or the call raises CancellationError.
+
+    The grid holds j/24 and the pigeonhole and experiment scalings at each n.
+    Where fl(1/n) lies above 1/n the CDF there is positive, and at n = 5, 10
+    and 20 it lies in the float range (9.4956e-66 at n = 5).
+    The product bound max_spacing_cdf_upper is checked at the pigeonhole
+    points only: elsewhere it can round below a CDF near 1 (n = 100,
+    s = 0.25: 0.9999999999572342 against 0.9999999999572373), and its one
+    caller is the deep-tail fallback of SupTheorem.exact.
+    """
+    grid = {j / 24 for j in range(1, 24)} | {
+        1 / n, 1 / (n - 1), math.log(n) / n, (1 + 0.5 * math.log(n)) / n,
+        (1 + 1.5 * math.log(n)) / n}
+    for s in sorted(x for x in grid if 0.0 < x < 1.0):
+        cdf = _exact_cdf(n, s)
+        for fn, exact in ((oracle.max_spacing_cdf, cdf), (oracle.max_spacing_sf, 1 - cdf)):
+            try:
+                res = fn(n, s)
+            except oracle.CancellationError:
+                continue
+            assert float(abs(Fraction(res.value) - exact)) <= res.error_bound, (fn, n, s)
+        if s <= 1.0 / n:
+            assert oracle.max_spacing_cdf_upper(n, s).value >= float(cdf), (n, s)
 
 
 def test_certified_upper_bound_dominates_cdf():

@@ -355,6 +355,12 @@ def test_empirical_sample_sorts_and_validates():
         stats.EmpiricalSample(np.array([2.0, 1.0]))
 
 
+def test_an_empty_sample_is_rejected():
+    # a KS distance or a tail frequency of no values is undefined
+    with pytest.raises(ValueError, match="at least one value"):
+        stats.EmpiricalSample(np.array([]))
+
+
 def test_from_values_sorts_an_array_where_it_lies_and_peaks_at_a_mask():
     # a float64 array is handed over and sorted in place; the sort check
     # compares neighbours into a mask of one byte per value, the peak
