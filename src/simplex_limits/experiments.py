@@ -411,7 +411,7 @@ def _sorted_values(seed: int, n: int, replicates: int, workers: int, finish,
         if source is None:
             return sampling.exponential_block(bstream, rows, n, reduce)
         rng = bstream.generator()
-        return reduce(lambda leaf: source.sample(rng, leaf.shape, out=leaf), rows, n)
+        return reduce(lambda leaf, chunk: source.sample(rng, leaf.shape, out=leaf), rows, n)
 
     return EmpiricalSample.from_values(_collect(seed, n, replicates, workers, kernel))
 
@@ -593,24 +593,25 @@ def _deviation_pass(estimate: float, theory: float, band: tuple[float, float]) -
     return theory - band[0] <= estimate <= theory + band[1]
 
 
-def _oracle_grid(theorem: SupTheorem, config: ExperimentConfig, thresholds,
+def _oracle_grid(theorem: SupTheorem, config: ExperimentConfig, rates,
                  param: str) -> list[ReportRow]:
     """Exact rows at every oracle dimension in config order, thresholds inner."""
     return [theorem.exact(config, n, z, param)
-            for n in config.oracle_n_list for z in thresholds]
+            for n in config.oracle_n_list for z, _ in rates]
 
 
-def _ldp_oracle(theorem: SupTheorem, config: ExperimentConfig, thresholds,
+def _ldp_oracle(theorem: SupTheorem, config: ExperimentConfig, rates,
                 param: str) -> list[ReportRow]:
     """Exact LDP rates, plus a trend row per threshold across the oracle dimensions.
 
-    Only the finite-rate side z > 1 is evaluated: below 1 the alternating
-    series cancels past double precision by construction, which is the same
-    super-exponential decay the Monte Carlo rows flag.
+    Only a threshold of finite rate (z >= 1) is evaluated; one whose rate is
+    +inf (z < 1) is skipped: there the alternating series cancels past
+    double precision by construction, which is the same super-exponential
+    decay the Monte Carlo rows flag.
     """
     rows = []
-    for z in thresholds:
-        if z <= 1.0:
+    for z, rate in rates:
+        if math.isinf(rate):
             continue
         exact = [theorem.exact(config, n, z, param) for n in sorted(config.oracle_n_list)]
         rows += exact
@@ -651,7 +652,7 @@ class SupTheorem:
     max-spacing oracle's probability at one dimension and threshold instead
     of a sample's.  ``spacing`` maps a threshold to the spacing bound that
     the oracle is asked about, and ``oracle`` lays the exact rows out over
-    the config's oracle dimensions.
+    the config's oracle dimensions, given the plan's ``(z, rate)`` pairs.
     """
 
     #: (config, n) -> (sample, largest lp-norm seen or None); a norm adds a
@@ -664,7 +665,7 @@ class SupTheorem:
     thresholds: tuple[float, ...]  # used when the config gives none
     param: Callable  # config -> row param label; validates the parameter
     spacing: Callable | None = None  # (config, n, z) -> max-spacing bound at z
-    oracle: Callable | None = None  # (theorem, config, thresholds, param) -> exact rows
+    oracle: Callable | None = None  # (theorem, config, rates, param) -> exact rows
 
     def exact(self, config: ExperimentConfig, n: int, z: float, param: str) -> ReportRow:
         """The exact oracle row at dimension ``n`` and threshold ``z``.
@@ -688,9 +689,11 @@ class SupTheorem:
         if math.isfinite(theory):
             res = oracle.max_spacing_sf(n, s)
         else:
-            # lower tail: fall back to the certified product bound when the
-            # exact series cancels; its -log is a lower bound on the
-            # normalized magnitude, which is all the super-decay floor needs
+            # lower tail: fall back to the product bound when the exact
+            # series cancels.  It bounds the CDF up to its own rounding, which
+            # matters only within rounding of 1, far from a tail that cancels;
+            # its -log is a lower bound on the normalized magnitude, which is
+            # all the super-decay floor needs
             try:
                 res = oracle.max_spacing_cdf(n, cdf_at)
             except oracle.CancellationError:
@@ -707,8 +710,10 @@ class SupTheorem:
 
     def __call__(self, config: ExperimentConfig) -> Plan:
         """The plan of one config: Monte Carlo rows per dimension, then the
-        theorem's exact oracle rows.  Every map, speed and exact row is
-        computed here, before the first draw."""
+        theorem's exact oracle rows.  Every map, speed, rate and exact row is
+        computed here, before the first draw: ``rates`` pairs each threshold,
+        repeats included, with its rate (None for a Gumbel theorem), and the
+        Monte Carlo and oracle rows both read it."""
         kind = config.kind
         param = self.param(config)
         thresholds = config.thresholds or self.thresholds
@@ -716,7 +721,8 @@ class SupTheorem:
             raise ValueError(f"{kind} experiment requires thresholds")
         maps = {n: (*self.affine(config, n), self.speed(config, n) if self.rate else None)
                 for n in config.n_list}
-        oracle_rows = self.oracle(self, config, thresholds, param) if self.oracle else []
+        rates = [(z, self.rate and rate_function(self.rate, z, p=config.p)) for z in thresholds]
+        oracle_rows = self.oracle(self, config, rates, param) if self.oracle else []
 
         def rows_at(n: int) -> list[ReportRow]:
             scale, shift, speed = maps[n]
@@ -730,8 +736,7 @@ class SupTheorem:
                 d = ks_distance(sample, gumbel_cdf)
                 return rows + [ReportRow(f"{kind}:ks", n, param, None, d, 0.0, None,
                                          d <= TOLERANCES[self.tol])]
-            for z in thresholds:
-                theory = rate_function(self.rate, z, p=config.p)
+            for z, theory in rates:
                 direction = "above" if math.isfinite(theory) else "below"
                 dev = tail_log_prob(sample, z, speed=speed, direction=direction)
                 est = dev.normalized_log_prob

@@ -148,13 +148,17 @@ def max_spacing_sf(n: int, s: float) -> OracleResult:
 
 
 def max_spacing_cdf_upper(n: int, s: float) -> OracleResult:
-    """Certified closed-form upper bound (1 - (1-s)^(n-1))^n on the max-spacing CDF.
+    """Closed-form upper bound (1 - (1-s)^(n-1))^n on the max-spacing CDF.
 
     Uniform spacings are negatively associated, so the probability that all n
     of them stay below s is at most the product of the marginal probabilities.
-    This bound stays computable in the deep lower tail where the alternating
-    series cancels beyond double precision; being a closed-form bound rather
-    than an estimate, it carries error_bound = 0.
+    The float value bounds the CDF only up to its own rounding: where the CDF
+    is within rounding of 1 it can read below it (n = 100, s = 0.25 gives
+    0.9999999999572342 against the exact series' 0.9999999999572373).  The
+    report reads it only for a lower tail whose alternating series cancels
+    beyond double precision, where it stays computable and the CDF is far
+    from 1; being a closed-form bound rather than an estimate, it carries
+    error_bound = 0.
     """
     _check_spacing_args(n, s)
     if s <= 1.0 / n:

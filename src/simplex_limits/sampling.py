@@ -20,17 +20,20 @@ stream does not depend on how it is split into calls: a built block is one
 :data:`_CHUNK_ELEMS` elements of numpy's pairwise row-sum tree
 (:func:`_tree_sum`), so for n <= 2**16 the leaf is the whole chunk and for
 longer rows it is a cache-sized piece of one row.  It takes each leaf's sums
-while the leaf is in L2 and adds them as numpy adds the tree's nodes.  Only
+while the leaf is in L2 and adds them as numpy adds the tree's nodes.  It
+hands each leaf to its draw with the slice of block rows of the leaf's
+chunk, so a draw that keeps per-chunk values keys them by that slice.  Only
 a centred power sum at q != 2 reads a row back from memory, once; at q = 2
 each leaf's squares are taken about its own mean while it is in L2 and
 merged at the row mean, so no row is stored.  :func:`exponential_block`
 hands it the exponential fill; the general-CLT sources hand it their own
 fill; the ``sup`` pass of :func:`lp_ball_block` hands it a magnitude fill
-that keeps each leaf's row max and leaves the leaf's p-th powers to be
-summed, and its membership redraw a fill that scales the leaf and leaves
-its p-th powers.  The reduced values are the built block's, bit for bit,
-but for the q = 2 power sum of a row of more than one leaf (n > 2**16),
-which is the merge of its leaves (see :class:`RowReduction`).
+that saves the generator state once per row chunk, before the chunk's first
+leaf, folds each leaf's row max into its chunk's and leaves the leaf's p-th
+powers to be summed, and its membership redraw a fill that scales the leaf
+and leaves its p-th powers.  The reduced values are the built block's, bit
+for bit, but for the q = 2 power sum of a row of more than one leaf
+(n > 2**16), which is the merge of its leaves (see :class:`RowReduction`).
 
 Memory.  A built block is ``rows`` x ``n`` doubles.  A reduction never
 builds one: each call holds one buffer while it runs, a row chunk of about
@@ -130,7 +133,7 @@ def exponential_block(stream: RandomStream, rows: int, n: int, reduce=None) -> n
     fill = functools.partial(_magnitudes_fill, stream.generator(), p=1.0)
     if reduce is None:
         return fill(np.empty((rows, n)))
-    return reduce(fill, rows, n)
+    return reduce(lambda leaf, chunk: fill(leaf), rows, n)
 
 
 #: Rows shorter than this take their min and max a column at a time:
@@ -177,11 +180,14 @@ class RowReduction:
     chunk (:func:`_row_chunks`) at a time, each row by the leaves of
     :func:`_tree_sum`, so a row longer than :data:`_CHUNK_ELEMS` is reduced
     a cache-sized leaf at a time; a shorter row is one leaf, reduced as one.
-    Pass 1 has ``draw(leaf)`` fill each leaf in place, in the block's draw
-    order, and takes its sum (and min and max) right after.  The reductions
-    read whatever ``draw`` leaves in the leaf, so a draw may also transform
-    the values it drew, in place (the lp-ball ``sup`` pass leaves their p-th
-    powers).
+    Pass 1 calls ``draw(leaf, chunk)`` to fill each leaf in place, in the
+    block's draw order, and takes its sum (and min and max) right after;
+    ``chunk`` is the slice of block rows that the leaf belongs to, the same
+    slice for every leaf of a chunk (:func:`_row_chunks`, in order), so a
+    draw may key per-chunk values by it.  A draw that needs no such value
+    ignores it.  The reductions read whatever ``draw`` leaves in the leaf,
+    so a draw may also transform the values it drew, in place (the lp-ball
+    ``sup`` pass leaves their p-th powers).
 
     The centred power sum is taken in one of two ways.  At q = 2, pass 1
     also overwrites each leaf with its distance from its own mean
@@ -220,7 +226,7 @@ class RowReduction:
             def leaf_sum(cols: slice) -> np.ndarray:
                 width = cols.stop - cols.start
                 y = x[:, cols] if stored else x[:, :width]
-                draw(y)
+                draw(y, chunk)
                 if self.extremes:
                     lows.append(_row_extreme(np.minimum, y))
                     highs.append(_row_extreme(np.maximum, y))
@@ -388,26 +394,27 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     array.  Column 0 holds each point's largest absolute coordinate.  Column
     1 holds the point's lp-norm on the rows that can hold the block's largest
     one, and 0.0 on the others.  The magnitudes are drawn and reduced by a
-    :class:`RowReduction` of the row totals, leaf by leaf: each leaf's row
-    max is kept, the generator state saved before it, and its p-th powers
-    are summed as the row sums.
+    :class:`RowReduction` of the row totals, leaf by leaf: the generator
+    state is saved once per row chunk, before the chunk's first leaf, each
+    leaf's row maxima are folded into column 0 at the chunk's rows, and the
+    leaf's p-th powers are summed as the row sums.
     The values, and the largest norm, are those of the built block, bit for
     bit: the leaves and their row sums are the built block's, a row's max is
-    the max of its leaves' maxes, and the signs are skipped
-    (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate
+    the max of its leaves' maxes (and of column 0's start, 0.0, which no
+    magnitude is below; a max is exact in any order), and the signs are
+    skipped (:func:`_skip_fair_signs`), not drawn.  A sign flips a coordinate
     exactly, and rounding is symmetric, so |sign * y * c| = y * c.  A
     positive scale c is monotone under rounding, so max(y * c) is
     max(y) * c.  Row r's lp-norm lies within a factor 1 +- g of its radius
     U_r**(1/n) (:func:`_norm_rounding_bound`), so only rows with
     U_r**(1/n) >= max_r U_r**(1/n) (1 - g) / (1 + g) can hold the largest
-    one.  Their chunks are drawn again, each from the state saved before its
-    first leaf, by the same reduction, a leaf at a time: each leaf is scaled
-    by its rows' scale and raised to the power p in place, the built chunk's
-    elementwise ops, and summed by the leaves of :func:`_tree_sum`, which
-    give the built chunk's row sums.  The root is then taken on the whole
-    vector of rows, as numpy takes it there.  (A
-    Python-scalar root would call libm's power, which can differ from
-    numpy's by an ulp.)
+    one.  Their chunks are drawn again, each from its saved state, by the
+    same reduction, a leaf at a time: each leaf is scaled by its rows' scale
+    and raised to the power p in place, the built chunk's elementwise ops,
+    and summed by the leaves of :func:`_tree_sum`, which give the built
+    chunk's row sums.  The root is then taken on the whole vector of rows,
+    as numpy takes it there.  (A Python-scalar root would call libm's power,
+    which can differ from numpy's by an ulp.)
     """
     _check_dimension(n)
     _check_p(p)
@@ -426,12 +433,13 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
         return y
 
     reduce = RowReduction(lambda s: s.total)
-    # the empty head lets a block of no rows concatenate its maxes
-    states, highs = [], [np.empty(0)]
+    out = np.zeros((rows, 2))
+    states = {}
 
-    def draw(leaf: np.ndarray) -> None:
-        states.append(rng.bit_generator.state)
-        highs.append(_row_extreme(np.maximum, fill(rng, leaf)))
+    def draw(leaf: np.ndarray, chunk: slice) -> None:
+        if chunk.start not in states:
+            states[chunk.start] = rng.bit_generator.state
+        np.maximum(out[chunk, 0], _row_extreme(np.maximum, fill(rng, leaf)), out=out[chunk, 0])
         if p != 1.0:
             leaf **= p
 
@@ -447,19 +455,13 @@ def lp_ball_block(stream: RandomStream, rows: int, n: int, p: float,
     power_sums **= 1.0 / p
     scale = np.divide(radius, power_sums, out=radius)
     del power_sums
-    out = np.zeros((rows, 2))
-    # the leaf maxes fill a rows x leaves matrix in C order: a row chunk is
-    # one leaf, or one row of leaves
-    leaves = _tree_sum(n, lambda cols: 1)
-    np.concatenate(highs).reshape(rows, leaves).max(axis=1, out=out[:, 0])
-    highs.clear()
     out[:, 0] *= scale
     point_sums = out[:, 1]
-    for i, chunk in enumerate(_row_chunks(rows, n)):
+    for chunk in _row_chunks(rows, n):
         if candidates[chunk].any():
-            rng.bit_generator.state = states[i * leaves]
+            rng.bit_generator.state = states[chunk.start]
 
-            def redraw(leaf: np.ndarray) -> None:
+            def redraw(leaf: np.ndarray, _: slice) -> None:
                 fill(rng, leaf)
                 leaf *= scale[chunk, None]
                 pow_in_place(leaf, p)

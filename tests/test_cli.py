@@ -253,6 +253,16 @@ def test_a_general_clt_variance_past_the_float_range_exits_1_before_any_draw(mon
         "float 2.2e-308; for uniform01 above q = 506.00)\n")
 
 
+def test_an_lp_sup_rate_past_the_float_range_exits_1_before_any_draw(monkeypatch, capsys):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled before the rate was computed")
+
+    monkeypatch.setattr(sampling, "lp_ball_block", must_not_sample)
+    assert run_cli(["lpball", "--law", "ldp", "--p", "2", "--z", "1e200"]) == 1
+    assert capsys.readouterr().err == (
+        "error: lp_sup rate z**p - 1 at z=1e+200, p=2 exceeds the float range\n")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])

@@ -157,6 +157,16 @@ def test_a_rejected_config_fails_before_any_draw(monkeypatch, config):
         ex.run(ex.ExperimentConfig(replicates=10, seed=0, **config))
 
 
+def test_an_ldp_threshold_of_1_has_its_oracle_rows():
+    # the rate z - 1 is finite, 0, at z = 1, so the oracle evaluates it
+    report = ex.run(ex.ExperimentConfig(kind="ldp", n_list=(), replicates=1, seed=0,
+                                        thresholds=(1.0,), oracle_n_list=(100_000, 1_000_000)))
+    assert [(r.experiment, r.n, r.threshold, r.theory) for r in report.rows] == [
+        ("ldp:oracle", 100_000, 1.0, 0.0), ("ldp:oracle", 1_000_000, 1.0, 0.0),
+        ("ldp:oracle_trend", 1_000_000, 1.0, 0.0)]
+    assert all(r.passed for r in report.rows)
+
+
 @pytest.mark.parametrize("source, q", [("exponential", 2.0), ("uniform01", 507.0),
                                        ("uniform01", 600.0)])
 def test_a_general_clt_variance_below_the_float_range_fails_before_any_draw(monkeypatch,

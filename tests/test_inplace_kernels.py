@@ -241,7 +241,7 @@ def _copy_leaves(x):
     # a draw that fills each leaf with the next columns of the one row x
     taken = 0
 
-    def draw(leaf):
+    def draw(leaf, chunk):
         nonlocal taken
         leaf[:] = x[:, taken:taken + leaf.shape[1]]
         taken += leaf.shape[1]
@@ -275,7 +275,7 @@ def test_row_extremes_have_the_bits_of_numpys_row_reductions(n):
     x = np.random.default_rng(n).standard_normal((3 * sampling._chunk_rows(n) + 7, n))
     taken = 0
 
-    def draw(leaf):
+    def draw(leaf, chunk):
         nonlocal taken
         leaf[:] = x[taken:taken + len(leaf)]
         taken += len(leaf)
@@ -284,6 +284,26 @@ def test_row_extremes_have_the_bits_of_numpys_row_reductions(n):
     sampling.RowReduction(lambda s: kept.append(s) or s.total, extremes=True)(draw, len(x), n)
     assert np.array_equal(np.concatenate([s.low for s in kept]), x.min(axis=1))
     assert np.array_equal(np.concatenate([s.high for s in kept]), x.max(axis=1))
+
+
+@pytest.mark.parametrize("n", [5, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_each_leaf_is_drawn_with_its_row_chunk(n):
+    # three full row chunks and a partial one (a chunk of one row has none)
+    step = sampling._chunk_rows(n)
+    rows = 3 * step + max(1, step // 2)
+    seen = []
+
+    def draw(leaf, chunk):
+        seen.append((chunk, leaf.shape))
+        leaf.fill(1.0)
+
+    sampling.RowReduction(lambda s: s.total)(draw, rows, n)
+    chunks = [chunk for i, (chunk, _) in enumerate(seen) if i == 0 or chunk != seen[i - 1][0]]
+    assert chunks == sampling._row_chunks(rows, n)
+    for chunk in chunks:
+        shapes = [shape for c, shape in seen if c == chunk]
+        assert all(leaf_rows == chunk.stop - chunk.start for leaf_rows, _ in shapes)
+        assert sum(width for _, width in shapes) == n
 
 
 @pytest.mark.parametrize("n", [_CHUNK + 1, 100_003, 3 * _CHUNK + 5, 2**21 + 8])
