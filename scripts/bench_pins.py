@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Print the benchmark pins that this checkout would give, and mark the stale ones.
 
-    python3 scripts/bench_pins.py                 # every pinned entry
-    python3 scripts/bench_pins.py 06_mdp huge_n   # only these labels
+    python3 scripts/bench_pins.py
 
 For each label of ``perfbench/workloads.py`` this computes the ``ROW_KEYS``
 and ``PINNED_DIGESTS`` entries as the benchmark (``perfbench/run.py``)
@@ -14,17 +13,14 @@ what it re-pins.  No file is edited, and the exit status is 0 either way.
 - A config's digest is the SHA-256 of ``to_csv() + to_json()`` of its
   report at ``DEFAULT_SEED``.
 - ``huge_n``'s digest is the SHA-256 of ``clt_sample(...).values.tobytes()``.
-- A config's row key is the SHA-256 of the JSON list of its report's row
-  keys (experiment, n, param, threshold).  Row keys depend on the config
-  only, so it is taken at two replicates, as the row-key test takes it.
+- A config's row key is the SHA-256 of the JSON list of the same report's
+  row keys (experiment, n, param, threshold).
 
-All labels together take about 5 s on a 2-vCPU VM; ``06_mdp`` alone is instant.
+All labels take about 6 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -50,31 +46,24 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def row_key(config) -> str:
-    config = dataclasses.replace(config, replicates=min(config.replicates, 2))
-    keys = [[r.experiment, r.n, r.param, r.threshold] for r in ex.run(config).rows]
-    return _sha(json.dumps(keys).encode())
-
-
-def report_digest(config) -> str:
+def pins(config) -> tuple[str, str]:
+    """``(row key, digest)`` of one config, from one run of its report."""
     report = ex.run(config)
-    return _sha((report.to_csv() + report.to_json()).encode())
+    keys = [[r.experiment, r.n, r.param, r.threshold] for r in report.rows]
+    return _sha(json.dumps(keys).encode()), _sha((report.to_csv() + report.to_json()).encode())
 
 
-def current_pins(workloads, labels=None) -> tuple[dict[str, str], dict[str, str]]:
+def current_pins(workloads) -> tuple[dict[str, str], dict[str, str]]:
     """``(ROW_KEYS, PINNED_DIGESTS)`` as this checkout would pin them, in the
-    file's order, for every label or only those of ``labels``."""
+    file's order."""
     row_keys, digests = {}, {}
     for name, workers in workloads.WORKLOADS.items():
         for label, config in workloads.configs(ex, name, workloads.DEFAULT_SEED, workers):
-            if labels is None or label in labels:
-                row_keys[label] = row_key(config)
-                digests[label] = report_digest(config)
-    if labels is None or "huge_n" in labels:
-        values = ex.clt_sample(workloads.DEFAULT_SEED, workloads.HUGE_N, 2.0,
-                               workloads.HUGE_N_REPLICATES,
-                               workers=workloads.WORKLOADS["huge_n"]).values
-        digests["huge_n"] = _sha(values.tobytes())
+            row_keys[label], digests[label] = pins(config)
+    values = ex.clt_sample(workloads.DEFAULT_SEED, workloads.HUGE_N, 2.0,
+                           workloads.HUGE_N_REPLICATES,
+                           workers=workloads.WORKLOADS["huge_n"]).values
+    digests["huge_n"] = _sha(values.tobytes())
     return row_keys, digests
 
 
@@ -88,16 +77,9 @@ def pins_text(name: str, current: dict[str, str], pinned: dict[str, str]) -> str
     return "\n".join(lines + ["}"]) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     workloads = load_workloads()
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("labels", nargs="*", help="pinned labels to compute (default: all)")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.labels).difference(workloads.PINNED_DIGESTS))
-    if unknown:
-        parser.error(f"unknown labels {', '.join(unknown)}; known: "
-                     f"{', '.join(workloads.PINNED_DIGESTS)}")
-    row_keys, digests = current_pins(workloads, set(args.labels) or None)
+    row_keys, digests = current_pins(workloads)
     sys.stdout.write(pins_text("ROW_KEYS", row_keys, workloads.ROW_KEYS) + "\n"
                      + pins_text("PINNED_DIGESTS", digests, workloads.PINNED_DIGESTS))
     return 0

@@ -248,9 +248,9 @@ def rate_function(kind: str, z: float, p: float | None = None) -> float:
         raise ValueError("lp_sup rate function requires the ball exponent p")
     if not p >= 1.0:
         raise ValueError(f"p must satisfy p >= 1, got {p}")
-    if z >= 1.0 and _power(z, p) == math.inf:
+    if z >= 1.0 and (zp := _power(z, p)) == math.inf:
         raise OverflowError(f"lp_sup rate z**p - 1 at z={z:g}, p={p:g} exceeds the float range")
-    return z**p - 1.0 if z >= 1.0 else math.inf
+    return zp - 1.0 if z >= 1.0 else math.inf
 
 
 def constants_table(q_list) -> list[dict]:

@@ -20,9 +20,10 @@ bench_pins = _load_script()
 
 def test_the_pins_of_06_mdp_are_the_pinned_ones():
     workloads = bench_pins.load_workloads()
-    row_keys, digests = bench_pins.current_pins(workloads, {"06_mdp"})
-    assert row_keys == {"06_mdp": workloads.ROW_KEYS["06_mdp"]}
-    assert digests == {"06_mdp": workloads.PINNED_DIGESTS["06_mdp"]}
+    configs = dict(workloads.configs(bench_pins.ex, "simplex_long_rows",
+                                     workloads.DEFAULT_SEED, workloads.WORKLOADS["simplex_long_rows"]))
+    assert bench_pins.pins(configs["06_mdp"]) == (workloads.ROW_KEYS["06_mdp"],
+                                                  workloads.PINNED_DIGESTS["06_mdp"])
 
 
 def test_only_an_entry_that_differs_from_its_pin_is_marked():
